@@ -166,7 +166,7 @@ def _solve_uq(inst: UqInstance, args) -> tuple[dict, int]:
         duality = conesolver.certify_strong_duality(inst, res)
         report["duality"] = {"gap": duality.gap, "holds": duality.holds}
         if cert.holds:
-            x, _ = recover.tighten_uq(inst, res)
+            x, _ = recover.tighten_uq(inst, res, tol_rank=args.tol_rank)
             report["exact"] = True
             report["recovered"] = {
                 "x": x,
@@ -367,7 +367,7 @@ def cmd_approx(args) -> int:
         inst.d = inst.d.copy()
         inst.d[0] = 0.0
         report["translated"] = {"interior_point": shift, "margin": margin}
-    x_sh, trace, cert = recover.approx_uq(inst, opts=_options(args))
+    x_sh, trace, cert = recover.approx_uq(inst, opts=_options(args), tol_rank=args.tol_rank)
     x = x_sh + shift
     report.update(
         {

@@ -1,10 +1,19 @@
 """Linear + second-order cone programming solver.
 
 Solves  min c'z  s.t.  E z = f,  G z <= h,  ||A_k z + b_k|| <= c_k'z + d_k
-with a dense primal-dual path-following interior-point method: Nesterov-Todd
-scaling over the product of the nonnegative orthant and second-order cones,
-Mehrotra predictor-corrector steps, and KKT solves by symmetric indefinite
-factorization with static regularization plus iterative refinement.
+with a primal-dual path-following interior-point method: Nesterov-Todd
+scaling over the product of the nonnegative orthant and second-order cones
+and Mehrotra predictor-corrector steps.
+
+Each iteration works in NT-scaled coordinates.  The cone block of the KKT
+system is eliminated, so only the reduced matrix [[G'W^-2 G + dI, E'],
+[E, -dI]] of size nv + ne is factored (symmetric indefinite, static
+regularization d); W^-1 G is formed and the cone multipliers recovered block
+by block, and iterative refinement takes its residual from the full,
+unreduced operator.  On a second-order cone W is kept in arrow form (a unit
+vector wbar and a scale eta), so W and W^-1 cost one O(d) pass, batched over
+all cones of equal dimension; the step to the boundary is taken in the same
+scaled coordinates.
 
 Also evaluates the closed-form Lagrangian dual of a uniform quadratic
 instance and certifies strong duality of a relaxation solve against it.
@@ -150,289 +159,288 @@ class DualPoint:
 
 
 # ---------------------------------------------------------------------------
-# cone utilities: vectors live in R^l x Q_{d_1} x ... x Q_{d_q}
+# cone layout: vectors live in R^l x Q_{d_1} x ... x Q_{d_q}
 # ---------------------------------------------------------------------------
 
 
-def _blocks(vec, l, dims):
-    out = []
-    at = l
-    for d in dims:
-        out.append(vec[at : at + d])
-        at += d
-    return out
+class _Cones:
+    """Row layout of the product cone, fixed for one solve.
 
+    The l linear rows come first.  SOC blocks follow grouped by dimension (a
+    stable sort of the program's order), so every group is one contiguous
+    slice viewed as a (count, d) array and each cone operation is one batched
+    pass per group.  The cone index runs along the last axis of every array.
+    ``slices`` maps the program's SOC blocks to their rows.
+    """
 
-def _cone_identity(l, dims):
-    e = np.zeros(l + sum(dims))
-    e[:l] = 1.0
-    at = l
-    for d in dims:
-        e[at] = 1.0
-        at += d
-    return e
+    def __init__(self, l, dims):
+        self.l = l
+        self.order = sorted(range(len(dims)), key=dims.__getitem__)
+        self.groups = []  # (start, stop, count, d)
+        self.slices = [None] * len(dims)
+        at = l
+        for j in self.order:
+            d = dims[j]
+            if self.groups and self.groups[-1][3] == d:
+                a, _, k, _ = self.groups[-1]
+                self.groups[-1] = (a, at + d, k + 1, d)
+            else:
+                self.groups.append((at, at + d, 1, d))
+            self.slices[j] = slice(at, at + d)
+            at += d
+        self.m = at
+        self.nu = l + len(dims)
+        self.identity = np.zeros(at)
+        self.identity[:l] = 1.0
+        for a, b, _, d in self.groups:
+            self.identity[a:b:d] = 1.0
 
+    def views(self, u):
+        """Per-group views of u, shaped u.shape[:-1] + (count, d)."""
+        lead = u.shape[:-1]
+        return [u[..., a:b].reshape(lead + (k, d)) for a, b, k, d in self.groups]
 
-def _cone_min_margin(u, l, dims):
-    """min over parts of the distance-to-boundary (negative when outside)."""
-    margins = []
-    if l:
-        margins.append(float(np.min(u[:l])))
-    for blk in _blocks(u, l, dims):
-        margins.append(float(blk[0] - np.linalg.norm(blk[1:])))
-    return min(margins) if margins else math.inf
+    def min_margin(self, u):
+        """Smallest distance to the boundary over all parts and all rows of u
+        (negative when some point is outside)."""
+        margin = math.inf
+        if self.l:
+            margin = float(u[..., : self.l].min())
+        for ug in self.views(u):
+            nrm = np.sqrt(np.vecdot(ug[..., 1:], ug[..., 1:]))
+            margin = min(margin, float((ug[..., 0] - nrm).min()))
+        return margin
 
+    def jprod(self, u, w):
+        """Jordan product u o w."""
+        out = np.empty_like(u)
+        l = self.l
+        out[:l] = u[:l] * w[:l]
+        for ug, wg, og in zip(self.views(u), self.views(w), self.views(out)):
+            og[:, 0] = np.vecdot(ug, wg)
+            og[:, 1:] = ug[:, :1] * wg[:, 1:] + wg[:, :1] * ug[:, 1:]
+        return out
 
-def _jprod(u, w, l, dims):
-    out = np.empty_like(u)
-    out[:l] = u[:l] * w[:l]
-    at = l
-    for d in dims:
-        ub, wb = u[at : at + d], w[at : at + d]
-        out[at] = ub @ wb
-        out[at + 1 : at + d] = ub[0] * wb[1:] + wb[0] * ub[1:]
-        at += d
-    return out
+    def jsolve(self, u, b):
+        """Solve u o x = b."""
+        out = np.empty_like(b)
+        l = self.l
+        out[:l] = b[:l] / u[:l]
+        for ug, bg, og in zip(self.views(u), self.views(b), self.views(out)):
+            u0, u1 = ug[:, 0], ug[:, 1:]
+            det = u0 * u0 - np.vecdot(u1, u1)
+            x0 = (u0 * bg[:, 0] - np.vecdot(u1, bg[:, 1:])) / det
+            og[:, 0] = x0
+            og[:, 1:] = (bg[:, 1:] - x0[:, None] * u1) / u0[:, None]
+        return out
 
+    def max_step(self, u, du):
+        """Largest alpha keeping u + alpha*du[j] in the cone for every row j.
 
-def _jsolve(u, b, l, dims):
-    """Solve u o x = b in the Jordan algebra of the product cone."""
-    out = np.empty_like(b)
-    out[:l] = b[:l] / u[:l]
-    at = l
-    for d in dims:
-        ub, bb = u[at : at + d], b[at : at + d]
-        det = ub[0] ** 2 - ub[1:] @ ub[1:]
-        x0 = (ub[0] * bb[0] - ub[1:] @ bb[1:]) / det
-        out[at] = x0
-        out[at + 1 : at + d] = (bb[1:] - x0 * ub[1:]) / ub[0]
-        at += d
-    return out
-
-
-def _soc_max_step(u, du):
-    """Largest step keeping u + alpha*du inside one second-order cone."""
-    a2 = du[0] ** 2 - du[1:] @ du[1:]
-    a1 = u[0] * du[0] - u[1:] @ du[1:]
-    nrm = np.linalg.norm(u[1:])
-    a0 = (u[0] - nrm) * (u[0] + nrm)  # factored to dodge cancellation
-    cands = []
-    if abs(a2) < 1e-300:
-        if a1 < 0.0:
-            cands.append(-a0 / (2.0 * a1))
-    else:
-        disc = a1 * a1 - a2 * a0
-        if disc >= 0.0:
-            rt = math.sqrt(disc)
-            for r in ((-a1 - rt) / a2, (-a1 + rt) / a2):
-                if r > 0.0:
-                    cands.append(r)
-    if du[0] < 0.0:
-        cands.append(-u[0] / du[0])
-    return min(cands) if cands else math.inf
-
-
-def _max_step(u, du, l, dims):
-    alpha = math.inf
-    if l:
-        neg = du[:l] < 0.0
-        if np.any(neg):
-            alpha = float(np.min(-u[:l][neg] / du[:l][neg]))
-    at = l
-    for d in dims:
-        alpha = min(alpha, _soc_max_step(u[at : at + d], du[at : at + d]))
-        at += d
-    return alpha
+        u must be interior.  On a SOC block the hyperbolic reflection H that
+        maps u/||u||_J to e maps the cone onto itself, so the step is
+        ||u||_J / max(0, -lambda_min(H du)) with lambda_min(x) = x0 - ||x1||.
+        """
+        worst = 0.0  # largest -lambda_min(du) relative to u over all parts
+        l = self.l
+        if l:
+            worst = float((-du[:, :l] / u[:l]).max())
+        for ug, dg in zip(self.views(u), self.views(du)):
+            u0, u1, d0, d1 = ug[:, 0], ug[:, 1:], dg[..., 0], dg[..., 1:]
+            nrm = np.sqrt(np.vecdot(u1, u1))
+            jn = np.sqrt((u0 - nrm) * (u0 + nrm))  # factored to dodge cancellation
+            x0 = (u0 * d0 - np.vecdot(u1, d1)) / jn
+            x1 = d1 - ((x0 + d0) / (u0 + jn))[..., None] * u1
+            lam_min = (x0 - np.sqrt(np.vecdot(x1, x1))) / jn
+            worst = max(worst, float((-lam_min).max()))
+        return 1.0 / worst if worst > 0.0 else math.inf
 
 
 class _ScalingBreakdown(ArithmeticError):
     """An iterate touched the cone boundary to machine precision."""
 
 
-def _jnorm(u):
-    # u0^2 - ||u1||^2 in factored form to dodge cancellation near the boundary
-    nrm = np.linalg.norm(u[1:])
-    val = (u[0] - nrm) * (u[0] + nrm)
-    if val <= 0.0 or u[0] <= 0.0:
+def _jnorm(ug):
+    """sqrt(u0^2 - ||u1||^2) for each cone of a (..., count, d) group."""
+    u0 = ug[..., 0]
+    nrm = np.sqrt(np.vecdot(ug[..., 1:], ug[..., 1:]))
+    val = (u0 - nrm) * (u0 + nrm)  # factored to dodge cancellation
+    if val.min() <= 0.0 or u0.min() <= 0.0:
         raise _ScalingBreakdown
-    return math.sqrt(val)
+    return np.sqrt(val)
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W of the product cone: W lam = W^{-1} s."""
+    """Nesterov-Todd scaling W of the product cone: W lam = W^{-1} s.
 
-    def __init__(self, s, lam, l, dims):
-        self.l = l
-        self.dims = dims
-        if l and (np.any(s[:l] <= 0.0) or np.any(lam[:l] <= 0.0)):
+    On a linear row W is sqrt(s/lam).  On a SOC block W = sqrt(eta) * Wbar
+    with Wbar = [[w0, w1'], [w1, I + w1 w1'/(1 + w0)]] and Wbar^{-1} = J Wbar J,
+    so W and W^{-1} are applied in one O(d) pass from (eta, wbar) alone.
+    """
+
+    def __init__(self, cones, s, lam):
+        self.cones = cones
+        l = cones.l
+        pair = np.array([s, lam])
+        if l and pair[:, :l].min() <= 0.0:
             raise _ScalingBreakdown
-        self.wl = np.sqrt(s[:l] / lam[:l]) if l else np.zeros(0)
-        self.soc_w = []
-        self.soc_winv = []
-        self.soc_w2 = []
-        at = l
-        for d in dims:
-            sb, lb = s[at : at + d], lam[at : at + d]
-            sj = _jnorm(sb)
-            lj = _jnorm(lb)
-            s_, l_ = sb / sj, lb / lj
-            gamma = math.sqrt((1.0 + s_ @ l_) / 2.0)
-            wbar = s_.copy()
-            wbar[0] += l_[0]
-            wbar[1:] -= l_[1:]
-            wbar /= 2.0 * gamma
-            eta = sj / lj
-            sq = math.sqrt(eta)
-            outer = np.outer(wbar[1:], wbar[1:]) / (1.0 + wbar[0])
-            w = np.empty((d, d))
-            w[0, 0] = wbar[0]
-            w[0, 1:] = wbar[1:]
-            w[1:, 0] = wbar[1:]
-            w[1:, 1:] = np.eye(d - 1) + outer
-            winv = w.copy()
-            winv[0, 1:] *= -1.0
-            winv[1:, 0] *= -1.0
-            jmat = np.diag(np.r_[1.0, -np.ones(d - 1)])
-            w2 = eta * (2.0 * np.outer(wbar, wbar) - jmat)
-            self.soc_w.append(sq * w)
-            self.soc_winv.append(winv / sq)
-            self.soc_w2.append(w2)
-            at += d
+        self.wl = np.sqrt(s[:l] / lam[:l])
+        self.arrows = []
+        for g in cones.views(pair):
+            jn = _jnorm(g)
+            sn, ln = g / jn[..., None]
+            two_gamma = np.sqrt(2.0 * (1.0 + np.vecdot(sn, ln)))
+            w0 = (sn[:, 0] + ln[:, 0]) / two_gamma
+            w1 = (sn[:, 1:] - ln[:, 1:]) / two_gamma[:, None]
+            rt = np.sqrt(jn[0] / jn[1])  # sqrt(eta)
+            self.arrows.append((w0, w1, 1.0 / (1.0 + w0), rt, rt[:, None]))
 
-    def apply(self, u):
-        out = np.empty_like(u)
-        out[: self.l] = self.wl * u[: self.l]
-        at = self.l
-        for w, d in zip(self.soc_w, self.dims):
-            out[at : at + d] = w @ u[at : at + d]
-            at += d
+    def _apply(self, x, inverse):
+        out = np.empty_like(x)
+        l = self.cones.l
+        out[..., :l] = x[..., :l] / self.wl if inverse else x[..., :l] * self.wl
+        for (w0, w1, c, rt, rt1), xg, og in zip(
+            self.arrows, self.cones.views(x), self.cones.views(out)
+        ):
+            x0, x1 = xg[..., 0], xg[..., 1:]
+            t = np.vecdot(x1, w1)
+            if inverse:
+                og[..., 0] = (w0 * x0 - t) / rt
+                og[..., 1:] = (x1 + w1 * (c * t - x0)[..., None]) / rt1
+            else:
+                og[..., 0] = (w0 * x0 + t) * rt
+                og[..., 1:] = (x1 + w1 * (c * t + x0)[..., None]) * rt1
         return out
 
-    def apply_inv(self, u):
-        out = np.empty_like(u)
-        out[: self.l] = u[: self.l] / self.wl
-        at = self.l
-        for winv, d in zip(self.soc_winv, self.dims):
-            out[at : at + d] = winv @ u[at : at + d]
-            at += d
-        return out
+    def apply(self, x):
+        """W x, for a vector or for each row of a matrix in cone layout."""
+        return self._apply(x, False)
 
-    def w2_matrix(self):
-        m = self.l + sum(self.dims)
-        w2 = np.zeros((m, m))
-        if self.l:
-            w2[: self.l, : self.l] = np.diag(self.wl**2)
-        at = self.l
-        for blk, d in zip(self.soc_w2, self.dims):
-            w2[at : at + d, at : at + d] = blk
-            at += d
-        return w2
+    def apply_inv(self, x):
+        """W^{-1} x, for a vector or for each row of a matrix."""
+        return self._apply(x, True)
 
 
 class _Kkt:
-    """Symmetric indefinite KKT solver with static regularization."""
+    """Reduced KKT solver in NT-scaled coordinates.
 
-    def __init__(self, nv, ne, gc, ec, w2, reg, refine_steps):
-        m = gc.shape[0]
-        dim = nv + ne + m
-        k = np.zeros((dim, dim))
-        k[:nv, nv : nv + ne] = ec.T
-        k[nv : nv + ne, :nv] = ec
-        k[:nv, nv + ne :] = gc.T
-        k[nv + ne :, :nv] = gc
-        k[nv + ne :, nv + ne :] = -w2
-        self.k = k
+    The Newton system  [0 E' G'; E 0 0; G 0 -W^2] (dz, dy, dlam) = (r1, r2, r3)
+    reads, in the scaled unknown dl = W dlam and with A = W^{-1} G,
+    [0 E' A'; E 0 0; A 0 -I] (dz, dy, dl) = (r1, r2, W^{-1} r3).  Eliminating
+    dl = A dz - W^{-1} r3 leaves [[A'A + dI, E'], [E, -dI]] of size nv + ne,
+    factored once per iteration with static regularization d (raised x100,
+    up to 1, while the factorization fails).  Iterative refinement takes its
+    residual from the full, unreduced scaled operator.
+    """
+
+    def __init__(self, e, reg, refine_steps):
+        ne, nv = e.shape
+        self.nv = nv
+        self.reg = reg
         self.refine_steps = refine_steps
-        kreg = k.copy()
-        idx = np.arange(dim)
-        kreg[idx[:nv], idx[:nv]] += reg
-        kreg[idx[nv:], idx[nv:]] -= reg
-        ldu, ipiv, info = lapack.dsytrf(kreg, lower=1)
-        bump = reg
+        self.k0 = np.zeros((nv + ne, nv + ne))  # [[0, E'], [E, 0]]
+        self.k0[nv:, :nv] = e
+        self.k0[:nv, nv:] = e.T
+        self.sign = np.concatenate((np.ones(nv), -np.ones(ne)))
+        self.k_reg = self.k0 + np.diag(reg * self.sign)
+
+    def factor(self, a_pad):
+        """Factor the reduced matrix for a_pad = [A'; 0] (nv + ne rows, one
+        column per cone row)."""
+        self.a_pad = a_pad
+        self.a_t = a_pad[: self.nv]
+        k = a_pad @ a_pad.T
+        bump = self.reg
+        ldu, ipiv, info = lapack.dsytrf(k + self.k_reg, lower=1)
         while info != 0 and bump < 1.0:
             bump *= 100.0
-            kreg = k.copy()
-            kreg[idx[:nv], idx[:nv]] += bump
-            kreg[idx[nv:], idx[nv:]] -= bump
-            ldu, ipiv, info = lapack.dsytrf(kreg, lower=1)
+            ldu, ipiv, info = lapack.dsytrf(k + self.k0 + np.diag(bump * self.sign), lower=1)
         if info != 0:
             raise InvalidProgram("KKT matrix is numerically singular")
         self.ldu = ldu
         self.ipiv = ipiv
 
-    def solve(self, rhs):
-        x, info = lapack.dsytrs(self.ldu, self.ipiv, rhs, lower=1)
+    def _factor_solve(self, rr):
+        x, info = lapack.dsytrs(self.ldu, self.ipiv, rr, lower=1)
         if info != 0:
             raise InvalidProgram("KKT solve failed")
-        for _ in range(self.refine_steps):
-            r = rhs - self.k @ x
-            dx, info = lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)
-            if info != 0:
-                break
-            x = x + dx
         return x
+
+    def solve(self, r12, r3):
+        """((dz, dy), dl) for the right-hand side (r1, r2) = r12 and the
+        scaled third block r3, already multiplied by W^{-1}."""
+        nv, a_pad, a_t = self.nv, self.a_pad, self.a_t
+        x = self._factor_solve(r12 + a_pad @ r3)
+        dl = x[:nv] @ a_t - r3
+        for _ in range(self.refine_steps):
+            # residual of the full operator, then the same elimination
+            e3 = r3 - x[:nv] @ a_t + dl
+            e12 = r12 - self.k0 @ x - a_pad @ dl
+            cx = self._factor_solve(e12 + a_pad @ e3)
+            x += cx
+            dl += cx[:nv] @ a_t - e3
+        return x, dl
 
 
 def _conic_rows(prog: ConeProgram):
     """Stack linear rows and SOC blocks into G_c z + s = h_c with s in K."""
+    cones = _Cones(prog.h.size, [blk.dim for blk in prog.soc])
     parts_g = [prog.g]
     parts_h = [prog.h]
-    dims = []
-    for blk in prog.soc:
+    for j in cones.order:
+        blk = prog.soc[j]
         parts_g.append(-blk.c[None, :])
         parts_g.append(-blk.a)
         parts_h.append(np.array([blk.d]))
         parts_h.append(blk.b)
-        dims.append(blk.dim)
-    return np.vstack(parts_g), np.concatenate(parts_h), prog.h.size, dims
+    return np.vstack(parts_g), np.concatenate(parts_h), cones
 
 
-def _initial_point(nv, ne, gc, hc, ec, fc, cvec, l, dims, opts):
-    m = gc.shape[0]
-    ident = _Scaling(_cone_identity(l, dims), _cone_identity(l, dims), l, dims)
-    kkt = _Kkt(nv, ne, gc, ec, ident.w2_matrix(), opts.static_reg, opts.refine_steps)
-    sol = kkt.solve(np.concatenate([np.zeros(nv), fc, hc]))
-    z = sol[:nv]
+def _initial_point(gc, hc, fc, cvec, cones, kkt, rows):
+    # with W = I the scaled and unscaled systems coincide
+    nv = cvec.size
+    kkt.factor(rows[:-1])
+    x, _ = kkt.solve(np.concatenate((np.zeros(nv), fc)), hc)
+    z = x[:nv]
     s = hc - gc @ z
-    margin = _cone_min_margin(s, l, dims)
+    margin = cones.min_margin(s)
     if margin <= 0.0:
-        s = s + (1.0 - margin) * _cone_identity(l, dims)
-    sol = kkt.solve(np.concatenate([-cvec, np.zeros(ne), np.zeros(m)]))
-    y = sol[nv : nv + ne]
-    lam = sol[nv + ne :].copy()
-    margin = _cone_min_margin(lam, l, dims)
+        s = s + (1.0 - margin) * cones.identity
+    x, lam = kkt.solve(np.concatenate((-cvec, np.zeros(fc.size))), np.zeros(hc.size))
+    y = x[nv:]
+    margin = cones.min_margin(lam)
     if margin <= 0.0:
-        lam = lam + (1.0 - margin) * _cone_identity(l, dims)
+        lam = lam + (1.0 - margin) * cones.identity
     return z, y, s, lam
 
 
-def _split_duals(lam, s, l, dims):
-    lam_lin = lam[:l].copy()
-    s_lin = s[:l].copy()
-    lam_soc = [b.copy() for b in _blocks(lam, l, dims)]
-    s_soc = [b.copy() for b in _blocks(s, l, dims)]
-    return lam_lin, lam_soc, s_lin, s_soc
+def _split_duals(lam, s, cones):
+    l = cones.l
+    lam_soc = [lam[sl].copy() for sl in cones.slices]
+    s_soc = [s[sl].copy() for sl in cones.slices]
+    return lam[:l].copy(), lam_soc, s[:l].copy(), s_soc
 
 
 def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
     """Solve a cone program; deterministic for fixed inputs and options."""
     opts = opts or SolveOptions()
     nv = prog.nvar
-    gc, hc, l, dims = _conic_rows(prog)
+    gc, hc, cones = _conic_rows(prog)
     ec, fc, cvec = prog.e, prog.f, prog.c
-    ne = ec.shape[0]
-    m = gc.shape[0]
-    if m == 0:
+    if cones.m == 0:
         return _solve_equality_only(prog, opts)
-    nu = l + len(dims)
+    ne = ec.shape[0]
+    kkt = _Kkt(ec, opts.static_reg, opts.refine_steps)
+    # [G' ; 0 ; res_z]: rows in cone layout, scaled by W^{-1} in one pass
+    rows = np.zeros((nv + ne + 1, cones.m))
+    rows[:nv] = gc.T
 
     c_scale = 1.0 + float(np.abs(cvec).max(initial=0.0))
     h_scale = 1.0 + max(
         float(np.abs(hc).max(initial=0.0)), float(np.abs(fc).max(initial=0.0))
     )
 
-    z, y, s, lam = _initial_point(nv, ne, gc, hc, ec, fc, cvec, l, dims, opts)
-    e_cone = _cone_identity(l, dims)
+    z, y, s, lam = _initial_point(gc, hc, fc, cvec, cones, kkt, rows)
     best = None
     stall = 0
 
@@ -441,7 +449,6 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         res_y = ec @ z - fc
         res_z = gc @ z + s - hc
         pobj = float(cvec @ z)
-        dobj = float(-hc @ lam - fc @ y)
         gap = float(s @ lam)
         relgap = gap / (1.0 + abs(pobj))
         pres = max(
@@ -450,15 +457,14 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         ) / h_scale
         dres = float(np.abs(res_x).max(initial=0.0)) / c_scale
 
-        state = (pres, dres, gap, relgap, pobj, dobj, z.copy(), y.copy(), s.copy(), lam.copy(), it)
+        # iterates are rebound each step, never modified in place
         if best is None or max(pres, dres) + relgap < max(best[0], best[1]) + best[3]:
-            best = state
+            best = (pres, dres, gap, relgap, pobj, z, y, s, lam, it)
 
         if pres <= opts.feastol and dres <= opts.feastol and relgap <= opts.gaptol:
-            lam_lin, lam_soc, s_lin, s_soc = _split_duals(lam, s, l, dims)
             return SolverResult(
-                "Optimal", z.copy(), pobj + prog.offset, y.copy(), lam_lin, lam_soc,
-                s_lin, s_soc, pres, dres, gap, relgap, it,
+                "Optimal", z, pobj + prog.offset, y, *_split_duals(lam, s, cones),
+                pres, dres, gap, relgap, it,
             )
 
         # Farkas-type primal infeasibility certificate: lam in K*, G'lam+E'y=0,
@@ -467,11 +473,11 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         if theta > 0.0:
             fk = (gc.T @ lam + ec.T @ y) / theta
             if float(np.abs(fk).max(initial=0.0)) / c_scale <= opts.feastol:
-                lam_lin, lam_soc, s_lin, s_soc = _split_duals(lam / theta, s, l, dims)
+                lam_lin, lam_soc, s_lin, s_soc = _split_duals(lam / theta, s, cones)
                 return SolverResult(
                     "Infeasible", np.full(nv, np.nan), math.nan, y / theta, lam_lin,
                     lam_soc, s_lin, s_soc, pres, dres, gap, relgap, it,
-                    certificate=np.concatenate([y / theta, lam / theta]),
+                    certificate=np.concatenate([y / theta, lam_lin, *lam_soc]),
                     certificate_kind="farkas_dual",
                 )
 
@@ -480,18 +486,18 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
             zh = z / (-pobj)
             ray_res = max(
                 float(np.abs(ec @ zh).max(initial=0.0)),
-                max(0.0, -_cone_min_margin(-gc @ zh, l, dims)),
+                max(0.0, -cones.min_margin(-gc @ zh)),
             ) / h_scale
             if ray_res <= opts.feastol:
                 return SolverResult(
-                    "Unbounded", z.copy(), pobj + prog.offset, y.copy(),
-                    *_split_duals(lam, s, l, dims), pres, dres, gap, relgap, it,
+                    "Unbounded", z, pobj + prog.offset, y,
+                    *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
                     certificate=zh, certificate_kind="improving_ray",
                 )
         if pobj <= -opts.unbounded_objective and pres <= opts.feastol:
             return SolverResult(
-                "Unbounded", z.copy(), pobj + prog.offset, y.copy(),
-                *_split_duals(lam, s, l, dims), pres, dres, gap, relgap, it,
+                "Unbounded", z, pobj + prog.offset, y,
+                *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
                 certificate=z / max(1.0, float(np.linalg.norm(z))),
                 certificate_kind="improving_ray",
             )
@@ -499,63 +505,54 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         if it == opts.max_iter or stall >= 3:
             break
 
-        mu = gap / nu
+        mu = gap / cones.nu
         try:
-            scaling = _Scaling(s, lam, l, dims)
+            scaling = _Scaling(cones, s, lam)
         except _ScalingBreakdown:
             break  # boundary reached at machine precision; keep best iterate
+        # work in scaled coordinates: v = W lam = W^{-1} s, ds~ = W^{-1} ds and
+        # dl = W dlam; the third block of every right-hand side is then
+        # W^{-1}(-res_z - W ds~) = r3 - ds~
         v = scaling.apply(lam)
-        kkt = _Kkt(nv, ne, gc, ec, scaling.w2_matrix(), opts.static_reg, opts.refine_steps)
+        rows[-1] = res_z
+        scaled = scaling.apply_inv(rows)
+        kkt.factor(scaled[:-1])
+        r3 = -scaled[-1]
+        r12 = -np.concatenate((res_x, res_y))
 
-        # predictor (affine) direction: target complementarity 0
-        ds_aff = -v
-        rhs = np.concatenate([-res_x, -res_y, -res_z - scaling.apply(ds_aff)])
-        sol = kkt.solve(rhs)
-        dz_a, dy_a = sol[:nv], sol[nv : nv + ne]
-        dlam_a = sol[nv + ne :]
-        ds_a = scaling.apply(ds_aff) - scaling.w2_matrix() @ dlam_a
-
-        alpha_a = min(
-            1.0, _max_step(s, ds_a, l, dims), _max_step(lam, dlam_a, l, dims)
-        )
-        gap_a = float((s + alpha_a * ds_a) @ (lam + alpha_a * dlam_a))
+        # predictor (affine) direction: target complementarity 0, ds~ = -v;
+        # s + a ds stays in K iff v + a ds~ does, and likewise for lam
+        _, dl_a = kkt.solve(r12, r3 + v)
+        ds_a = -v - dl_a
+        alpha_a = min(1.0, cones.max_step(v, np.array([ds_a, dl_a])))
+        gap_a = float((v + alpha_a * ds_a) @ (v + alpha_a * dl_a))
         sigma = min(1.0, max(0.0, gap_a / gap)) ** 3
 
         # corrector: target sigma*mu*e minus the Mehrotra second-order term
-        corr = _jprod(scaling.apply_inv(ds_a), scaling.apply(dlam_a), l, dims)
-        ds_comb = -v + _jsolve(v, sigma * mu * e_cone - corr, l, dims)
-        rhs = np.concatenate([-res_x, -res_y, -res_z - scaling.apply(ds_comb)])
-        sol = kkt.solve(rhs)
-        dz, dy = sol[:nv], sol[nv : nv + ne]
-        dlam = sol[nv + ne :]
-        ds = scaling.apply(ds_comb) - scaling.w2_matrix() @ dlam
+        ds_comb = -v + cones.jsolve(v, sigma * mu * cones.identity - cones.jprod(ds_a, dl_a))
+        x, dl = kkt.solve(r12, r3 - ds_comb)
+        ds_t = ds_comb - dl
+        alpha = min(1.0, opts.step_scale * cones.max_step(v, np.array([ds_t, dl])))
+        ds = scaling.apply(ds_t)
+        dlam = scaling.apply_inv(dl)
 
-        alpha = min(
-            1.0,
-            opts.step_scale * _max_step(s, ds, l, dims),
-            opts.step_scale * _max_step(lam, dlam, l, dims),
-        )
-        # the boundary step from the quadratic can be slightly optimistic in
+        # the step from the scaled directions can be slightly optimistic in
         # degenerate geometry; verify strict interiority and back off if needed
         for _ in range(60):
-            if (
-                _cone_min_margin(s + alpha * ds, l, dims) > 0.0
-                and _cone_min_margin(lam + alpha * dlam, l, dims) > 0.0
-            ):
+            s_new, lam_new = s + alpha * ds, lam + alpha * dlam
+            if cones.min_margin(np.array([s_new, lam_new])) > 0.0:
                 break
             alpha *= 0.9
         else:
             break  # cannot stay interior at machine precision
         stall = stall + 1 if alpha < 1e-13 else 0
-        z = z + alpha * dz
-        y = y + alpha * dy
-        s = s + alpha * ds
-        lam = lam + alpha * dlam
+        z = z + alpha * x[:nv]
+        y = y + alpha * x[nv:]
+        s, lam = s_new, lam_new
 
-    pres, dres, gap, relgap, pobj, dobj, z, y, s, lam, it = best
-    lam_lin, lam_soc, s_lin, s_soc = _split_duals(lam, s, l, dims)
+    pres, dres, gap, relgap, pobj, z, y, s, lam, it = best
     return SolverResult(
-        "MaxIter", z, pobj + prog.offset, y, lam_lin, lam_soc, s_lin, s_soc,
+        "MaxIter", z, pobj + prog.offset, y, *_split_duals(lam, s, cones),
         pres, dres, gap, relgap, it,
     )
 

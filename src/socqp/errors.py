@@ -61,6 +61,16 @@ class TightenFailed(SocqpError):
         self.trace = trace
 
 
+class IdentityViolated(SocqpError):
+    """An identity that holds in exact arithmetic failed numerically beyond
+    its tolerance, so the quantities derived from it cannot be trusted."""
+
+
+class SelectionBoundViolated(SocqpError):
+    """No candidate of the approximation satisfies the sqrt(2) selection
+    bound that the construction guarantees."""
+
+
 class PreconditionViolated(SocqpError):
     """A documented precondition of the operation is violated."""
 

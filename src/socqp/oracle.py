@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from . import model
 from .errors import EmptyFeasibleGrid, InvalidInput, UnboundedBox
@@ -157,6 +156,8 @@ def grid_max_uq(
 
 def _omega_boundary(balls: BallIntersection, h: float):
     """Feasible boundary grid points of the ball intersection (n <= 2)."""
+    import scipy.ndimage  # slow to import, and only this oracle needs it
+
     lo = np.max(balls.centers - balls.radii[:, None], axis=0)
     hi = np.min(balls.centers + balls.radii[:, None], axis=0)
     if np.any(hi < lo):

@@ -21,8 +21,10 @@ from . import linalg, model, reformulate
 from .conesolver import SolveOptions, SolverResult, solve
 from .errors import (
     ConditionNotMet,
+    IdentityViolated,
     InvalidInstance,
     PreconditionViolated,
+    SelectionBoundViolated,
     TightenFailed,
     WrongShape,
 )
@@ -158,6 +160,7 @@ def tighten_uq(
     res: SolverResult,
     tol: float = 1e-8,
     meta: reformulate.ReformulationMeta | None = None,
+    tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, TightenTrace]:
     """Turn a relaxation optimum of a uniform instance into a feasible point
     of the original problem with the same objective value.
@@ -165,11 +168,12 @@ def tighten_uq(
     Requires the exactness certificate (rank condition or p = n) to hold and
     Q positive definite.  Walks x along directions orthogonal to the active
     rows; each move either closes the cone x'Qx = t or activates a new
-    independent row, in at most n + p steps.
+    independent row, in at most n + p steps.  ``tol_rank`` is the relative
+    rank tolerance of that certificate check.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
-    cert = reformulate.check_as3(inst)
+    cert = reformulate.check_as3(inst, tol_rank)
     if not cert.holds:
         raise ConditionNotMet(f"exactness condition fails: {cert.reason}")
     meta = meta or reformulate.ReformulationMeta(kind="uq", n=inst.n, sense="max")
@@ -377,6 +381,7 @@ def approx_uq(
     inst: UqInstance,
     tol: float = 1e-8,
     opts: SolveOptions | None = None,
+    tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
     """Feasible point with a certified fraction of the relaxation optimum.
 
@@ -384,7 +389,8 @@ def approx_uq(
     is returned (ratio 1).  Otherwise a companion point y carrying the
     missing cone energy is folded with x* into two candidates s_1, s_2 of
     which at least one scales into the feasible region losing at most the
-    certified factor.
+    certified factor.  ``tol_rank`` is the relative rank tolerance of the
+    exactness check that decides whether the cone can be closed exactly.
     """
     _check_approx_shape(inst)
     gamma = gamma_uq(inst)
@@ -401,10 +407,10 @@ def approx_uq(
     scale = 1.0 + abs(t_star)
 
     gap = t_star - xqx
-    if gap > 1e-9 * scale and reformulate.check_as3(inst).holds:
+    if gap > 1e-9 * scale and reformulate.check_as3(inst, tol_rank).holds:
         # exact instance: close the cone at the optimum and take the shortcut
         try:
-            x_star, _ = tighten_uq(inst, res)
+            x_star, _ = tighten_uq(inst, res, tol_rank=tol_rank)
             xqx = float(x_star @ qd @ x_star)
             gap = t_star - xqx
         except (ConditionNotMet, TightenFailed):
@@ -425,7 +431,8 @@ def approx_uq(
     w, v = linalg.sym_eig(inst.q)
     rho = math.sqrt(gap)
     y = rho * (v[:, 0] / math.sqrt(w[0]))
-    assert abs(xqx + float(y @ qd @ y) - t_star) <= 1e-8 * scale
+    if abs(xqx + float(y @ qd @ y) - t_star) > 1e-8 * scale:
+        raise IdentityViolated("companion point does not close the cone: x'Qx + y'Qy != t")
 
     # alpha > 0 with f_0(x* + alpha y) = value
     a2 = float(y @ qd @ y)
@@ -440,14 +447,18 @@ def approx_uq(
     s2 = (alpha * x_star - y) / denom
     t1 = 1.0 / denom
     t2 = alpha / denom
-    assert abs(t1 * t1 + t2 * t2 - 1.0) <= 1e-12
+    if abs(t1 * t1 + t2 * t2 - 1.0) > 1e-12:
+        raise IdentityViolated("split weights are not normalized: t1^2 + t2^2 != 1")
 
     # split identity: the two cone-tight candidates share the optimum
     lhs = (
         float(s1 @ qd @ s1) + 2.0 * t1 * float(inst.b[0] @ s1)
         + float(s2 @ qd @ s2) + 2.0 * t2 * float(inst.b[0] @ s2)
     )
-    assert abs(lhs - value) <= 1e-8 * (1.0 + abs(value))
+    if abs(lhs - value) > 1e-8 * (1.0 + abs(value)):
+        raise IdentityViolated(
+            f"split candidates do not share the optimum: {lhs:.12g} != {value:.12g}"
+        )
 
     cho = scipy.linalg.cho_factor(qd)
     root = (v * np.sqrt(w)) @ v.T
@@ -469,7 +480,8 @@ def approx_uq(
         candidates.append((2, s2, t2, selection_bound(s2, t2)))
     limit = math.sqrt(2.0) * (1.0 + 1e-9) + 1e-12
     admissible = [c for c in candidates if c[3] <= limit]
-    assert admissible, "no candidate satisfies the sqrt(2) selection bound"
+    if not admissible:
+        raise SelectionBoundViolated("no candidate satisfies the sqrt(2) selection bound")
     if len(admissible) == 2:
         admissible.sort(key=lambda c: -float(inst.b[0] @ (c[1] / c[2])))
     j_bar, s_j, t_j, _ = admissible[0]

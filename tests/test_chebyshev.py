@@ -167,3 +167,19 @@ def test_certified_far_point_lies_in_omega():
     assert balls.contains(r.far_point, tol=1e-6)
     dist2 = float(np.sum((r.far_point - r.center) ** 2))
     assert dist2 == pytest.approx(r.attained[0], abs=1e-6)
+
+
+def test_certified_many_balls_in_twenty_dimensions():
+    # 200 unit balls whose centers lie at distance 0.5 from the origin: the
+    # interiority solve has 200 cones of dimension 21 and must still converge
+    rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(200, 20))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    balls = BallIntersection(20, 0.5 * dirs, np.ones(200))
+    r = chebyshev.chebyshev_certified(balls)
+    assert r.gamma == pytest.approx(0.5, abs=1e-6)
+    scale = 1.0 + abs(r.v_dcc)
+    lo, hi = r.attained
+    assert r.guaranteed_ratio * r.v_dcc - 1e-4 * scale <= lo <= hi + 1e-4 * scale
+    assert hi <= r.v_dcc + 1e-4 * scale
+    assert balls.contains(r.far_point, tol=1e-6)

@@ -108,6 +108,31 @@ def test_solve_exact_instance_recovers(capsys, exact_file):
     )
 
 
+def test_solve_tol_rank_reaches_tightening(tmp_path, capsys):
+    # rows (1,0), (1,1e-6), (1,0) have rank 1 at --tol-rank 1e-4, so the
+    # instance is exact; tightening must judge it with the same tolerance
+    inst = UqInstance(
+        2,
+        SymMatrix.identity(2),
+        np.array([[0.3, 0.2], [1.0, 0.0], [1.0, 1e-6], [1.0, 0.0]]),
+        np.zeros(4),
+        [Bound(-math.inf, 1.0)] * 3,
+    )
+    path = tmp_path / "near_rank.json"
+    fileio.save_instance(inst, path)
+    code, out = run(
+        capsys, "solve", str(path), "--tol-rank", "1e-4", "--report-format", "structured"
+    )
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["certificate"]["holds"] is True
+    assert rep["exact"] is True
+    assert rep["recovered"]["worst_violation"] <= 1e-6
+    assert rep["recovered"]["objective"] == pytest.approx(
+        rep["relaxation_value"], abs=1e-5
+    )
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "uq"', encoding="utf-8")

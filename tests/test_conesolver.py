@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socqp import conesolver, model, reformulate
 from socqp.conesolver import ConeProgram, DualPoint, SocBlock, SolveOptions
@@ -146,6 +148,118 @@ def test_solver_accuracy_on_random_feasible_socps():
         assert res.pres <= 1e-7 and res.dres <= 1e-7
         assert res.gap <= 1e-7 * scale
         assert prog.violation(res.z) <= 1e-6
+
+
+def random_mixed_program(rng, nv, nlin, ne, dims):
+    """Cone program with linear rows, equalities and SOC blocks of the given
+    (interleaved) dimensions, strictly feasible at a random point."""
+    z0 = rng.normal(size=nv)
+    g = rng.normal(size=(nlin, nv))
+    h = g @ z0 + rng.uniform(0.1, 1.0, size=nlin)
+    e = rng.normal(size=(ne, nv))
+    soc = []
+    for d in dims:
+        a = rng.normal(size=(d - 1, nv))
+        b = rng.normal(size=d - 1)
+        ck = rng.normal(size=nv)
+        soc.append(SocBlock(a, b, ck, float(np.linalg.norm(a @ z0 + b) - ck @ z0 + 0.5)))
+    return ConeProgram(c=rng.normal(size=nv), g=g, h=h, e=e, f=e @ z0, soc=soc)
+
+
+def random_interior(rng, nlin, dims):
+    """A point strictly inside R^l_+ x Q_{d_1} x ..., in program order."""
+    parts = [rng.uniform(1e-3, 2.0, size=nlin)]
+    for d in dims:
+        tail = rng.normal(size=d - 1)
+        parts.append(np.r_[np.linalg.norm(tail) + rng.uniform(1e-3, 1.0), tail])
+    return np.concatenate(parts)
+
+
+def dense_nt_w2(s, lam, nlin, dims):
+    """Dense W^2 of the Nesterov-Todd scaling, block by block from the
+    textbook formula W^2 = eta (2 wbar wbar' - J) on each SOC block."""
+    w2 = np.zeros((s.size, s.size))
+    w2[:nlin, :nlin] = np.diag(s[:nlin] / lam[:nlin])
+    at = nlin
+    for d in dims:
+        sb, lb = s[at : at + d], lam[at : at + d]
+        jmat = np.diag(np.r_[1.0, -np.ones(d - 1)])
+        sj, lj = math.sqrt(sb @ jmat @ sb), math.sqrt(lb @ jmat @ lb)
+        sn, ln = sb / sj, lb / lj
+        wbar = (sn + jmat @ ln) / math.sqrt(2.0 * (1.0 + sn @ ln))
+        w2[at : at + d, at : at + d] = (sj / lj) * (2.0 * np.outer(wbar, wbar) - jmat)
+        at += d
+    return w2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nv=st.integers(1, 6),
+    nlin=st.integers(0, 5),
+    ne=st.integers(0, 2),
+    dims=st.lists(st.integers(2, 5), min_size=0, max_size=4),
+)
+def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
+    ne = min(ne, nv - 1)
+    nlin = max(nlin, nv - ne - sum(dims))  # [G; E] of full column rank
+    rng = np.random.default_rng(seed)
+    prog = random_mixed_program(rng, nv, nlin, ne, dims)
+    gc_solver, _, cones = conesolver._conic_rows(prog)
+    s = random_interior(rng, nlin, dims)
+    lam = random_interior(rng, nlin, dims)
+
+    # reference: the full (nv + ne + m) KKT system in program order
+    gc = np.vstack([prog.g] + [np.vstack([-b.c[None, :], -b.a]) for b in prog.soc])
+    w2 = dense_nt_w2(s, lam, nlin, dims)
+    assert np.allclose(w2 @ lam, s, rtol=1e-10, atol=1e-12)  # W^2 lam = s
+    m = s.size
+    kkt = np.zeros((nv + ne + m, nv + ne + m))
+    kkt[:nv, nv : nv + ne] = prog.e.T
+    kkt[nv : nv + ne, :nv] = prog.e
+    kkt[:nv, nv + ne :] = gc.T
+    kkt[nv + ne :, :nv] = gc
+    kkt[nv + ne :, nv + ne :] = -w2
+    rhs = rng.normal(size=nv + ne + m)
+    ref = np.linalg.solve(kkt, rhs)
+
+    # program order -> solver order (SOC blocks grouped by dimension)
+    perm = np.r_[np.arange(nlin), np.zeros(m - nlin, dtype=int)].astype(int)
+    at = nlin
+    for sl, d in zip(cones.slices, dims):
+        perm[sl] = np.arange(at, at + d)
+        at += d
+    assert np.array_equal(gc_solver, gc[perm])
+
+    scaling = conesolver._Scaling(cones, s[perm], lam[perm])
+    rows = np.zeros((nv + ne, m))
+    rows[:nv] = gc_solver.T
+    solver_kkt = conesolver._Kkt(prog.e, 1e-10, refine_steps=2)
+    solver_kkt.factor(scaling.apply_inv(rows))
+    x, dl = solver_kkt.solve(rhs[: nv + ne], scaling.apply_inv(rhs[nv + ne :][perm]))
+    got = np.concatenate([x, np.empty(m)])
+    got[nv + ne :][perm] = scaling.apply_inv(dl)
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_mixed_cone_dims_report_duals_in_program_order():
+    rng = np.random.default_rng(11)
+    dims = [4, 2, 3, 2, 4]
+    prog = random_mixed_program(rng, 5, 3, 1, dims)
+    prog.g = np.vstack([prog.g, np.eye(5), -np.eye(5)])  # keep the optimum bounded
+    prog.h = np.concatenate([prog.h, np.full(10, 5.0)])
+    res = conesolver.solve(prog)
+    assert res.status == "Optimal"
+    assert [lam.size for lam in res.lam_soc] == dims
+    assert [s.size for s in res.s_soc] == dims
+    # stationarity c + G'lam + E'y = 0 with the duals taken in program order
+    grad = prog.c + prog.g.T @ res.lam_lin + prog.e.T @ res.y
+    for blk, lam in zip(prog.soc, res.lam_soc):
+        grad -= blk.c * lam[0] + blk.a.T @ lam[1:]
+    assert np.abs(grad).max() <= 1e-7
+    for blk, s in zip(prog.soc, res.s_soc):
+        assert s[0] == pytest.approx(blk.c @ res.z + blk.d, abs=1e-7)
+        assert np.allclose(s[1:], blk.a @ res.z + blk.b, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------

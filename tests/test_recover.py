@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from socqp import conesolver, model, oracle, recover, reformulate
+from socqp import linalg
 from socqp.errors import (
     ConditionNotMet,
+    IdentityViolated,
     InvalidInstance,
     PreconditionViolated,
     WrongShape,
@@ -341,6 +343,30 @@ def test_approx_construction_path_analytic():
     assert cert.lower == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-5)
     g = oracle.grid_max_uq(inst, h=1e-4)
     assert cert.lower == pytest.approx(g.value, abs=3e-4)  # rounding is optimal here
+
+
+def test_approx_broken_identity_raises_named_error(monkeypatch):
+    # a wrong eigenvalue makes the companion point miss the cone energy; the
+    # guard must raise (not assert, which python -O strips)
+    class SkewedLinalg:
+        def __getattr__(self, name):
+            return getattr(linalg, name)
+
+        @staticmethod
+        def sym_eig(q):
+            w, v = linalg.sym_eig(q)
+            return 4.0 * w, v
+
+    monkeypatch.setattr(recover, "linalg", SkewedLinalg())
+    inst = UqInstance(
+        1,
+        SymMatrix.identity(1),
+        np.array([[0.0], [1.0], [-1.0]]),
+        np.zeros(3),
+        [Bound(-math.inf, 1.0), Bound(-math.inf, 1.0)],
+    )
+    with pytest.raises(IdentityViolated):
+        recover.approx_uq(inst)
 
 
 def test_approx_construction_path_random_gaps():
