@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, recover, reformulate
+from . import model, recover
 from .conesolver import ConeProgram, SocBlock, SolveOptions, solve
-from .errors import PreconditionViolated, SocqpError
+from .errors import PreconditionViolated, SocqpError, SolverFailed
 from .model import BallIntersection, Bound, UqInstance
 
 # interiority margin below which no ratio certificate is claimed
@@ -108,7 +108,7 @@ def beck_center(
     soc = [SocBlock(a, b, 0.5 * w_vec, 0.5)]
     res = solve(ConeProgram(c=c, g=g, h=h, e=e, f=f, soc=soc), opts)
     if res.status != "Optimal":
-        raise SocqpError(f"center solve ended with status {res.status}")
+        raise SolverFailed(f"center solve ended with status {res.status}")
     lam = np.clip(res.z[:p], 0.0, None)
     lam = lam / lam.sum()
     value = float(c[:p] @ lam + np.sum((balls.centers.T @ lam) ** 2))
@@ -132,7 +132,7 @@ def _gamma_minmax(balls: BallIntersection, opts: SolveOptions | None = None):
         soc.append(SocBlock(a, -balls.centers[i], ck, 0.0))
     res = solve(ConeProgram(c=c, soc=soc), opts)
     if res.status != "Optimal":
-        raise SocqpError(f"interiority solve ended with status {res.status}")
+        raise SolverFailed(f"interiority solve ended with status {res.status}")
     return float(res.objective), res.z[:n].copy()
 
 
@@ -202,14 +202,10 @@ def chebyshev_certified(
     shifted.d = shifted.d.copy()
     shifted.d[0] = 0.0  # re-zero the objective offset; carried separately
 
-    prog, meta = reformulate.build_socp_uq(shifted)
-    res = solve(prog, opts)
-    if res.status != "Optimal":
-        raise SocqpError(f"inner relaxation ended with status {res.status}")
-    znorm = float(center @ center)
-    upper = meta.original_value(res) + d0 + znorm
-
+    # approx_uq solves the inner relaxation once; its value is the upper end
     x_sh, _, cert = recover.approx_uq(shifted, opts=opts)
+    znorm = float(center @ center)
+    upper = cert.upper + d0 + znorm
     far_point = x_sh + interior
     lower = cert.lower + d0 + znorm
 

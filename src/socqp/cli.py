@@ -197,7 +197,7 @@ def _solve_uq(inst: UqInstance, args) -> tuple[dict, int]:
         report["certificate"] = _cert_block(cert)
         report["exact"] = cert.holds
         if cert.holds:
-            x, _ = recover.tighten_qcqp(qview, res, meta)
+            x, _ = recover.tighten_qcqp(qview, res, meta, tol_rank=args.tol_rank)
             report["recovered"] = {
                 "x": x,
                 "objective": model.eval_f(inst, 0, x),
@@ -221,7 +221,7 @@ def _solve_uq(inst: UqInstance, args) -> tuple[dict, int]:
     report["exact"] = cert.holds
     if cert.holds:
         qview, _, _ = reformulate.split_indefinite(inst, args.tol_rank)
-        x, _ = recover.tighten_qcqp(qview, res, meta)
+        x, _ = recover.tighten_qcqp(qview, res, meta, tol_rank=args.tol_rank)
         report["recovered"] = {
             "x": x,
             "objective": model.eval_f(inst, 0, x),
@@ -260,7 +260,7 @@ def _solve_qcqp(inst: QcqpInstance, args) -> tuple[dict, int]:
     report["relaxation_value"] = -value if flip else value
     report["exact"] = cert.holds
     if cert.holds:
-        x, _ = recover.tighten_qcqp(work, res, meta)
+        x, _ = recover.tighten_qcqp(work, res, meta, tol_rank=args.tol_rank)
         report["recovered"] = {
             "x": x,
             "objective": inst.eval_g(0, x),

@@ -71,6 +71,10 @@ class SelectionBoundViolated(SocqpError):
     bound that the construction guarantees."""
 
 
+class SolverFailed(SocqpError):
+    """A cone solve ended without the Optimal status the operation needs."""
+
+
 class PreconditionViolated(SocqpError):
     """A documented precondition of the operation is violated."""
 

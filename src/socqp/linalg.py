@@ -1,9 +1,18 @@
 """Dense symmetric linear algebra kernel.
 
 Eigendecomposition, PSD square roots, numerical rank, null/range bases and
-dimensions of subspace unions.  Everything here is a pure function of its
-inputs; tolerances are explicit arguments with one shared default so that the
-rank-based certificates built on top of this module are reproducible.
+dimensions of subspace unions.  Tolerances are explicit arguments with one
+shared default so that the rank-based certificates built on top of this module
+are reproducible.
+
+Every function here returns the same result for the same inputs.  The one
+piece of state is memoisation on ``SymMatrix``: its dense view and its
+eigendecomposition are computed on first use and kept on the matrix, so
+instance validation, the builders, the exactness certificates and recovery
+share one ``syev`` call per matrix.  A ``SymMatrix`` is immutable to make that
+safe: its fields cannot be reassigned, and ``packed``, ``dense()`` and the
+arrays ``sym_eig`` returns are read-only (writing into them raises
+``ValueError``).  Copy an array before changing it.
 """
 
 from __future__ import annotations
@@ -23,20 +32,29 @@ def _packed_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymMatrix:
     """Real symmetric matrix stored as its packed upper triangle (row-major).
 
-    The packed storage makes ``entries[i][j] == entries[j][i]`` hold exactly;
-    a dense symmetric view is materialized (and cached) on demand.
+    The packed storage makes ``entries[i][j] == entries[j][i]`` hold exactly.
+    The matrix is an immutable value: ``packed`` is a private read-only copy
+    of the argument, and the dense view and the eigendecomposition
+    (``sym_eig``) are each computed once, on demand, and returned read-only.
     """
 
     n: int
     packed: np.ndarray
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dense: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        self.packed = np.asarray(self.packed, dtype=float).reshape(-1)
+        packed = np.array(self.packed, dtype=float).reshape(-1)
+        packed.setflags(write=False)
+        object.__setattr__(self, "packed", packed)
         if self.n <= 0:
             raise InvalidMatrix(f"order must be positive, got {self.n}")
         if self.packed.size != _packed_size(self.n):
@@ -46,6 +64,11 @@ class SymMatrix:
             )
         if not np.all(np.isfinite(self.packed)):
             raise InvalidMatrix("matrix entries must be finite")
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__: the copy's packed
+        # triangle is frozen again and its caches start empty
+        return (type(self), (self.n, self.packed))
 
     @classmethod
     def from_dense(cls, a, *, sym_tol: float = 1e-10) -> "SymMatrix":
@@ -76,7 +99,8 @@ class SymMatrix:
             iu = np.triu_indices(self.n)
             a[iu] = self.packed
             a = a + np.triu(a, 1).T
-            self._dense = a
+            a.setflags(write=False)
+            object.__setattr__(self, "_dense", a)
         return self._dense
 
     def __matmul__(self, other):
@@ -113,10 +137,16 @@ def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Uses the tridiagonalization + implicit QL/QR LAPACK path (``syev``) so
     repeated runs are bit-identical.  Returns ``(w, v)`` with ``m = v diag(w) v'``.
+    The decomposition is computed once per matrix and kept on it; every call
+    returns the same read-only arrays.
     """
-    a = m.dense()
-    w, v = scipy.linalg.eigh(a, driver="ev")
-    return w[::-1].copy(), v[:, ::-1].copy()
+    if m._eig is None:
+        w, v = scipy.linalg.eigh(m.dense(), driver="ev")
+        w, v = w[::-1].copy(), v[:, ::-1].copy()
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(m, "_eig", (w, v))
+    return m._eig
 
 
 def psd_sqrt(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> SymMatrix:

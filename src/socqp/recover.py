@@ -25,6 +25,7 @@ from .errors import (
     InvalidInstance,
     PreconditionViolated,
     SelectionBoundViolated,
+    SolverFailed,
     TightenFailed,
     WrongShape,
 )
@@ -246,6 +247,7 @@ def tighten_qcqp(
     res: SolverResult,
     meta: reformulate.ReformulationMeta,
     tol: float = 1e-8,
+    tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, TightenTrace]:
     """Close every open lifted cone of a structured relaxation optimum.
 
@@ -253,6 +255,8 @@ def tighten_qcqp(
     span{b_1..b_p}^perp intersected with R(Q_j) and the null spaces of the
     other blocks; the exactness condition guarantees such a direction exists,
     and the move changes neither the linear rows nor the other blocks.
+    ``tol_rank`` is the relative rank tolerance of that condition: it decides
+    the block ranges and null spaces and the dimension of their union.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
@@ -265,19 +269,16 @@ def tighten_qcqp(
         if meta.x_shift is not None:
             x = x + meta.x_shift
         return x, trace
-    b_rows = [inst.b[i + 1] for i in range(inst.p)]
+    union = {}  # taken on the first open gap; most optima close every cone
     for j in meta.lifted:
         qj = inst.blocks[j].dense()
         tj = float(res.z[meta.t_index[j]])
         gap = tj - float(x @ qj @ x)
         if gap <= tol * (1.0 + abs(tj)):
             continue
-        rows = list(b_rows)
-        rows.extend(linalg.null_basis(inst.blocks[j]).columns.T)
-        for i in range(inst.m):
-            if i != j:
-                rows.extend(linalg.range_basis(inst.blocks[i]).columns.T)
-        subspace = linalg.null_space_of_rows(rows, inst.n)
+        if not union:
+            union = reformulate.union_rows(inst, meta.lifted, tol_rank)
+        subspace = linalg.null_space_of_rows(union[j], inst.n, tol_rank)
         if subspace.shape[1] == 0:
             raise ConditionNotMet(
                 f"no tightening direction for block {j}; the exactness "
@@ -320,21 +321,32 @@ def tighten_qcqp(
 def gamma_uq(inst: UqInstance) -> float:
     """max_i ||Q^(-1/2) b_i|| / sqrt(u_i - d_i + ||Q^(-1/2) b_i||^2); < 1
     exactly when the origin is strictly interior."""
+    return _gamma_terms(inst)[2]
+
+
+def _gamma_terms(inst: UqInstance):
+    """(Q^(-1) b_i as columns, radicands u_i - d_i + b_i'Q^(-1)b_i, gamma).
+
+    One Cholesky solve over all p right-hand sides; the bounds and radicands
+    are then checked in constraint order, so the first offending constraint
+    is the one reported.
+    """
     try:
         cho = scipy.linalg.cho_factor(inst.q.dense())
     except scipy.linalg.LinAlgError as exc:
         raise InvalidInstance("gamma needs positive definite Q") from exc
-    worst = 0.0
+    bt = inst.b[1:].T
+    qb = scipy.linalg.cho_solve(cho, bt)
+    nrm2 = np.vecdot(bt, qb, axis=0)
+    upper = np.array([bd.upper for bd in inst.bounds])
+    radicand = upper - inst.d[1:] + nrm2
     for i, bd in enumerate(inst.bounds):
         if not bd.has_upper:
             raise WrongShape("gamma is defined for finite upper bounds only")
-        bi = inst.b[i + 1]
-        nrm2 = float(bi @ scipy.linalg.cho_solve(cho, bi))
-        radicand = bd.upper - inst.d[i + 1] + nrm2
-        if radicand <= 0.0:
+        if radicand[i] <= 0.0:
             raise InvalidInstance(f"constraint {i + 1} has nonpositive radicand")
-        worst = max(worst, math.sqrt(nrm2) / math.sqrt(radicand))
-    return worst
+    gamma = float(np.max(np.sqrt(nrm2) / np.sqrt(radicand)))
+    return qb, radicand, gamma
 
 
 def tau_bar(inst: UqInstance, x_bar, tol: float = 0.0) -> float:
@@ -393,12 +405,12 @@ def approx_uq(
     exactness check that decides whether the cone can be closed exactly.
     """
     _check_approx_shape(inst)
-    gamma = gamma_uq(inst)
+    qb, radicand, gamma = _gamma_terms(inst)
     ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
     prog, meta = reformulate.build_socp_uq(inst)
     res = solve(prog, opts)
     if res.status != "Optimal":
-        raise PreconditionViolated(f"relaxation solve ended with {res.status}")
+        raise SolverFailed(f"relaxation solve ended with {res.status}")
     value = meta.original_value(res)
     x_star = meta.x_of(res.z)
     t_star = float(res.z[inst.n])
@@ -460,18 +472,14 @@ def approx_uq(
             f"split candidates do not share the optimum: {lhs:.12g} != {value:.12g}"
         )
 
-    cho = scipy.linalg.cho_factor(qd)
     root = (v * np.sqrt(w)) @ v.T
+    root_qb = root @ qb
+    den = np.sqrt(radicand)
 
     def selection_bound(s, tj):
-        worst = 0.0
-        for i, bd in enumerate(inst.bounds):
-            bi = inst.b[i + 1]
-            qb = scipy.linalg.cho_solve(cho, bi)
-            num = np.linalg.norm(root @ (s / tj) + root @ qb)
-            den = math.sqrt(bd.upper - inst.d[i + 1] + float(bi @ qb))
-            worst = max(worst, num / den)
-        return worst
+        """max_i ||Q^(1/2) (s/tj + Q^(-1) b_i)|| / sqrt(radicand_i)."""
+        num = np.linalg.norm((root @ (s / tj))[:, None] + root_qb, axis=0)
+        return float(np.max(num / den))
 
     candidates = []
     if t1 > 1e-10:

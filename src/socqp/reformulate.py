@@ -222,21 +222,34 @@ def lift_set_twosided(inst: QcqpInstance) -> tuple[int, ...]:
     )
 
 
-def _convex_residual(inst: QcqpInstance, i: int, lifted: tuple[int, ...]) -> np.ndarray:
-    """Sum of the non-lifted blocks entering row i (their signs are +1)."""
-    acc = np.zeros((inst.n, inst.n))
-    for j in range(inst.m):
-        if j not in lifted and inst.a[i, j] == 1.0:
-            acc += inst.blocks[j].dense()
-    return acc
+def _residual_root(inst: QcqpInstance, i: int, lifted: tuple[int, ...], roots: dict):
+    """PSD root of the convex residual of row i, the sum of the non-lifted
+    blocks entering it (their signs are +1); None when that sum is zero.
+
+    ``roots`` memoises the root by the set of summed blocks, so rows sharing
+    a residual share one root.  A residual of one block is that block itself,
+    which reuses the block's own eigendecomposition.
+    """
+    key = tuple(j for j in range(inst.m) if j not in lifted and inst.a[i, j] == 1.0)
+    if key not in roots:
+        if len(key) == 1:
+            residual = inst.blocks[key[0]]
+        else:
+            acc = np.zeros((inst.n, inst.n))
+            for j in key:
+                acc += inst.blocks[j].dense()
+            residual = SymMatrix.from_dense(acc)
+        nonzero = np.abs(residual.packed).max(initial=0.0) > 0.0
+        roots[key] = linalg.psd_sqrt(residual).dense() if nonzero else None
+    return roots[key]
 
 
-def _lifted_layout(inst: QcqpInstance, lifted: tuple[int, ...], p0: np.ndarray):
+def _lifted_layout(inst: QcqpInstance, lifted: tuple[int, ...], root0):
     n = inst.n
     t_index = {j: n + k for k, j in enumerate(lifted)}
     nv = n + len(lifted)
     epi = None
-    if np.abs(p0).max(initial=0.0) > 0.0:
+    if root0 is not None:
         epi = nv
         nv += 1
     return nv, t_index, epi
@@ -281,33 +294,26 @@ def build_cr(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     if any(bd.has_lower for bd in inst.bounds):
         raise WrongShape("two-sided instance passed; use build_cr2")
     lifted = lift_set_onesided(inst)
-    p0 = _convex_residual(inst, 0, lifted)
-    nv, t_index, epi = _lifted_layout(inst, lifted, p0)
+    roots: dict = {}
+    root0 = _residual_root(inst, 0, lifted, roots)
+    nv, t_index, epi = _lifted_layout(inst, lifted, root0)
     c = _lifted_objective(inst, lifted, t_index, epi, nv)
     soc, soc_index = _cone_blocks_for_lifted(inst, lifted, t_index, nv)
     if epi is not None:
         w_vec = np.zeros(nv)
         w_vec[epi] = 1.0
-        soc.append(
-            _quad_epigraph_block(
-                linalg.psd_sqrt(SymMatrix.from_dense(p0)).dense(), nv, w_vec, 0.0
-            )
-        )
+        soc.append(_quad_epigraph_block(root0, nv, w_vec, 0.0))
     rows, rhs, row_map = [], [], []
     for i, bd in enumerate(inst.bounds):
         if not bd.has_upper:
             row_map.append((None, None))
             continue
-        pi = _convex_residual(inst, i + 1, lifted)
+        root_i = _residual_root(inst, i + 1, lifted, roots)
         expr = _row_expr(inst, i + 1, lifted, t_index, nv)
         limit = bd.upper - inst.c[i + 1]
-        if np.abs(pi).max(initial=0.0) > 0.0:
+        if root_i is not None:
             # x'P_i x + expr'z <= limit as a cone epigraph on w = limit - expr'z
-            soc.append(
-                _quad_epigraph_block(
-                    linalg.psd_sqrt(SymMatrix.from_dense(pi)).dense(), nv, -expr, limit
-                )
-            )
+            soc.append(_quad_epigraph_block(root_i, nv, -expr, limit))
             row_map.append((None, None))
         else:
             row_map.append((len(rows), None))
@@ -339,18 +345,14 @@ def build_cr2(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     if inst.sense != "min":
         raise WrongShape("two-sided builder expects a minimization instance")
     lifted = lift_set_twosided(inst)
-    p0 = _convex_residual(inst, 0, lifted)
-    nv, t_index, epi = _lifted_layout(inst, lifted, p0)
+    root0 = _residual_root(inst, 0, lifted, {})
+    nv, t_index, epi = _lifted_layout(inst, lifted, root0)
     c = _lifted_objective(inst, lifted, t_index, epi, nv)
     soc, soc_index = _cone_blocks_for_lifted(inst, lifted, t_index, nv)
     if epi is not None:
         w_vec = np.zeros(nv)
         w_vec[epi] = 1.0
-        soc.append(
-            _quad_epigraph_block(
-                linalg.psd_sqrt(SymMatrix.from_dense(p0)).dense(), nv, w_vec, 0.0
-            )
-        )
+        soc.append(_quad_epigraph_block(root0, nv, w_vec, 0.0))
     rows, rhs, row_map = [], [], []
     for i, bd in enumerate(inst.bounds):
         expr = _row_expr(inst, i + 1, lifted, t_index, nv)
@@ -384,6 +386,27 @@ def build_cr2(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     return prog, meta
 
 
+def union_rows(
+    inst: QcqpInstance, j_set, tol_rel: float = DEFAULT_RANK_TOL
+) -> dict[int, np.ndarray]:
+    """Rows spanning span{b_1..b_p} + N(Q_j) + sum_{i != j} R(Q_i), for each
+    block j in ``j_set``.
+
+    Their rank is the union dimension of the exactness condition, and their
+    orthogonal complement holds the directions along which recovery closes
+    block j.  Each block's range and null bases are taken once, at relative
+    eigenvalue tolerance ``tol_rel``.
+    """
+    ranges = [linalg.range_basis(q, tol_rel).columns.T for q in inst.blocks]
+    return {
+        j: np.vstack(
+            [inst.b[1:], linalg.null_basis(inst.blocks[j], tol_rel).columns.T]
+            + [ranges[i] for i in range(inst.m) if i != j]
+        )
+        for j in j_set
+    }
+
+
 def _union_condition(
     inst: QcqpInstance, j_set, tol_rel: float
 ) -> CertificateReport:
@@ -391,16 +414,10 @@ def _union_condition(
     lifted j."""
     if not j_set:
         return CertificateReport(True, "no lifted blocks; program is convex as written")
-    b_rows = list(inst.b[1:])
-    dims: dict[int, int] = {}
-    for j in j_set:
-        bases = [linalg.null_basis(inst.blocks[j], tol_rel)]
-        bases += [
-            linalg.range_basis(inst.blocks[i], tol_rel)
-            for i in range(inst.m)
-            if i != j
-        ]
-        dims[j] = linalg.union_dim(bases, b_rows, tol_rel)
+    dims = {
+        j: linalg.numerical_rank(rows, tol_rel)
+        for j, rows in union_rows(inst, j_set, tol_rel).items()
+    }
     worst = max(dims.values())
     holds = worst <= inst.n - 1
     return CertificateReport(

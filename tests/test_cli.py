@@ -133,6 +133,53 @@ def test_solve_tol_rank_reaches_tightening(tmp_path, capsys):
     )
 
 
+def test_solve_tol_rank_reaches_qcqp_tightening(tmp_path, capsys):
+    # at --tol-rank 1e-4 the 1e-6 entry drops out of R(Q_1), so the union
+    # N(Q_0) + R(Q_1) is span{e2} and the certificate holds; tightening must
+    # take its subspaces at the same tolerance and close block 0 along e1
+    inst = QcqpInstance(
+        2,
+        [
+            SymMatrix.from_dense(np.diag([1.0, 0.0])),
+            SymMatrix.from_dense(np.diag([1e-6, 1.0])),
+        ],
+        np.array([[-1.0, 1.0], [1.0, 1.0]]),
+        np.zeros((2, 2)),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    path = tmp_path / "near_rank_blocks.json"
+    fileio.save_instance(inst, path)
+    code, out = run(
+        capsys, "solve", str(path), "--tol-rank", "1e-4", "--report-format", "structured"
+    )
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["certificate"]["holds"] is True
+    assert rep["exact"] is True
+    assert rep["recovered"]["objective"] == pytest.approx(rep["relaxation_value"], abs=1e-5)
+    assert rep["recovered"]["worst_violation"] <= 1e-5
+
+
+@pytest.mark.parametrize("command", ["approx", "cheby"])
+def test_iteration_cap_is_a_solver_failure(tmp_path, capsys, command):
+    if command == "approx":
+        obj = UqInstance(
+            2,
+            SymMatrix.identity(2),
+            np.array([[0.3, 0.1], [0.2, -0.1]]),
+            np.zeros(2),
+            [Bound(-math.inf, 1.0)],
+        )
+    else:
+        obj = BallIntersection(2, np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, 1.0]))
+    path = tmp_path / f"{command}.json"
+    fileio.save_instance(obj, path)
+    code, out = run(capsys, command, str(path), "--max-iter", "1")
+    assert code == 4, out.err
+    assert "solver failure" in out.err and "MaxIter" in out.err
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "uq"', encoding="utf-8")

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -148,3 +152,45 @@ def test_packed_storage_is_exactly_symmetric():
     m = SymMatrix.from_dense(a + a.T)
     d = m.dense()
     assert np.array_equal(d, d.T)
+
+
+def test_sym_eig_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    eigh = linalg.scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.scipy.linalg, "eigh", counting_eigh)
+    m = SymMatrix.from_dense(np.diag([3.0, 1.0, 0.0]))
+    w, v = linalg.sym_eig(m)
+    assert linalg.sym_eig(m)[0] is w and linalg.sym_eig(m)[1] is v
+    linalg.psd_sqrt(m)
+    linalg.null_basis(m)
+    linalg.range_basis(m)
+    assert len(calls) == 1
+    for arr in (w, v, m.packed, m.dense()):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.packed = np.zeros(6)
+
+
+def test_sym_matrix_copies_the_callers_array():
+    raw = np.array([2.0, 0.5, 1.0])
+    m = SymMatrix(2, raw)
+    raw[0] = 9.0  # the caller's array stays writable and is not shared
+    assert m.packed[0] == 2.0
+    top = np.linalg.eigvalsh([[2.0, 0.5], [0.5, 1.0]])[1]
+    assert linalg.sym_eig(m)[0][0] == pytest.approx(top)
+
+
+def test_copies_of_a_sym_matrix_stay_read_only():
+    m = SymMatrix.from_dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    linalg.sym_eig(m)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert np.array_equal(twin.packed, m.packed)
+        with pytest.raises(ValueError):
+            twin.packed[0] = 7.0
+        assert np.array_equal(linalg.sym_eig(twin)[1], linalg.sym_eig(m)[1])

@@ -10,6 +10,7 @@ from socqp.errors import (
     IdentityViolated,
     InvalidInstance,
     PreconditionViolated,
+    SolverFailed,
     WrongShape,
 )
 from socqp.linalg import SymMatrix
@@ -206,6 +207,20 @@ def test_gamma_rejects_bad_radicand():
     )
     with pytest.raises(InvalidInstance):
         recover.gamma_uq(inst)
+    # the first offending constraint, in order, is the one reported
+    rows = np.array([[0.0], [0.1], [0.0], [0.0]])
+    bad_second = UqInstance(
+        1, SymMatrix.identity(1), rows, np.array([0.0, 0.0, 2.0, 5.0]),
+        [Bound(-math.inf, 1.0)] * 3,
+    )
+    with pytest.raises(InvalidInstance, match="constraint 2 "):
+        recover.gamma_uq(bad_second)
+    open_first = UqInstance(
+        1, SymMatrix.identity(1), rows, np.array([0.0, 0.0, 2.0, 0.0]),
+        [Bound(-1.0, math.inf), Bound(-math.inf, 1.0), Bound(-math.inf, 1.0)],
+    )
+    with pytest.raises(WrongShape):
+        recover.gamma_uq(open_first)
 
 
 def test_tau_bar_examples():
@@ -345,6 +360,12 @@ def test_approx_construction_path_analytic():
     assert cert.lower == pytest.approx(g.value, abs=3e-4)  # rounding is optimal here
 
 
+def test_approx_relaxation_cap_is_a_solver_failure():
+    inst = random_convex_uq(np.random.default_rng(4), 3, 4)
+    with pytest.raises(SolverFailed, match="MaxIter"):
+        recover.approx_uq(inst, opts=conesolver.SolveOptions(max_iter=1))
+
+
 def test_approx_broken_identity_raises_named_error(monkeypatch):
     # a wrong eigenvalue makes the companion point miss the cone energy; the
     # guard must raise (not assert, which python -O strips)
@@ -380,6 +401,20 @@ def test_approx_construction_path_random_gaps():
         inst = random_gap_uq(rng, n, p)
         x, trace, cert = recover.approx_uq(inst)
         ran_construction += not trace.shortcut
+        if not trace.shortcut:
+            # the chosen candidate meets the sqrt(2) selection bound, taken
+            # here row by row as the reference
+            s, tj = (trace.s1, trace.t1) if trace.j_bar == 1 else (trace.s2, trace.t2)
+            qd = inst.q.dense()
+            w, v = np.linalg.eigh(qd)
+            root = (v * np.sqrt(w)) @ v.T
+            bound = 0.0
+            for i, bd in enumerate(inst.bounds):
+                qb = np.linalg.solve(qd, inst.b[i + 1])
+                num = np.linalg.norm(root @ (s / tj + qb))
+                radicand = bd.upper - inst.d[i + 1] + inst.b[i + 1] @ qb
+                bound = max(bound, num / math.sqrt(radicand))
+            assert bound <= math.sqrt(2.0) * (1.0 + 1e-8)
         assert model.worst_violation(inst, x) <= 1e-6
         scale = 1.0 + abs(cert.upper)
         assert cert.lower >= cert.guaranteed_ratio * cert.upper - 1e-5 * scale

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from socqp import conesolver, linalg, model, reformulate
+from socqp import conesolver, linalg, model, recover, reformulate
 from socqp.errors import InvalidBounds, WrongShape
 from socqp.linalg import SymMatrix
 from socqp.model import Bound, QcqpInstance, UqInstance
@@ -179,6 +179,113 @@ def test_condition_dims_match_stacked_rank():
             )
 
 
+def orthogonal_blocks_instance(rng, n, m, p, two_sided):
+    """Blocks with mutually orthogonal ranges spanning R^n and constraint
+    terms kept off one vector of every range, so the exactness condition
+    holds.  The last two blocks are convex (sign +1 or 0 everywhere): in the
+    one-sided shape they enter rows too, giving several residual sets; in the
+    two-sided shape they enter the objective only, so that they stay unlifted.
+    Row 1 carries every other block with sign +1, which bounds the relaxation.
+    """
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    blocks, free = [], []
+    for idx in np.array_split(np.arange(n), m):
+        u = basis[:, idx]
+        blocks.append(SymMatrix.from_dense((u * rng.uniform(0.5, 2.0, idx.size)) @ u.T))
+        free.append(u[:, 0])
+    f = np.column_stack(free)
+    a = np.ones((p + 1, m))
+    for j in range(m):
+        convex = j >= m - 2
+        a[0, j] = 1.0 if convex or j % 2 else -1.0
+        for i in range(1, p + 1):
+            if convex:
+                a[i, j] = 0.0 if two_sided else float(i == 1 or (i + j) % 2 == 0)
+            elif i > 1:
+                a[i, j] = (-1.0, 0.0, 1.0)[(i + j) % 3]
+    b = rng.normal(size=(p + 1, n)) * 0.3
+    b[1:] = b[1:] @ (np.eye(n) - f @ f.T)
+    bounds = [Bound(-math.inf, 1.5)] + [
+        Bound(-0.5 if two_sided else -math.inf, 1.0) for _ in range(p - 1)
+    ]
+    return QcqpInstance(n, blocks, a, b, np.zeros(p + 1), bounds)
+
+
+def _program_arrays(prog):
+    arrays = [prog.c, prog.g, prog.h]
+    for blk in prog.soc:
+        arrays += [blk.a, blk.b, blk.c, np.asarray(blk.d)]
+    return arrays
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_each_block_is_decomposed_once(monkeypatch, two_sided):
+    inst = orthogonal_blocks_instance(np.random.default_rng(11), 20, 10, 6, two_sided)
+    if two_sided:
+        build, lifted, check = (
+            reformulate.build_cr2, reformulate.lift_set_twosided(inst),
+            reformulate.check_condition_cc,
+        )
+        rows = [0]
+    else:
+        build, lifted, check = (
+            reformulate.build_cr, reformulate.lift_set_onesided(inst),
+            reformulate.check_condition_c,
+        )
+        rows = range(inst.p + 1)
+    residual_sets = {
+        tuple(j for j in range(inst.m) if j not in lifted and inst.a[i, j] == 1.0)
+        for i in rows
+    }
+    # a residual of one block reuses that block's decomposition, so only the
+    # residuals summing several blocks may decompose anything
+    summed = [key for key in residual_sets if len(key) > 1]
+    assert summed
+    calls = []
+    eigh = linalg.scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.scipy.linalg, "eigh", counting_eigh)
+    prog, meta = build(inst)
+    cert = check(inst, lifted)
+    assert cert.holds
+    res = conesolver.solve(prog)
+    assert res.status == "Optimal"
+    x, _ = recover.tighten_qcqp(inst, res, meta)
+    assert len(calls) <= len(summed)
+    for j in meta.lifted:
+        assert inst.blocks[j].quad(x) == pytest.approx(res.z[meta.t_index[j]], abs=1e-6)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_programs_and_reports_do_not_depend_on_the_cache(monkeypatch, two_sided):
+    def build_all():
+        inst = orthogonal_blocks_instance(np.random.default_rng(12), 14, 6, 5, two_sided)
+        if two_sided:
+            lifted = reformulate.lift_set_twosided(inst)
+            cert = reformulate.check_condition_cc(inst, lifted)
+            return reformulate.build_cr2(inst)[0], cert
+        lifted = reformulate.lift_set_onesided(inst)
+        return reformulate.build_cr(inst)[0], reformulate.check_condition_c(inst, lifted)
+
+    warm_prog, warm_cert = build_all()
+
+    def uncached_sym_eig(m):
+        # the same syev call on the same matrix, made afresh every time
+        w, v = linalg.scipy.linalg.eigh(m.dense(), driver="ev")
+        return w[::-1].copy(), v[:, ::-1].copy()
+
+    monkeypatch.setattr(linalg, "sym_eig", uncached_sym_eig)
+    cold_prog, cold_cert = build_all()
+    assert warm_cert == cold_cert
+    warm, cold = _program_arrays(warm_prog), _program_arrays(cold_prog)
+    assert len(warm) == len(cold)
+    assert all(np.array_equal(u, v) for u, v in zip(warm, cold))
+
+
 def test_condition_invariant_under_rotation():
     rng = np.random.default_rng(5)
     n = 3
@@ -213,6 +320,23 @@ def test_build_cr_rejects_two_sided_and_max():
         reformulate.build_cr(inst)
 
 
+def _eval_g_batch(inst, i, pts):
+    """g_i at every row of pts at once; eval_g point by point is the reference."""
+    val = pts @ (2.0 * inst.b[i]) + inst.c[i]
+    for j, q in enumerate(inst.blocks):
+        if inst.a[i, j] != 0.0:
+            val = val + inst.a[i, j] * np.vecdot(pts @ q.dense(), pts)
+    return val
+
+
+def _feasible_batch(inst, pts, tol):
+    keep = np.ones(len(pts), dtype=bool)
+    for i, bd in enumerate(inst.bounds):
+        g = _eval_g_batch(inst, i + 1, pts)
+        keep &= (g >= bd.lower - tol) & (g <= bd.upper + tol)
+    return keep
+
+
 def test_build_cr_convex_passthrough():
     # no -1 sign anywhere: nothing lifted, program solves the original
     rng = np.random.default_rng(6)
@@ -222,9 +346,19 @@ def test_build_cr_convex_passthrough():
     value, res = solve_value(prog, meta)
     x = meta.x_of(res.z)
     assert inst.eval_g(0, x) == pytest.approx(value, abs=1e-6)
+    sample = rng.uniform(-1.5, 1.5, size=(300, 3))
+    assert np.allclose(
+        _eval_g_batch(inst, 0, sample),
+        [inst.eval_g(0, q) for q in sample],
+        rtol=0.0,
+        atol=1e-12,
+    )
+    assert np.array_equal(
+        _feasible_batch(inst, sample, 1e-9), [inst.is_feasible(q, 1e-9) for q in sample]
+    )
     val_grid, _ = grid_opt(
-        lambda pts: np.array([inst.eval_g(0, q) for q in pts]),
-        lambda pts: np.array([inst.is_feasible(q, 1e-9) for q in pts]),
+        lambda pts: _eval_g_batch(inst, 0, pts),
+        lambda pts: _feasible_batch(inst, pts, 1e-9),
         (np.full(3, -1.5), np.full(3, 1.5)),
         h=0.05,
         sense="min",
