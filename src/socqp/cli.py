@@ -1,8 +1,17 @@
 """Command-line surface: solve, approx, cheby, reduce-ilp, oracle.
 
-Exit codes: 0 success, 2 parse error, 3 precondition/certificate failure,
-4 solver failure.  Every report embeds the tolerances used so a run can be
-reproduced from the report alone; ``--report-format structured`` emits JSON.
+``solve`` runs one pipeline for every uq and qcqp file: classify the instance
+(structured; or uniform with positive definite, singular PSD or indefinite
+Q) and build its relaxation and exactness certificate, solve once, report an
+unbounded or failed solve, and recover a point when the certificate holds.
+Given a directory, ``solve`` prints one row per ``*.json`` file; a file that
+fails becomes an error row and the batch goes on.
+
+Exit codes: 0 success, 2 parse error (malformed or invalid instance data),
+3 precondition/certificate failure, 4 solver failure; a batch exits with the
+worst code over its files.  Every report embeds the tolerances used so a run
+can be reproduced from the report alone; ``--report-format structured`` emits
+JSON.
 """
 
 from __future__ import annotations
@@ -54,6 +63,19 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
 
+# exception -> (exit code, message label) for `main` and for batch rows; the
+# first matching entry wins, so the SocqpError base class comes last
+_EXIT_TABLE = (
+    ((ParseError, FileNotFoundError), EXIT_PARSE, "parse error"),
+    (_PRECONDITION_ERRORS, EXIT_PRECONDITION, "precondition/certificate failure"),
+    (SocqpError, EXIT_SOLVER, "solver failure"),
+)
+_FAILURES = (SocqpError, FileNotFoundError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    return next((code, label) for types, code, label in _EXIT_TABLE if isinstance(exc, types))
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -99,7 +121,6 @@ def _tolerances(args) -> dict:
         "gap": args.gap,
         "max_iter": args.max_iter,
         "grid_h": args.grid_h,
-        "seed": args.seed,
     }
 
 
@@ -126,13 +147,6 @@ def _cert_block(cert: reformulate.CertificateReport) -> dict:
     return out
 
 
-def _qcqp_violation(inst: QcqpInstance, x) -> float:
-    worst = 0.0
-    for i, bd in enumerate(inst.bounds):
-        worst = max(worst, bd.violation(inst.eval_g(i + 1, x)))
-    return worst
-
-
 def _negate_qcqp(inst: QcqpInstance) -> QcqpInstance:
     a = inst.a.copy()
     a[0] *= -1.0
@@ -143,112 +157,53 @@ def _negate_qcqp(inst: QcqpInstance) -> QcqpInstance:
     return QcqpInstance(inst.n, inst.blocks, a, b, c, list(inst.bounds), sense="min")
 
 
-def _solve_uq(inst: UqInstance, args) -> tuple[dict, int]:
-    opts = _options(args)
-    w, _ = linalg.sym_eig(inst.q)
-    scale = max(1.0, float(np.abs(w).max()))
-    report: dict = {"kind": "uq", "n": inst.n, "p": inst.p}
-    code = EXIT_OK
-
-    if w[-1] > args.tol_rank * scale:  # positive definite
-        prog, meta = reformulate.build_socp_uq(inst)
-        res = conesolver.solve(prog, opts)
-        report["solver"] = _solver_block(res)
-        if res.status == "Unbounded":
-            report["relaxation_value"] = math.inf
-            report["note"] = "relaxation unbounded; the instance optimum is +inf"
-            return report, EXIT_OK
-        if res.status != "Optimal":
-            return report, EXIT_SOLVER
-        report["relaxation_value"] = meta.original_value(res)
-        cert = reformulate.check_as3(inst, args.tol_rank)
-        report["certificate"] = _cert_block(cert)
-        duality = conesolver.certify_strong_duality(inst, res)
-        report["duality"] = {"gap": duality.gap, "holds": duality.holds}
-        if cert.holds:
-            x, _ = recover.tighten_uq(inst, res, tol_rank=args.tol_rank)
-            report["exact"] = True
-            report["recovered"] = {
-                "x": x,
-                "objective": model.eval_f(inst, 0, x),
-                "worst_violation": model.worst_violation(inst, x),
-            }
-        else:
-            report["exact"] = False
-            report["note"] = "no exactness claim; relaxation value is an upper bound"
-        return report, code
-
-    if w[-1] >= -args.tol_rank * scale:  # positive semidefinite, singular
-        qview = model.uq_as_qcqp(inst, negate=True)
-        prog, meta = reformulate.build_cr2(qview)
-        res = conesolver.solve(prog, opts)
-        report["solver"] = _solver_block(res)
-        report["shape"] = "psd_singular"
-        if res.status == "Unbounded":
-            report["relaxation_value"] = math.inf
-            report["note"] = "relaxation unbounded; the instance optimum is +inf"
-            return report, EXIT_OK
-        if res.status != "Optimal":
-            return report, EXIT_SOLVER
-        report["relaxation_value"] = -res.objective
-        cert = reformulate.check_condition_cc(
-            qview, reformulate.lift_set_twosided(qview), args.tol_rank
-        )
-        report["certificate"] = _cert_block(cert)
-        report["exact"] = cert.holds
-        if cert.holds:
-            x, _ = recover.tighten_qcqp(qview, res, meta, tol_rank=args.tol_rank)
-            report["recovered"] = {
-                "x": x,
-                "objective": model.eval_f(inst, 0, x),
-                "worst_violation": model.worst_violation(inst, x),
-            }
-        return report, code
-
-    # indefinite Hessian: spectral-split relaxation
-    prog, meta, cert = reformulate.build_socp_indefinite(inst, args.tol_rank)
-    res = conesolver.solve(prog, opts)
-    report["solver"] = _solver_block(res)
-    report["shape"] = "indefinite"
-    if res.status == "Unbounded":
-        report["relaxation_value"] = math.inf
-        report["note"] = "relaxation unbounded; the instance optimum is +inf"
-        return report, EXIT_OK
-    if res.status != "Optimal":
-        return report, EXIT_SOLVER
-    report["relaxation_value"] = meta.original_value(res)
-    report["certificate"] = _cert_block(cert)
-    report["exact"] = cert.holds
-    if cert.holds:
-        qview, _, _ = reformulate.split_indefinite(inst, args.tol_rank)
-        x, _ = recover.tighten_qcqp(qview, res, meta, tol_rank=args.tol_rank)
-        report["recovered"] = {
-            "x": x,
-            "objective": model.eval_f(inst, 0, x),
-            "worst_violation": model.worst_violation(inst, x),
+def _classify(obj, tol_rank: float):
+    """Report head, program, meta, certificate and the min-sense structured
+    view that recovery works on (None for positive definite Q, which
+    `recover.tighten_uq` handles on the instance itself)."""
+    if isinstance(obj, QcqpInstance):
+        view = _negate_qcqp(obj) if obj.sense == "max" else obj
+        two_sided = any(bd.has_lower for bd in view.bounds)
+        prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(view)
+        head = {
+            "kind": "qcqp",
+            "n": obj.n,
+            "p": obj.p,
+            "sense": obj.sense,
+            "lifted_blocks": list(meta.lifted),
         }
-    return report, code
-
-
-def _solve_qcqp(inst: QcqpInstance, args) -> tuple[dict, int]:
-    opts = _options(args)
-    report: dict = {"kind": "qcqp", "n": inst.n, "p": inst.p, "sense": inst.sense}
-    flip = inst.sense == "max"
-    work = _negate_qcqp(inst) if flip else inst
-    one_sided = not any(bd.has_lower for bd in work.bounds)
-    if one_sided:
-        prog, meta = reformulate.build_cr(work)
-        lifted = reformulate.lift_set_onesided(work)
-        cert = reformulate.check_condition_c(work, lifted, args.tol_rank)
+    elif isinstance(obj, UqInstance):
+        w, _ = linalg.sym_eig(obj.q)
+        scale = max(1.0, float(np.abs(w).max()))
+        head = {"kind": "uq", "n": obj.n, "p": obj.p}
+        if w[-1] > tol_rank * scale:
+            prog, meta = reformulate.build_socp_uq(obj)
+            return head, prog, meta, reformulate.check_as3(obj, tol_rank), None
+        if w[-1] < -tol_rank * scale:
+            head["shape"] = "indefinite"
+            prog, meta, cert, view = reformulate.build_socp_indefinite(obj, tol_rank)
+            return head, prog, meta, cert, view
+        head["shape"] = "psd_singular"
+        view = model.uq_as_qcqp(obj, negate=True)
+        prog, meta = reformulate.build_cr2(view)
     else:
-        prog, meta = reformulate.build_cr2(work)
-        lifted = reformulate.lift_set_twosided(work)
-        cert = reformulate.check_condition_cc(work, lifted, args.tol_rank)
-    report["lifted_blocks"] = list(lifted)
+        raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
+    return head, prog, meta, reformulate.check_condition_c(view, meta.lifted, tol_rank), view
+
+
+def _solve(obj, args) -> tuple[dict, int]:
+    """Classify, solve once, then recover a point when the certificate holds;
+    returns the report and the exit code."""
+    report, prog, meta, cert, view = _classify(obj, args.tol_rank)
     report["certificate"] = _cert_block(cert)
-    res = conesolver.solve(prog, opts)
+    res = conesolver.solve(prog, _options(args))
     report["solver"] = _solver_block(res)
+    uniform = isinstance(obj, UqInstance)
     if res.status == "Unbounded":
+        if uniform:
+            report["relaxation_value"] = math.inf
+            report["note"] = "relaxation unbounded; the instance optimum is +inf"
+            return report, EXIT_OK
         report["note"] = (
             "relaxation is unbounded below; the exactness guarantee "
             "requires a bounded relaxation"
@@ -256,16 +211,26 @@ def _solve_qcqp(inst: QcqpInstance, args) -> tuple[dict, int]:
         return report, EXIT_PRECONDITION
     if res.status != "Optimal":
         return report, EXIT_SOLVER
-    value = res.objective
-    report["relaxation_value"] = -value if flip else value
+    maximize = uniform or obj.sense == "max"  # the builders minimise
+    report["relaxation_value"] = -res.objective if maximize else res.objective
+    if view is None:  # positive definite Q: the dual has a closed form
+        duality = conesolver.certify_strong_duality(obj, res)
+        report["duality"] = {"gap": duality.gap, "holds": duality.holds}
+        if not cert.holds:
+            report["note"] = "no exactness claim; relaxation value is an upper bound"
     report["exact"] = cert.holds
-    if cert.holds:
-        x, _ = recover.tighten_qcqp(work, res, meta, tol_rank=args.tol_rank)
-        report["recovered"] = {
-            "x": x,
-            "objective": inst.eval_g(0, x),
-            "worst_violation": _qcqp_violation(inst, x),
-        }
+    if not cert.holds:
+        return report, EXIT_OK
+    x, _ = (
+        recover.tighten_uq(obj, res, tol_rank=args.tol_rank)
+        if view is None
+        else recover.tighten_qcqp(view, res, meta, tol_rank=args.tol_rank)
+    )
+    if uniform:
+        objective, violation = model.eval_f(obj, 0, x), model.worst_violation(obj, x)
+    else:
+        objective, violation = obj.eval_g(0, x), obj.worst_violation(x)
+    report["recovered"] = {"x": x, "objective": objective, "worst_violation": violation}
     return report, EXIT_OK
 
 
@@ -290,50 +255,36 @@ def cmd_solve(args) -> int:
     path = Path(args.instance)
     if path.is_dir():
         return _cmd_batch(path, args)
-    obj = _load(args)
-    if isinstance(obj, UqInstance):
-        report, code = _solve_uq(obj, args)
-    elif isinstance(obj, QcqpInstance):
-        report, code = _solve_qcqp(obj, args)
-    else:
-        raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
+    report, code = _solve(_load(args), args)
     report["tolerances"] = _tolerances(args)
     _emit(report, args.report_format)
     return code
 
 
 def _cmd_batch(path: Path, args) -> int:
+    """One row per ``*.json`` file; a file that fails becomes an error row
+    and the batch goes on.  The exit code is the worst over the files."""
     rows = []
     worst = EXIT_OK
     for name in sorted(path.glob("*.json")):
-        sub = argparse.Namespace(**vars(args))
-        sub.instance = str(name)
         started = time.perf_counter()
         try:
-            obj = fileio.load_instance(name)
-            if isinstance(obj, UqInstance):
-                report, code = _solve_uq(obj, args)
-            elif isinstance(obj, QcqpInstance):
-                report, code = _solve_qcqp(obj, args)
-            else:
-                raise WrongShape("not a solvable instance kind")
+            report, code = _solve(fileio.load_instance(name), args)
+        except _FAILURES as exc:
+            code, _ = _failure(exc)
+            rows.append({"file": name.name, "error": str(exc)})
+        else:
             rows.append(
                 {
                     "file": name.name,
-                    "kind": report.get("kind"),
-                    "status": report.get("solver", {}).get("status", "-"),
+                    "kind": report["kind"],
+                    "status": report["solver"]["status"],
                     "value": report.get("relaxation_value", math.nan),
-                    "certificate": report.get("certificate", {}).get("holds", "-"),
+                    "certificate": report["certificate"]["holds"],
                     "seconds": time.perf_counter() - started,
                 }
             )
-            worst = max(worst, code)
-        except ParseError as exc:
-            rows.append({"file": name.name, "error": str(exc)})
-            worst = max(worst, EXIT_PARSE)
-        except _PRECONDITION_ERRORS as exc:
-            rows.append({"file": name.name, "error": str(exc)})
-            worst = max(worst, EXIT_PRECONDITION)
+        worst = max(worst, code)
     report = {"batch": rows, "tolerances": _tolerances(args)}
     if args.report_format == "structured":
         _emit(report, "structured")
@@ -455,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, default=200)
     common.add_argument("--grid-h", type=float, default=1e-3)
     common.add_argument("--refine", type=int, default=2)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--force-kind", choices=["uq", "qcqp", "balls", "ilp"])
     common.add_argument(
         "--report-format", choices=["text", "structured"], default="text"
@@ -485,18 +435,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition/certificate failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SocqpError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except _FAILURES as exc:
+        code, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

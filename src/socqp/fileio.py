@@ -79,7 +79,8 @@ def _require(data: dict, keys: set[str], kind: str):
 
 def parse_instance(text: str):
     """Parse one instance document; returns a UqInstance, QcqpInstance,
-    BallIntersection, or ('ilp', c, rows, rhs) tuple."""
+    BallIntersection, or ('ilp', c, rows, rhs) tuple.  Malformed documents
+    and data that fail the instance's own checks raise ``ParseError``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -144,10 +145,11 @@ def parse_instance(text: str):
             rows.append(_vector(row["a"], n, f"rows[{k}].a"))
             rhs.append(_num(row["rhs"], f"rows[{k}].rhs"))
         return ("ilp", c, np.array(rows).reshape(len(rhs), n), np.array(rhs))
-    except SocqpError:
+    except ParseError:
         raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"{kind} instance malformed: {exc}")
+    except (SocqpError, TypeError, KeyError, ValueError) as exc:
+        # the instance's own validation (PSD blocks, bounds, shapes) included
+        raise ParseError(f"{kind} instance malformed: {exc}") from exc
 
 
 def load_instance(path):

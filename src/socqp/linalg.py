@@ -89,10 +89,6 @@ class SymMatrix:
     def identity(cls, n: int) -> "SymMatrix":
         return cls.from_dense(np.eye(n))
 
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls(n, np.zeros(_packed_size(n)))
-
     def dense(self) -> np.ndarray:
         if self._dense is None:
             a = np.zeros((self.n, self.n))

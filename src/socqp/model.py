@@ -1,4 +1,4 @@
-"""Problem-instance data model and normalization transforms.
+"""Problem-instance data model and coordinate transforms.
 
 Holds the uniform quadratic instance (shared Hessian), the structured QCQP
 instance with {-1,0,1} sign coefficients over PSD blocks, ball intersections
@@ -22,7 +22,6 @@ from .errors import (
     InvalidBounds,
     InvalidIndex,
     InvalidInput,
-    NotPositiveDefinite,
     WrongShape,
 )
 from .linalg import SymMatrix
@@ -167,6 +166,13 @@ class QcqpInstance:
             bd.contains(self.eval_g(i + 1, x), tol) for i, bd in enumerate(self.bounds)
         )
 
+    def worst_violation(self, x) -> float:
+        """Largest constraint-bound violation at x (0 when feasible)."""
+        return max(
+            (bd.violation(self.eval_g(i + 1, x)) for i, bd in enumerate(self.bounds)),
+            default=0.0,
+        )
+
 
 @dataclass
 class BallIntersection:
@@ -198,18 +204,6 @@ class BallIntersection:
         return bool(np.all(dist <= self.radii + tol))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x = matrix @ y + shift, with an objective offset carried alongside."""
-
-    matrix: np.ndarray
-    shift: np.ndarray
-    obj_offset: float = 0.0
-
-    def apply(self, y) -> np.ndarray:
-        return self.matrix @ np.asarray(y, dtype=float) + self.shift
-
-
 def eval_f(inst: UqInstance, i: int, x) -> float:
     """Evaluate f_i(x) = x'Qx + 2 b_i'x + d_i."""
     if not 0 <= i <= inst.p:
@@ -230,36 +224,6 @@ def worst_violation(inst: UqInstance, x) -> float:
 def is_feasible(inst: UqInstance, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
     """True iff every constraint value lies within its bounds +- tol."""
     return worst_violation(inst, x) <= tol
-
-
-def normalize_uq(inst: UqInstance) -> tuple[UqInstance, AffineMap]:
-    """Rewrite a positive definite instance with Q = I via y = Q^(1/2) x.
-
-    The output has linear terms c_i = Q^(-1/2) b_i, bounds shifted by d_i and
-    all offsets zero; the returned map sends y back to x = Q^(-1/2) y and
-    carries d_0 so objective values can be reconstructed.
-    """
-    w, v = linalg.sym_eig(inst.q)
-    if w[-1] <= linalg.DEFAULT_RANK_TOL * max(1.0, w[0]):
-        raise NotPositiveDefinite("normalization requires positive definite Q")
-    inv_root = (v / np.sqrt(w)) @ v.T
-    c = inst.b @ inv_root  # rows c_i' = b_i' Q^{-1/2}
-    bounds = [
-        Bound(
-            bd.lower - inst.d[i + 1] if bd.has_lower else -math.inf,
-            bd.upper - inst.d[i + 1] if bd.has_upper else math.inf,
-        )
-        for i, bd in enumerate(inst.bounds)
-    ]
-    out = UqInstance(
-        inst.n,
-        SymMatrix.identity(inst.n),
-        c,
-        np.zeros(inst.p + 1),
-        bounds,
-    )
-    back = AffineMap(inv_root, np.zeros(inst.n), obj_offset=float(inst.d[0]))
-    return out, back
 
 
 def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:

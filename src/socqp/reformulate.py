@@ -16,9 +16,9 @@ import numpy as np
 
 from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
-from .errors import InvalidBounds, InvalidInput, NotPsd, WrongShape
+from .errors import InvalidBounds, InvalidInput, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
-from .model import Bound, QcqpInstance, UqInstance
+from .model import Bound, QcqpInstance, UqInstance, uq_as_qcqp
 
 
 @dataclass(frozen=True)
@@ -86,50 +86,20 @@ def _quad_epigraph_block(p_half: np.ndarray, nv: int, w_vec: np.ndarray, w_const
 def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
     """Relaxation of a uniform instance: variables (x, t), objective
     max t + 2 b_0'x + d_0, rows l_i <= t + 2 b_i'x + d_i <= u_i and one cone
-    encoding x'Qx <= t."""
+    encoding x'Qx <= t.
+
+    This is the two-sided relaxation of the one-block view that minimises
+    -f_0 (``model.uq_as_qcqp``), relabelled with the instance's max sense.
+    """
     try:
-        root = linalg.psd_sqrt(inst.q)
-    except NotPsd as exc:
+        view = uq_as_qcqp(inst, negate=True)
+    except InvalidInput as exc:  # the view's only check a UqInstance can fail: Q PSD
         raise WrongShape(
             "Q is indefinite; use build_socp_indefinite for the split relaxation"
         ) from exc
-    n = inst.n
-    nv = n + 1
-    c = np.zeros(nv)
-    c[:n] = -2.0 * inst.b[0]
-    c[n] = -1.0
-    rows, rhs, row_map = [], [], []
-    for i, bd in enumerate(inst.bounds):
-        up = low = None
-        base = np.concatenate([2.0 * inst.b[i + 1], [1.0]])
-        if bd.has_upper:
-            up = len(rows)
-            rows.append(base)
-            rhs.append(bd.upper - inst.d[i + 1])
-        if bd.has_lower:
-            low = len(rows)
-            rows.append(-base)
-            rhs.append(inst.d[i + 1] - bd.lower)
-        row_map.append((up, low))
-    t_vec = np.zeros(nv)
-    t_vec[n] = 1.0
-    soc = [_quad_epigraph_block(root.dense(), nv, t_vec, 0.0)]
-    prog = ConeProgram(
-        c=c,
-        g=np.vstack(rows) if rows else None,
-        h=np.asarray(rhs) if rhs else None,
-        soc=soc,
-        offset=-float(inst.d[0]),
-    )
-    meta = ReformulationMeta(
-        kind="uq",
-        n=n,
-        sense="max",
-        lifted=(0,),
-        t_index={0: n},
-        row_map=row_map,
-        soc_index={0: 0},
-    )
+    prog, meta = build_cr2(view)
+    meta.kind = "uq"
+    meta.sense = "max"
     return prog, meta
 
 
@@ -182,9 +152,13 @@ def split_indefinite(
 
 def build_socp_indefinite(
     inst: UqInstance, tol_rel: float = DEFAULT_RANK_TOL
-) -> tuple[ConeProgram, ReformulationMeta, CertificateReport]:
+) -> tuple[ConeProgram, ReformulationMeta, CertificateReport, QcqpInstance]:
     """Split relaxation for indefinite Q: two lifted variables t1, t2 with
-    objective t1 - t2 + 2 b_0'x + d_0 and one cone per spectral part."""
+    objective t1 - t2 + 2 b_0'x + d_0 and one cone per spectral part.
+
+    The fourth element is the two-block instance of ``split_indefinite`` that
+    the program relaxes; recovery (``recover.tighten_qcqp``) works on it.
+    """
     qcqp, r1, r2 = split_indefinite(inst, tol_rel)
     prog, meta = build_cr2(qcqp)
     meta.kind = "uq_indefinite"
@@ -198,7 +172,7 @@ def build_socp_indefinite(
         rank=rank,
         threshold=thresh,
     )
-    return prog, meta, report
+    return prog, meta, report, qcqp
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +196,17 @@ def lift_set_twosided(inst: QcqpInstance) -> tuple[int, ...]:
     )
 
 
-def _residual_root(inst: QcqpInstance, i: int, lifted: tuple[int, ...], roots: dict):
-    """PSD root of the convex residual of row i, the sum of the non-lifted
-    blocks entering it (their signs are +1); None when that sum is zero.
+def _residual_root(inst: QcqpInstance, summed: np.ndarray, roots: dict):
+    """PSD root of a convex residual, the sum of the blocks flagged in
+    ``summed`` (non-lifted, sign +1); None when that sum is zero.
 
     ``roots`` memoises the root by the set of summed blocks, so rows sharing
     a residual share one root.  A residual of one block is that block itself,
     which reuses the block's own eigendecomposition.
     """
-    key = tuple(j for j in range(inst.m) if j not in lifted and inst.a[i, j] == 1.0)
+    key = tuple(np.flatnonzero(summed).tolist())
+    if not key:
+        return None
     if key not in roots:
         if len(key) == 1:
             residual = inst.blocks[key[0]]
@@ -244,146 +220,93 @@ def _residual_root(inst: QcqpInstance, i: int, lifted: tuple[int, ...], roots: d
     return roots[key]
 
 
-def _lifted_layout(inst: QcqpInstance, lifted: tuple[int, ...], root0):
-    n = inst.n
-    t_index = {j: n + k for k, j in enumerate(lifted)}
-    nv = n + len(lifted)
-    epi = None
-    if root0 is not None:
-        epi = nv
-        nv += 1
-    return nv, t_index, epi
+def _assemble(
+    inst: QcqpInstance, lifted: tuple[int, ...], kind: str
+) -> tuple[ConeProgram, ReformulationMeta]:
+    """Lifted relaxation of a min-sense structured instance over ``lifted``.
 
-
-def _lifted_objective(inst, lifted, t_index, epi, nv):
-    c = np.zeros(nv)
-    c[: inst.n] = 2.0 * inst.b[0]
-    for j in lifted:
-        c[t_index[j]] = inst.a[0, j]
+    Variables are (x, t_j for each lifted block j, and an epigraph variable
+    when the objective keeps a convex residual).  Each lifted block gets the
+    cone x'Q_j x <= t_j.  A constraint whose convex residual (its non-lifted
+    +1 blocks) is nonzero becomes the cone epigraph of its upper side; every
+    other constraint becomes up to two linear rows in (x, t).  Callers make
+    sure a residual never meets a lower bound: the one-sided builder rejects
+    lower bounds, and the two-sided lifted set leaves no constraint residual.
+    """
+    if inst.sense != "min":
+        raise WrongShape(f"{kind} builder expects a minimization instance")
+    n, p, k = inst.n, inst.p, len(lifted)
+    summed = inst.a == 1.0
+    summed[:, list(lifted)] = False
+    roots: dict = {}
+    root0 = _residual_root(inst, summed[0], roots)
+    nv = n + k + (root0 is not None)
+    epi = n + k if root0 is not None else None
+    t_index = {j: n + pos for pos, j in enumerate(lifted)}
+    expr = np.zeros((p + 1, nv))  # row i: the (x, t) part of g_i
+    expr[:, :n] = 2.0 * inst.b
+    expr[:, n : n + k] = inst.a[:, list(lifted)]
+    c = expr[0].copy()
+    unit = np.eye(nv)
+    soc = [
+        _quad_epigraph_block(linalg.psd_sqrt(inst.blocks[j]).dense(), nv, unit[t_index[j]], 0.0)
+        for j in lifted
+    ]
+    soc_index = {j: pos for pos, j in enumerate(lifted)}
     if epi is not None:
         c[epi] = 1.0
-    return c
+        soc.append(_quad_epigraph_block(root0, nv, unit[epi], 0.0))
 
-
-def _row_expr(inst, i, lifted, t_index, nv):
-    g = np.zeros(nv)
-    g[: inst.n] = 2.0 * inst.b[i]
-    for j in lifted:
-        g[t_index[j]] = inst.a[i, j]
-    return g
-
-
-def _cone_blocks_for_lifted(inst, lifted, t_index, nv):
-    soc = []
-    soc_index = {}
-    for j in lifted:
-        w_vec = np.zeros(nv)
-        w_vec[t_index[j]] = 1.0
-        soc_index[j] = len(soc)
-        soc.append(
-            _quad_epigraph_block(linalg.psd_sqrt(inst.blocks[j]).dense(), nv, w_vec, 0.0)
-        )
-    return soc, soc_index
+    upper = np.array([bd.upper for bd in inst.bounds])
+    lower = np.array([bd.lower for bd in inst.bounds])
+    linear = np.ones(p, dtype=bool)
+    for i in np.flatnonzero(summed[1:].any(axis=1) & (upper < math.inf)):
+        root_i = _residual_root(inst, summed[i + 1], roots)
+        if root_i is not None:
+            # x'P_i x + expr'z <= limit as a cone epigraph on w = limit - expr'z
+            limit = upper[i] - inst.c[i + 1]
+            soc.append(_quad_epigraph_block(root_i, nv, -expr[i + 1], limit))
+            linear[i] = False
+    # rows in constraint order, the upper side of each before its lower side
+    sides = np.stack([expr[1:], -expr[1:]], axis=1).reshape(2 * p, nv)
+    rhs = np.stack([upper - inst.c[1:], inst.c[1:] - lower], axis=1).reshape(2 * p)
+    keep = np.stack(
+        [linear & (upper < math.inf), linear & (lower > -math.inf)], axis=1
+    ).reshape(2 * p)
+    index = np.where(keep, np.cumsum(keep) - 1, -1).reshape(p, 2).tolist()
+    row_map = [(u if u >= 0 else None, lo if lo >= 0 else None) for u, lo in index]
+    prog = ConeProgram(
+        c=c,
+        g=sides[keep] if keep.any() else None,
+        h=rhs[keep] if keep.any() else None,
+        soc=soc,
+        offset=float(inst.c[0]),
+    )
+    meta = ReformulationMeta(
+        kind=kind,
+        n=n,
+        sense="min",
+        lifted=lifted,
+        t_index=t_index,
+        row_map=row_map,
+        soc_index=soc_index,
+        epi_index=epi,
+    )
+    return prog, meta
 
 
 def build_cr(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     """One-sided relaxation: lift exactly the blocks carrying a -1 sign;
     leftover convex quadratics stay as cone-encoded epigraphs."""
-    if inst.sense != "min":
-        raise WrongShape("one-sided builder expects a minimization instance")
     if any(bd.has_lower for bd in inst.bounds):
         raise WrongShape("two-sided instance passed; use build_cr2")
-    lifted = lift_set_onesided(inst)
-    roots: dict = {}
-    root0 = _residual_root(inst, 0, lifted, roots)
-    nv, t_index, epi = _lifted_layout(inst, lifted, root0)
-    c = _lifted_objective(inst, lifted, t_index, epi, nv)
-    soc, soc_index = _cone_blocks_for_lifted(inst, lifted, t_index, nv)
-    if epi is not None:
-        w_vec = np.zeros(nv)
-        w_vec[epi] = 1.0
-        soc.append(_quad_epigraph_block(root0, nv, w_vec, 0.0))
-    rows, rhs, row_map = [], [], []
-    for i, bd in enumerate(inst.bounds):
-        if not bd.has_upper:
-            row_map.append((None, None))
-            continue
-        root_i = _residual_root(inst, i + 1, lifted, roots)
-        expr = _row_expr(inst, i + 1, lifted, t_index, nv)
-        limit = bd.upper - inst.c[i + 1]
-        if root_i is not None:
-            # x'P_i x + expr'z <= limit as a cone epigraph on w = limit - expr'z
-            soc.append(_quad_epigraph_block(root_i, nv, -expr, limit))
-            row_map.append((None, None))
-        else:
-            row_map.append((len(rows), None))
-            rows.append(expr)
-            rhs.append(limit)
-    prog = ConeProgram(
-        c=c,
-        g=np.vstack(rows) if rows else None,
-        h=np.asarray(rhs) if rhs else None,
-        soc=soc,
-        offset=float(inst.c[0]),
-    )
-    meta = ReformulationMeta(
-        kind="cr",
-        n=inst.n,
-        sense="min",
-        lifted=lifted,
-        t_index=t_index,
-        row_map=row_map,
-        soc_index=soc_index,
-        epi_index=epi,
-    )
-    return prog, meta
+    return _assemble(inst, lift_set_onesided(inst), "cr")
 
 
 def build_cr2(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     """Two-sided relaxation: every block appearing in a constraint is lifted,
     so all constraint rows become linear in (x, t)."""
-    if inst.sense != "min":
-        raise WrongShape("two-sided builder expects a minimization instance")
-    lifted = lift_set_twosided(inst)
-    root0 = _residual_root(inst, 0, lifted, {})
-    nv, t_index, epi = _lifted_layout(inst, lifted, root0)
-    c = _lifted_objective(inst, lifted, t_index, epi, nv)
-    soc, soc_index = _cone_blocks_for_lifted(inst, lifted, t_index, nv)
-    if epi is not None:
-        w_vec = np.zeros(nv)
-        w_vec[epi] = 1.0
-        soc.append(_quad_epigraph_block(root0, nv, w_vec, 0.0))
-    rows, rhs, row_map = [], [], []
-    for i, bd in enumerate(inst.bounds):
-        expr = _row_expr(inst, i + 1, lifted, t_index, nv)
-        up = low = None
-        if bd.has_upper:
-            up = len(rows)
-            rows.append(expr)
-            rhs.append(bd.upper - inst.c[i + 1])
-        if bd.has_lower:
-            low = len(rows)
-            rows.append(-expr)
-            rhs.append(inst.c[i + 1] - bd.lower)
-        row_map.append((up, low))
-    prog = ConeProgram(
-        c=c,
-        g=np.vstack(rows) if rows else None,
-        h=np.asarray(rhs) if rhs else None,
-        soc=soc,
-        offset=float(inst.c[0]),
-    )
-    meta = ReformulationMeta(
-        kind="cr2",
-        n=inst.n,
-        sense="min",
-        lifted=lifted,
-        t_index=t_index,
-        row_map=row_map,
-        soc_index=soc_index,
-        epi_index=epi,
-    )
-    return prog, meta
+    return _assemble(inst, lift_set_twosided(inst), "cr2")
 
 
 def union_rows(
@@ -407,11 +330,14 @@ def union_rows(
     }
 
 
-def _union_condition(
-    inst: QcqpInstance, j_set, tol_rel: float
+def check_condition_c(
+    inst: QcqpInstance, j_set, tol_rel: float = DEFAULT_RANK_TOL
 ) -> CertificateReport:
-    """dim(span{b_1..b_p} + N(Q_j) + sum_{i != j} R(Q_i)) <= n-1 for every
-    lifted j."""
+    """Exactness condition of the lifted relaxations over the lifted set:
+    dim(span{b_1..b_p} + N(Q_j) + sum_{i != j} R(Q_i)) <= n-1 for every
+    lifted j.  The one-sided and the two-sided relaxation share this test;
+    ``check_condition_cc`` is the same function under the two-sided name."""
+    j_set = tuple(j_set)
     if not j_set:
         return CertificateReport(True, "no lifted blocks; program is convex as written")
     dims = {
@@ -428,19 +354,7 @@ def _union_condition(
     )
 
 
-def check_condition_c(
-    inst: QcqpInstance, j_set, tol_rel: float = DEFAULT_RANK_TOL
-) -> CertificateReport:
-    """Exactness condition of the one-sided relaxation over the lifted set."""
-    return _union_condition(inst, tuple(j_set), tol_rel)
-
-
-def check_condition_cc(
-    inst: QcqpInstance, k_set, tol_rel: float = DEFAULT_RANK_TOL
-) -> CertificateReport:
-    """Exactness condition of the two-sided relaxation; the same
-    union-dimension test evaluated over the two-sided lifted set."""
-    return _union_condition(inst, tuple(k_set), tol_rel)
+check_condition_cc = check_condition_c
 
 
 # ---------------------------------------------------------------------------

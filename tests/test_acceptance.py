@@ -5,11 +5,16 @@ lines and timings.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import socqp
 from socqp import (
     chebyshev,
     conesolver,
@@ -426,3 +431,19 @@ def test_criterion_8_solver_regression():
         assert np.array_equal(r1.lam_lin, r2.lam_lin), k
         assert np.array_equal(r1.y, r2.y), k
     _report(8, "solver regression corpus 30x", started)
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    """Every demo runs to completion on the public API."""
+    src = str(Path(socqp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=demo.parent.parent, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -377,3 +377,95 @@ def test_batch_mode(tmp_path, capsys, gap1d_file, exact_file):
     assert len(lines) == 2
     assert lines[0].startswith("a.json")
     assert lines[1].startswith("b.json")
+
+
+def test_batch_goes_on_past_invalid_instance_data(tmp_path, capsys, gap1d_file, exact_file):
+    import shutil
+
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(gap1d_file, batch / "a.json")
+    # the only block is packed [1, 0, -1] = diag(1, -1): not PSD
+    bad = {
+        "kind": "qcqp", "n": 2, "sense": "min", "blocks": [[1.0, 0.0, -1.0]],
+        "signs": [[1.0], [1.0]], "b": [[0.0, 0.0], [0.0, 0.0]], "c": [0.0, 0.0],
+        "bounds": [{"lo": "-inf", "hi": 1.0}],
+    }
+    (batch / "b.json").write_text(json.dumps(bad), encoding="utf-8")
+    shutil.copy(exact_file, batch / "c.json")
+    with pytest.raises(ParseError, match="qcqp instance"):
+        fileio.load_instance(batch / "b.json")
+
+    code, out = run(capsys, "solve", str(batch / "b.json"))
+    assert code == 2
+    assert "parse error" in out.err and "not PSD" in out.err
+
+    code, out = run(capsys, "solve", str(batch), "--report-format", "structured")
+    assert code == 2
+    rows = json.loads(out.out)["batch"]
+    assert [row["file"] for row in rows] == ["a.json", "b.json", "c.json"]
+    assert rows[0]["status"] == "Optimal" and rows[2]["status"] == "Optimal"
+    assert "not PSD" in rows[1]["error"]
+
+
+def test_indefinite_solve_splits_q_once(tmp_path, capsys, monkeypatch):
+    # one decomposition of Q, then one per spectral block of the split; the
+    # recovery works on the blocks the builder already decomposed
+    inst = UqInstance(
+        4,
+        SymMatrix.from_dense(np.diag([2.0, 1.0, -1.0, -1.5])),
+        np.zeros((2, 4)),
+        np.zeros(2),
+        [Bound(-1.0, 1.0)],
+    )
+    path = tmp_path / "indef4.json"
+    fileio.save_instance(inst, path)
+    import scipy.linalg
+
+    eigh = scipy.linalg.eigh
+    calls = []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    code, out = run(capsys, "solve", str(path), "--report-format", "structured")
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["shape"] == "indefinite" and rep["exact"] is True
+    assert rep["recovered"]["objective"] == pytest.approx(rep["relaxation_value"], abs=1e-5)
+    assert len(calls) == 3
+
+
+def test_solve_max_sense_qcqp_file(tmp_path, capsys):
+    # max -g_0 over the same rows is the negated min problem: the report
+    # carries the negated relaxation value and the same exactness verdict
+    blocks = [SymMatrix.from_dense(np.diag([1.0, 0.0])), SymMatrix.identity(2)]
+    signs = np.array([[1.0, -1.0], [0.0, 1.0]])
+    lin = np.array([[0.1, 0.0], [0.0, 0.0]])
+    bounds = [Bound(-math.inf, 1.0)]
+    twins = {
+        "min": QcqpInstance(2, blocks, signs, lin, np.array([0.2, 0.0]), bounds),
+        "max": QcqpInstance(
+            2, blocks, signs * [[-1.0], [1.0]], lin * [[-1.0], [1.0]],
+            np.array([-0.2, 0.0]), bounds, sense="max",
+        ),
+    }
+    reps = {}
+    for sense, inst in twins.items():
+        path = tmp_path / f"{sense}.json"
+        fileio.save_instance(inst, path)
+        code, out = run(capsys, "solve", str(path), "--report-format", "structured")
+        assert code == 0, out.err
+        reps[sense] = json.loads(out.out)
+    lo, hi = reps["min"], reps["max"]
+    assert hi["sense"] == "max"
+    assert hi["relaxation_value"] == pytest.approx(-lo["relaxation_value"], rel=1e-9, abs=1e-12)
+    assert hi["exact"] is lo["exact"] is True
+    assert hi["certificate"] == lo["certificate"]
+    assert hi["recovered"]["objective"] == pytest.approx(hi["relaxation_value"], abs=1e-5)
+    assert hi["recovered"]["objective"] == pytest.approx(-lo["recovered"]["objective"], abs=1e-12)
+    assert hi["recovered"]["worst_violation"] <= 1e-6
+    x = np.asarray(hi["recovered"]["x"])
+    assert twins["max"].eval_g(0, x) == pytest.approx(hi["recovered"]["objective"], abs=1e-12)

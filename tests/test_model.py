@@ -8,7 +8,6 @@ from socqp.errors import (
     EmptyInterior,
     InvalidBounds,
     InvalidIndex,
-    NotPositiveDefinite,
 )
 from socqp.linalg import SymMatrix
 from socqp.model import BallIntersection, Bound, UqInstance
@@ -74,47 +73,6 @@ def test_is_feasible_examples():
         [Bound(-math.inf, math.inf)],
     )
     assert model.is_feasible(free, np.array([17.0]))
-
-
-def test_normalize_identity_is_identity():
-    inst = random_uq(np.random.default_rng(1), 2, 1)
-    inst.q = SymMatrix.identity(2)
-    out, back = model.normalize_uq(inst)
-    assert np.allclose(out.b, inst.b)
-    assert np.allclose(back.matrix, np.eye(2))
-
-
-def test_normalize_diagonal_case():
-    inst = UqInstance(
-        2,
-        SymMatrix.from_dense(np.diag([4.0, 1.0])),
-        np.array([[0.0, 0.0], [2.0, 0.0]]),
-        np.zeros(2),
-        [Bound(-math.inf, 1.0)],
-    )
-    out, _ = model.normalize_uq(inst)
-    assert np.allclose(out.b[1], [1.0, 0.0])
-
-
-def test_normalize_round_trip_values():
-    rng = np.random.default_rng(2)
-    inst = random_uq(rng, 3, 2)
-    out, back = model.normalize_uq(inst)
-    for _ in range(25):
-        y = rng.normal(size=3)
-        x = back.apply(y)
-        for i in range(3):
-            shift = inst.d[i] if i else back.obj_offset
-            assert model.eval_f(inst, i, x) == pytest.approx(
-                model.eval_f(out, i, y) + shift, abs=1e-9
-            )
-
-
-def test_normalize_requires_pd():
-    inst = onedim_gap_instance()
-    inst.q = SymMatrix.from_dense(np.array([[0.0]]))
-    with pytest.raises(NotPositiveDefinite):
-        model.normalize_uq(inst)
 
 
 def test_translate_origin_identity_and_1d():

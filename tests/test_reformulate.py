@@ -286,6 +286,85 @@ def test_programs_and_reports_do_not_depend_on_the_cache(monkeypatch, two_sided)
     assert all(np.array_equal(u, v) for u, v in zip(warm, cold))
 
 
+def _reference_program(inst, lifted, epi):
+    """The lifted program assembled one constraint at a time: the c, G, h,
+    row map and constraint cones that the builders assemble with arrays."""
+    n = inst.n
+    t_index = {j: n + k for k, j in enumerate(lifted)}
+    nv = n + len(lifted) + (epi is not None)
+
+    def expr(i):
+        g = np.zeros(nv)
+        g[:n] = 2.0 * inst.b[i]
+        for j in lifted:
+            g[t_index[j]] = inst.a[i, j]
+        return g
+
+    def residual(i):
+        acc = np.zeros((n, n))
+        for j in range(inst.m):
+            if j not in lifted and inst.a[i, j] == 1.0:
+                acc += inst.blocks[j].dense()
+        return acc
+
+    c = expr(0)
+    if epi is not None:
+        c[epi] = 1.0
+    rows, rhs, row_map, cones = [], [], [], []
+    for i, bd in enumerate(inst.bounds):
+        if bd.has_upper and np.abs(residual(i + 1)).max() > 0.0:
+            cones.append((i, -expr(i + 1), bd.upper - inst.c[i + 1]))
+            row_map.append((None, None))
+            continue
+        up = low = None
+        if bd.has_upper:
+            up = len(rows)
+            rows.append(expr(i + 1))
+            rhs.append(bd.upper - inst.c[i + 1])
+        if bd.has_lower:
+            low = len(rows)
+            rows.append(-expr(i + 1))
+            rhs.append(inst.c[i + 1] - bd.lower)
+        row_map.append((up, low))
+    g = np.vstack(rows) if rows else np.zeros((0, nv))
+    return c, g, np.asarray(rhs, dtype=float), row_map, cones
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_assembled_rows_match_per_row_reference(two_sided):
+    # random signs (zero blocks and empty lifted sets included) and bounds;
+    # the array assembly does the same arithmetic, so results are bit-equal
+    rng = np.random.default_rng(31 + two_sided)
+    for trial in range(30):
+        n, m, p = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        blocks = []
+        for _ in range(m):
+            u = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+            blocks.append(SymMatrix.from_dense(u @ u.T * (rng.random() > 0.15)))
+        bounds = [
+            Bound(
+                -rng.uniform(0.1, 2.0) if two_sided and rng.random() < 0.6 else -math.inf,
+                rng.uniform(0.1, 2.0) if rng.random() < 0.8 else math.inf,
+            )
+            for _ in range(p)
+        ]
+        inst = QcqpInstance(
+            n, blocks, rng.integers(-1, 2, size=(p + 1, m)).astype(float),
+            rng.normal(size=(p + 1, n)), rng.normal(size=p + 1), bounds,
+        )
+        build = reformulate.build_cr2 if two_sided else reformulate.build_cr
+        prog, meta = build(inst)
+        c, g, h, row_map, cones = _reference_program(inst, meta.lifted, meta.epi_index)
+        assert np.array_equal(prog.c, c), trial
+        assert np.array_equal(prog.g, g) and np.array_equal(prog.h, h), trial
+        assert meta.row_map == row_map, trial
+        first = len(meta.lifted) + (meta.epi_index is not None)
+        assert len(prog.soc) == first + len(cones), trial
+        for blk, (i, w_vec, limit) in zip(prog.soc[first:], cones):
+            assert np.array_equal(blk.a[n], 0.5 * w_vec) and np.array_equal(blk.c, 0.5 * w_vec)
+            assert blk.d == 0.5 * (limit + 1.0), (trial, i)
+
+
 def test_condition_invariant_under_rotation():
     rng = np.random.default_rng(5)
     n = 3
@@ -696,7 +775,7 @@ def test_build_socp_indefinite_examples():
         np.zeros(2),
         [Bound(-1.0, 1.0)],
     )
-    _, _, rep = reformulate.build_socp_indefinite(inst)
+    _, _, rep, _ = reformulate.build_socp_indefinite(inst)
     assert rep.holds and rep.rank == 0
     # one linear term against min(r1, r2) - 1 = 0 fails
     inst2 = UqInstance(
@@ -706,7 +785,7 @@ def test_build_socp_indefinite_examples():
         np.zeros(2),
         [Bound(-1.0, 1.0)],
     )
-    _, _, rep2 = reformulate.build_socp_indefinite(inst2)
+    _, _, rep2, _ = reformulate.build_socp_indefinite(inst2)
     assert not rep2.holds
 
 
@@ -734,7 +813,7 @@ def test_build_socp_indefinite_matches_grid():
             np.zeros(3),
             [Bound(-0.5, 1.0), Bound(-math.inf, 2.0)],
         )
-        prog, meta, rep = reformulate.build_socp_indefinite(inst)
+        prog, meta, rep, _ = reformulate.build_socp_indefinite(inst)
         assert rep.holds
         res = conesolver.solve(prog)
         assert res.status == "Optimal"
