@@ -3,7 +3,10 @@
 Covers the classic ball-constrained case (including hard-case geometry,
 where the minimizer must be pushed onto the sphere along a ground
 eigenvector), the two-sided ball band, and the variant with inside/outside
-balls plus a polytope row.
+balls plus a polytope row.  Each builder returns a plain structured
+instance: A is split as (A - lam_min I) + lam_min I, the ball rows carry the
+identity block, and the generic relaxation (build_cr / build_cr2), exactness
+certificate (check_condition_c) and recovery (tighten_qcqp) do the rest.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import numpy as np
 from socqp import (
     SymMatrix,
     build_cr,
+    build_cr2,
     build_trs,
     build_ttrs,
     build_vtrs,
@@ -39,22 +43,29 @@ print(f"  objective at recovered   {x @ a @ x + 2 * b @ x:.9f}")
 print()
 
 # --- two-sided band: 1 <= ||x||^2 <= 4 with a concave objective ------------
-prog, meta = build_ttrs(SymMatrix.from_dense(-np.eye(2)), np.zeros(2), 1.0, 4.0)
+inst = build_ttrs(SymMatrix.from_dense(-np.eye(2)), np.zeros(2), 1.0, 4.0)
+prog, meta = build_cr2(inst)
 res = solve(prog)
+x, _ = tighten_qcqp(inst, res, meta)
 print("two-sided ball band, min -||x||^2/2 over 1 <= ||x||^2 <= 4")
 print(f"  optimum                  {meta.original_value(res):.9f}  (expected -2)")
+print(f"  recovered ||x||^2        {x @ x:.9f}  (outer radius)")
 print()
 
 # --- variant with an outside ball and a halfspace ---------------------------
 qmat = np.diag([0.8, -1.0])
-prog, meta, rep = build_vtrs(
+inst = build_vtrs(
     SymMatrix.from_dense(qmat),
     np.array([0.2, 0.0]),
     balls_in=[(np.zeros(2), 1.2)],
     balls_out=[(np.zeros(2), 0.3)],
     poly_rows=[(np.array([1.0, 0.0]), 0.5)],
 )
+prog, meta = build_cr2(inst)
+rep = check_condition_c(inst, meta.lifted)
 res = solve(prog)
+x, _ = tighten_qcqp(inst, res, meta)
 print("trust-region variant (annulus + halfspace)")
-print(f"  condition report         holds={rep.holds}  ({rep.reason})")
+print(f"  exactness condition      holds={rep.holds}  ({rep.reason})")
 print(f"  optimum                  {meta.original_value(res):.9f}")
+print(f"  objective at recovered   {inst.eval_g(0, x):.9f}")

@@ -154,7 +154,9 @@ def _negate_qcqp(inst: QcqpInstance) -> QcqpInstance:
     b[0] *= -1.0
     c = inst.c.copy()
     c[0] *= -1.0
-    return QcqpInstance(inst.n, inst.blocks, a, b, c, list(inst.bounds), sense="min")
+    return QcqpInstance(
+        inst.n, inst.blocks, a, b, c, list(inst.bounds), sense="min", psd_tol=inst.psd_tol
+    )
 
 
 def _classify(obj, tol_rank: float):
@@ -184,7 +186,7 @@ def _classify(obj, tol_rank: float):
             prog, meta, cert, view = reformulate.build_socp_indefinite(obj, tol_rank)
             return head, prog, meta, cert, view
         head["shape"] = "psd_singular"
-        view = model.uq_as_qcqp(obj, negate=True)
+        view = model.uq_as_qcqp(obj, negate=True, psd_tol=tol_rank)
         prog, meta = reformulate.build_cr2(view)
     else:
         raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
@@ -234,8 +236,8 @@ def _solve(obj, args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _load(args):
-    obj = fileio.load_instance(args.instance)
+def _load(path, args):
+    obj = fileio.load_instance(path, psd_tol=args.tol_rank)
     if args.force_kind:
         kinds = {
             UqInstance: "uq",
@@ -255,7 +257,7 @@ def cmd_solve(args) -> int:
     path = Path(args.instance)
     if path.is_dir():
         return _cmd_batch(path, args)
-    report, code = _solve(_load(args), args)
+    report, code = _solve(_load(path, args), args)
     report["tolerances"] = _tolerances(args)
     _emit(report, args.report_format)
     return code
@@ -269,7 +271,7 @@ def _cmd_batch(path: Path, args) -> int:
     for name in sorted(path.glob("*.json")):
         started = time.perf_counter()
         try:
-            report, code = _solve(fileio.load_instance(name), args)
+            report, code = _solve(_load(name, args), args)
         except _FAILURES as exc:
             code, _ = _failure(exc)
             rows.append({"file": name.name, "error": str(exc)})
@@ -302,7 +304,7 @@ def _cmd_batch(path: Path, args) -> int:
 
 
 def cmd_approx(args) -> int:
-    obj = _load(args)
+    obj = _load(args.instance, args)
     if not isinstance(obj, UqInstance):
         raise WrongShape("approx expects a uq instance")
     inst = obj
@@ -340,7 +342,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_cheby(args) -> int:
-    obj = _load(args)
+    obj = _load(args.instance, args)
     if not isinstance(obj, BallIntersection):
         raise WrongShape("cheby expects a balls instance")
     result = chebyshev.chebyshev_certified(obj, opts=_options(args))
@@ -364,7 +366,7 @@ def cmd_cheby(args) -> int:
 
 
 def cmd_reduce_ilp(args) -> int:
-    obj = _load(args)
+    obj = _load(args.instance, args)
     if not (isinstance(obj, tuple) and obj[0] == "ilp"):
         raise WrongShape("reduce-ilp expects an ilp instance")
     _, c, rows, rhs = obj
@@ -378,7 +380,7 @@ def cmd_reduce_ilp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    obj = _load(args)
+    obj = _load(args.instance, args)
     report: dict = {"kind": "oracle", "tolerances": _tolerances(args)}
     if isinstance(obj, UqInstance):
         g = oracle.grid_max_uq(obj, h=args.grid_h, refine=args.refine)

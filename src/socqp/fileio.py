@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ParseError, SocqpError
-from .linalg import SymMatrix
+from .linalg import DEFAULT_RANK_TOL, SymMatrix
 from .model import BallIntersection, Bound, QcqpInstance, UqInstance
 
 
@@ -77,10 +77,11 @@ def _require(data: dict, keys: set[str], kind: str):
         raise ParseError(f"{kind} instance: unknown fields {sorted(extra)}")
 
 
-def parse_instance(text: str):
+def parse_instance(text: str, psd_tol: float = DEFAULT_RANK_TOL):
     """Parse one instance document; returns a UqInstance, QcqpInstance,
     BallIntersection, or ('ilp', c, rows, rhs) tuple.  Malformed documents
-    and data that fail the instance's own checks raise ``ParseError``."""
+    and data that fail the instance's own checks raise ``ParseError``;
+    ``psd_tol`` is the relative tolerance at which qcqp blocks must be PSD."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,6 +129,7 @@ def parse_instance(text: str):
                 _vector(data["c"], p + 1, "c"),
                 bounds,
                 sense=data["sense"],
+                psd_tol=psd_tol,
             )
         if kind == "balls":
             _require(data, {"kind", "n", "centers", "radii"}, kind)
@@ -152,9 +154,9 @@ def parse_instance(text: str):
         raise ParseError(f"{kind} instance malformed: {exc}") from exc
 
 
-def load_instance(path):
+def load_instance(path, psd_tol: float = DEFAULT_RANK_TOL):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        return parse_instance(fh.read(), psd_tol)
 
 
 def dumps_instance(obj) -> str:

@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra kernel.
 
 Eigendecomposition, PSD square roots, numerical rank, null/range bases and
-dimensions of subspace unions.  Tolerances are explicit arguments with one
+the null space of a set of rows.  Tolerances are explicit arguments with one
 shared default so that the rank-based certificates built on top of this module
 are reproducible.
 
@@ -189,29 +189,6 @@ def range_basis(m: SymMatrix, tol_rel: float = DEFAULT_RANK_TOL) -> SubspaceBasi
     """Orthonormal basis of the range; complements null_basis exactly."""
     image, _ = _split_spectrum(m, tol_rel)
     return SubspaceBasis(m.n, image)
-
-
-def union_dim(bases, extra_vectors=(), tol_rel: float = DEFAULT_RANK_TOL) -> int:
-    """Dimension of span(union of subspaces and extra vectors).
-
-    Computed as the numerical rank of all stacked columns.
-    """
-    cols = []
-    n = None
-    for b in bases:
-        if n is None:
-            n = b.n
-        elif b.n != n:
-            raise InvalidInput("subspace ambient dimensions differ")
-        cols.extend(b.columns.T)
-    for v in extra_vectors:
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if n is None:
-            n = v.size
-        elif v.size != n:
-            raise InvalidInput("vector dimension differs from subspace dimension")
-        cols.append(v)
-    return numerical_rank(cols, tol_rel)
 
 
 def null_space_of_rows(rows, n: int, tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:

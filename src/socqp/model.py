@@ -319,11 +319,14 @@ def ilp_to_uq(c, a_rows, rhs) -> UqInstance:
     return UqInstance(n, SymMatrix.identity(n), b, d, bounds)
 
 
-def uq_as_qcqp(inst: UqInstance, negate: bool = False) -> QcqpInstance:
+def uq_as_qcqp(
+    inst: UqInstance, negate: bool = False, psd_tol: float = linalg.DEFAULT_RANK_TOL
+) -> QcqpInstance:
     """View a UQ instance as a single-block structured QCQP.
 
     With ``negate`` the objective is flipped so the result is a minimization
-    of -f_0, matching the builders that require min sense.
+    of -f_0, matching the builders that require min sense.  ``psd_tol`` is the
+    relative tolerance at which Q must be PSD.
     """
     sgn = -1.0 if negate else 1.0
     p = inst.p
@@ -341,4 +344,5 @@ def uq_as_qcqp(inst: UqInstance, negate: bool = False) -> QcqpInstance:
         cvec,
         list(inst.bounds),
         sense="min",
+        psd_tol=psd_tol,
     )

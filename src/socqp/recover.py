@@ -261,13 +261,9 @@ def tighten_qcqp(
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
     x = meta.x_of(res.z)
-    if meta.x_shift is not None:
-        x = x - meta.x_shift  # work in instance coordinates
     trace = TightenTrace()
     if not meta.lifted:
         trace.final_gap = 0.0
-        if meta.x_shift is not None:
-            x = x + meta.x_shift
         return x, trace
     union = {}  # taken on the first open gap; most optima close every cone
     for j in meta.lifted:
@@ -308,8 +304,6 @@ def tighten_qcqp(
     trace.final_gap = max(gaps, default=0.0)
     if trace.final_gap > 1e-6 * (1.0 + max(abs(float(res.z[meta.t_index[j]])) for j in meta.lifted)):
         raise TightenFailed("a lifted gap stayed open", trace)
-    if meta.x_shift is not None:
-        x = x + meta.x_shift
     return x, trace
 
 

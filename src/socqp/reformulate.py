@@ -1,10 +1,16 @@
 """Builders mapping each problem class to a cone program, plus executable
 certifiers for the exactness conditions.
 
-Every builder with an associated exactness condition returns the certificate
-report next to the program; solving proceeds regardless and recovery consults
-the certificate.  Maximization problems are negated into the solver's min
-convention inside the builder, with the original sense recorded in the meta.
+The relaxation builders return a cone program and its meta; the exactness
+certificate is a separate call (``check_as3`` for uniform instances,
+``check_condition_c`` for structured ones), except that
+``build_socp_indefinite`` and ``build_wd`` return theirs with the program.
+The trust-region special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
+``build_vtrs``) return a min-sense ``QcqpInstance`` that goes through the
+generic ``build_cr``/``build_cr2``, ``check_condition_c`` and
+``recover.tighten_qcqp``.  Maximization problems are negated into the solver's
+min convention inside the builder, with the original sense recorded in the
+meta.
 """
 
 from __future__ import annotations
@@ -48,8 +54,6 @@ class ReformulationMeta:
     lifted: tuple[int, ...] = ()
     t_index: dict[int, int] = field(default_factory=dict)
     row_map: list[tuple[int | None, int | None]] = field(default_factory=list)
-    soc_index: dict[int, int] = field(default_factory=dict)
-    shifts: dict[str, float] = field(default_factory=dict)
     epi_index: int | None = None
     x_shift: np.ndarray | None = None
 
@@ -163,7 +167,6 @@ def build_socp_indefinite(
     prog, meta = build_cr2(qcqp)
     meta.kind = "uq_indefinite"
     meta.sense = "max"
-    meta.shifts.update({"rank_pos": float(r1), "rank_neg": float(r2)})
     rank = linalg.numerical_rank(list(inst.b[1:]), tol_rel)
     thresh = min(r1, r2) - 1
     report = CertificateReport(
@@ -216,7 +219,7 @@ def _residual_root(inst: QcqpInstance, summed: np.ndarray, roots: dict):
                 acc += inst.blocks[j].dense()
             residual = SymMatrix.from_dense(acc)
         nonzero = np.abs(residual.packed).max(initial=0.0) > 0.0
-        roots[key] = linalg.psd_sqrt(residual).dense() if nonzero else None
+        roots[key] = linalg.psd_sqrt(residual, inst.psd_tol).dense() if nonzero else None
     return roots[key]
 
 
@@ -249,10 +252,11 @@ def _assemble(
     c = expr[0].copy()
     unit = np.eye(nv)
     soc = [
-        _quad_epigraph_block(linalg.psd_sqrt(inst.blocks[j]).dense(), nv, unit[t_index[j]], 0.0)
+        _quad_epigraph_block(
+            linalg.psd_sqrt(inst.blocks[j], inst.psd_tol).dense(), nv, unit[t_index[j]], 0.0
+        )
         for j in lifted
     ]
-    soc_index = {j: pos for pos, j in enumerate(lifted)}
     if epi is not None:
         c[epi] = 1.0
         soc.append(_quad_epigraph_block(root0, nv, unit[epi], 0.0))
@@ -289,7 +293,6 @@ def _assemble(
         lifted=lifted,
         t_index=t_index,
         row_map=row_map,
-        soc_index=soc_index,
         epi_index=epi,
     )
     return prog, meta
@@ -362,50 +365,53 @@ check_condition_cc = check_condition_c
 # ---------------------------------------------------------------------------
 
 
-def _shifted_blocks(a_dense: np.ndarray, tol_rel: float):
-    """Split x'Ax into a PSD part and a scaled-identity part.
+def _trust_region(
+    a_mat: SymMatrix, b0, c0: float, balls, rows, tol_rel: float
+) -> QcqpInstance:
+    """min x'Ax + 2 b0'x + c0 subject to lo <= ||x - mu||^2 <= hi for each
+    ball (mu, Bound(lo, hi)) and a'x <= beta for each row (a, beta), as a
+    min-sense structured instance.
 
-    Returns (q1, q2, lam_min, scale) with x'Ax = x'q1 x + sign * x'q2 x where
-    q2 = |lam_min| I and sign = -1; when A is already PSD the identity block
-    is unscaled and unused in the objective.
+    A is split against lam_min = lam_min(A) into the blocks (A - lam_min I,
+    s I) with s = |lam_min|, so x'Ax = x'(A - lam_min I)x + sign(lam_min) s x'x
+    and every sign stays in {-1, 0, 1}; when lam_min is zero at ``tol_rel``,
+    s = 1 and the identity block leaves the objective.  Each ball row is
+    s x'x - 2s mu'x + s||mu||^2 against s lo and s hi; each row is linear.
     """
-    m = SymMatrix.from_dense(a_dense)
-    w, _ = linalg.sym_eig(m)
+    n = a_mat.n
+    w, _ = linalg.sym_eig(a_mat)
     lam_min = float(w[-1])
-    scale = max(1.0, float(np.abs(w).max()))
-    n = a_dense.shape[0]
-    if lam_min >= -tol_rel * scale:
-        return m, SymMatrix.identity(n), 0.0, 1.0
-    shifted = SymMatrix.from_dense(a_dense - lam_min * np.eye(n))
-    return shifted, SymMatrix.from_dense(-lam_min * np.eye(n)), lam_min, -lam_min
+    zero = abs(lam_min) <= tol_rel * max(1.0, float(np.abs(w).max()))
+    s = 1.0 if zero else abs(lam_min)
+    blocks = [
+        SymMatrix.from_dense(a_mat.dense() - lam_min * np.eye(n)),
+        SymMatrix.from_dense(s * np.eye(n)),
+    ]
+    k = 1 + len(balls)
+    signs = np.zeros((k + len(rows), 2))
+    signs[0] = (1.0, 0.0 if zero else math.copysign(1.0, lam_min))
+    signs[1:k, 1] = 1.0
+    lin = np.zeros((k + len(rows), n))
+    lin[0] = b0
+    cvec = np.zeros(k + len(rows))
+    cvec[0] = c0
+    bounds = []
+    for i, (mu, bd) in enumerate(balls, start=1):
+        lin[i] = -s * mu
+        cvec[i] = s * float(mu @ mu)
+        bounds.append(Bound(s * bd.lower, s * bd.upper))
+    for i, (a, beta) in enumerate(rows, start=k):
+        lin[i] = 0.5 * a
+        bounds.append(Bound(-math.inf, beta))
+    return QcqpInstance(n, blocks, signs, lin, cvec, bounds, sense="min", psd_tol=tol_rel)
 
 
 def build_trs(a_mat: SymMatrix, b) -> QcqpInstance:
     """Trust-region subproblem min x'Ax + 2 b'x over the unit ball as a
-    structured instance.
-
-    A PSD passes through convex; otherwise A is split against lam_min(A) and
-    the ball constraint is carried by the scaled identity block, so all signs
-    stay in {-1, 0, 1}.
-    """
+    structured instance (``build_etrs`` with a unit ball at the origin and no
+    rows).  Relax it with ``build_cr``."""
     b = np.asarray(b, dtype=float).reshape(a_mat.n)
-    q1, q2, lam_min, scale = _shifted_blocks(a_mat.dense(), DEFAULT_RANK_TOL)
-    if lam_min == 0.0:
-        a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ball_limit = 1.0
-    else:
-        a = np.array([[1.0, -1.0], [0.0, 1.0]])
-        ball_limit = scale
-    lin = np.vstack([b, np.zeros(a_mat.n)])
-    return QcqpInstance(
-        a_mat.n,
-        [q1, q2],
-        a,
-        lin,
-        np.zeros(2),
-        [Bound(-math.inf, ball_limit)],
-        sense="min",
-    )
+    return build_etrs(a_mat, 2.0 * b, np.zeros(a_mat.n), 1.0)
 
 
 def build_etrs(
@@ -415,12 +421,14 @@ def build_etrs(
     u: float,
     rows=(),
     tol_rel: float = DEFAULT_RANK_TOL,
-) -> tuple[QcqpInstance, CertificateReport, np.ndarray]:
-    """Ball + linear-inequality constrained quadratic (objective x'Ax + a'x).
+) -> QcqpInstance:
+    """Ball + linear-inequality constrained quadratic: min x'Ax + a'x over
+    ||x - x0||^2 <= u and b_i'x <= beta_i for each row (b_i, beta_i).
 
-    Coordinates are translated so the ball is centered at the origin; the
-    returned shift maps instance solutions back as x = y + shift.  The
-    condition report evaluates dim(span{b_1..b_p} + R(A - lam_min I)) <= n-1.
+    The instance is in coordinates y = x - x0 centred on the ball, so its
+    solutions map back as x = y + x0.  Relax it with ``build_cr``; its
+    exactness certificate, ``check_condition_c`` over the lifted set, tests
+    dim(span{b_i} + R(A - lam_min I)) <= n-1 when A is not PSD.
     """
     n = a_mat.n
     a_vec = np.asarray(a_vec, dtype=float).reshape(n)
@@ -428,33 +436,15 @@ def build_etrs(
     if u <= 0.0:
         raise InvalidInput("ball constraint needs u > 0")
     rows = [(np.asarray(bi, dtype=float).reshape(n), float(beta)) for bi, beta in rows]
-    q1, q2, lam_min, scale = _shifted_blocks(a_mat.dense(), tol_rel)
-    p = len(rows)
-    signs = np.zeros((p + 2, 2))
-    signs[0] = (1.0, 0.0) if lam_min == 0.0 else (1.0, -1.0)
-    signs[1] = (0.0, 1.0)
-    lin = np.zeros((p + 2, n))
-    lin[0] = a_mat.dense() @ x0 + 0.5 * a_vec
-    cvec = np.zeros(p + 2)
-    cvec[0] = float(x0 @ (a_mat.dense() @ x0) + a_vec @ x0)
-    bounds = [Bound(-math.inf, (scale if lam_min != 0.0 else 1.0) * u)]
-    for k, (bi, beta) in enumerate(rows):
-        lin[2 + k] = 0.5 * bi
-        bounds.append(Bound(-math.inf, beta - float(bi @ x0)))
-    inst = QcqpInstance(n, [q1, q2], signs, lin, cvec, bounds, sense="min")
-    if lam_min == 0.0:
-        report = CertificateReport(True, "objective is already convex; no lifting needed")
-    else:
-        dim = linalg.union_dim(
-            [linalg.range_basis(q1, tol_rel)], [bi for bi, _ in rows], tol_rel
-        )
-        report = CertificateReport(
-            dim <= n - 1,
-            f"dim(span(linear rows) + range(shifted Hessian)) = {dim} vs n-1 = {n - 1}",
-            dims={1: dim},
-            threshold=n - 1,
-        )
-    return inst, report, x0.copy()
+    ad = a_mat.dense()
+    return _trust_region(
+        a_mat,
+        ad @ x0 + 0.5 * a_vec,
+        float(x0 @ (ad @ x0) + a_vec @ x0),
+        [(np.zeros(n), Bound(-math.inf, u))],
+        [(bi, beta - float(bi @ x0)) for bi, beta in rows],
+        tol_rel,
+    )
 
 
 def build_wd(
@@ -506,60 +496,25 @@ def build_wd(
     return prog, meta, report
 
 
-def build_ttrs(
-    a_mat: SymMatrix, b, alpha: float, beta: float
-) -> tuple[ConeProgram, ReformulationMeta]:
+def build_ttrs(a_mat: SymMatrix, b, alpha: float, beta: float) -> QcqpInstance:
     """Two-sided ball band: min (1/2)x'Ax + b'x over alpha <= x'x <= beta.
 
-    Lifted form: (1/2)x'(A - lam_min I)x + b'x + (lam_min/2) t with
-    alpha <= t <= beta and x'x <= t; always exact (the shifted range loses a
-    dimension).
+    The band is one two-sided row of the identity block, so relax it with
+    ``build_cr2``; the lifted set is that block alone and the exactness
+    condition always holds (the shifted range misses the lam_min eigenvector).
     """
     if not alpha < beta:
         raise InvalidBounds(f"need alpha < beta, got {alpha} >= {beta}")
     n = a_mat.n
     b = np.asarray(b, dtype=float).reshape(n)
-    w, _ = linalg.sym_eig(a_mat)
-    lam_min = float(w[-1])
-    m_half = 0.5 * (a_mat.dense() - lam_min * np.eye(n))
-    nv = n + 1
-    epi = None
-    if np.abs(m_half).max() > 0.0:
-        epi = nv
-        nv += 1
-    c = np.zeros(nv)
-    c[:n] = b
-    c[n] = 0.5 * lam_min
-    if epi is not None:
-        c[epi] = 1.0
-    g = np.zeros((2, nv))
-    g[0, n] = 1.0
-    g[1, n] = -1.0
-    h = np.array([beta, -alpha])
-    t_vec = np.zeros(nv)
-    t_vec[n] = 1.0
-    soc = [_quad_epigraph_block(np.eye(n), nv, t_vec, 0.0)]
-    if epi is not None:
-        w_vec = np.zeros(nv)
-        w_vec[epi] = 1.0
-        soc.append(
-            _quad_epigraph_block(
-                linalg.psd_sqrt(SymMatrix.from_dense(m_half)).dense(), nv, w_vec, 0.0
-            )
-        )
-    prog = ConeProgram(c=c, g=g, h=h, soc=soc)
-    meta = ReformulationMeta(
-        kind="ttrs",
-        n=n,
-        sense="min",
-        lifted=(0,),
-        t_index={0: n},
-        row_map=[(0, 1)],
-        soc_index={0: 0},
-        shifts={"lam_min": lam_min},
-        epi_index=epi,
+    return _trust_region(
+        SymMatrix.from_dense(0.5 * a_mat.dense()),
+        0.5 * b,
+        0.0,
+        [(np.zeros(n), Bound(alpha, beta))],
+        [],
+        DEFAULT_RANK_TOL,
     )
-    return prog, meta
 
 
 def build_vtrs(
@@ -569,14 +524,15 @@ def build_vtrs(
     balls_out=(),
     poly_rows=(),
     tol_rel: float = DEFAULT_RANK_TOL,
-) -> tuple[ConeProgram, ReformulationMeta, CertificateReport]:
+) -> QcqpInstance:
     """Trust-region variant with inside/outside ball constraints and a
     polytope: min x'Qx + c'x with ||x - mu_i|| <= r_i (i in I),
     ||x - mu_j|| >= r_j (j in J) and a_k'x <= b_k.
 
-    Ball rows become linear in (x, t): t - 2 mu'x + ||mu||^2 <= r^2 inside and
-    >= r^2 outside.  The condition report bounds the span of all row vectors
-    together with the shifted range.
+    Rows come in that order: inside balls, outside balls, polytope rows.
+    Relax it with ``build_cr2``, which makes every ball row linear in the
+    lifted identity block; ``check_condition_c`` over the lifted set then
+    bounds dim(span{a_k, mu_i, mu_j} + R(Q - lam_min I)) by n-1.
     """
     n = q_mat.n
     c_vec = np.asarray(c_vec, dtype=float).reshape(n)
@@ -585,73 +541,6 @@ def build_vtrs(
     poly_rows = [(np.asarray(a, dtype=float).reshape(n), float(bk)) for a, bk in poly_rows]
     if any(r <= 0 for _, r in balls_in + balls_out):
         raise InvalidInput("ball radii must be positive")
-    w, _ = linalg.sym_eig(q_mat)
-    lam_min = float(w[-1])
-    shifted = q_mat.dense() - lam_min * np.eye(n)
-    nv = n + 1
-    epi = None
-    if np.abs(shifted).max() > 0.0:
-        epi = nv
-        nv += 1
-    c = np.zeros(nv)
-    c[:n] = c_vec
-    c[n] = lam_min
-    if epi is not None:
-        c[epi] = 1.0
-    rows, rhs = [], []
-    for mu, r in balls_in:
-        g = np.zeros(nv)
-        g[:n] = -2.0 * mu
-        g[n] = 1.0
-        rows.append(g)
-        rhs.append(r**2 - float(mu @ mu))
-    for mu, r in balls_out:
-        g = np.zeros(nv)
-        g[:n] = 2.0 * mu
-        g[n] = -1.0
-        rows.append(g)
-        rhs.append(float(mu @ mu) - r**2)
-    for ak, bk in poly_rows:
-        g = np.zeros(nv)
-        g[:n] = ak
-        rows.append(g)
-        rhs.append(bk)
-    t_vec = np.zeros(nv)
-    t_vec[n] = 1.0
-    soc = [_quad_epigraph_block(np.eye(n), nv, t_vec, 0.0)]
-    if epi is not None:
-        w_vec = np.zeros(nv)
-        w_vec[epi] = 1.0
-        soc.append(
-            _quad_epigraph_block(
-                linalg.psd_sqrt(SymMatrix.from_dense(shifted)).dense(), nv, w_vec, 0.0
-            )
-        )
-    prog = ConeProgram(c=c, g=np.vstack(rows), h=np.asarray(rhs), soc=soc)
-    meta = ReformulationMeta(
-        kind="vtrs",
-        n=n,
-        sense="min",
-        lifted=(0,),
-        t_index={0: n},
-        soc_index={0: 0},
-        shifts={"lam_min": lam_min},
-        epi_index=epi,
-    )
-    span_vectors = (
-        [ak for ak, _ in poly_rows]
-        + [mu for mu, _ in balls_in]
-        + [mu for mu, _ in balls_out]
-    )
-    dim = linalg.union_dim(
-        [linalg.range_basis(SymMatrix.from_dense(shifted), tol_rel)],
-        span_vectors,
-        tol_rel,
-    )
-    report = CertificateReport(
-        dim <= n - 1,
-        f"dim(span(rows, centers) + range(shifted Hessian)) = {dim} vs n-1 = {n - 1}",
-        dims={0: dim},
-        threshold=n - 1,
-    )
-    return prog, meta, report
+    balls = [(mu, Bound(-math.inf, r**2)) for mu, r in balls_in]
+    balls += [(mu, Bound(r**2, math.inf)) for mu, r in balls_out]
+    return _trust_region(q_mat, 0.5 * c_vec, 0.0, balls, poly_rows, tol_rel)

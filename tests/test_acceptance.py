@@ -231,11 +231,9 @@ def test_criterion_6_special_case_builders():
         x0 = rng.normal(size=n) * 0.2
         u = rng.uniform(0.6, 1.4)
         a_vec = rng.normal(size=n) * 0.4
-        inst, rep, shift = reformulate.build_etrs(
-            SymMatrix.from_dense(a), a_vec, x0, u, [(b1, 0.3)]
-        )
-        assert rep.holds
+        inst = reformulate.build_etrs(SymMatrix.from_dense(a), a_vec, x0, u, [(b1, 0.3)])
         prog, meta = reformulate.build_cr(inst)
+        assert reformulate.check_condition_c(inst, meta.lifted).holds
         res = conesolver.solve(prog)
         value = meta.original_value(res)
 
@@ -280,7 +278,9 @@ def test_criterion_6_special_case_builders():
         a = 0.5 * (a + a.T)
         b = rng.normal(size=n) * 0.5
         alpha, beta = 0.3, 1.8
-        prog, meta = reformulate.build_ttrs(SymMatrix.from_dense(a), b, alpha, beta)
+        prog, meta = reformulate.build_cr2(
+            reformulate.build_ttrs(SymMatrix.from_dense(a), b, alpha, beta)
+        )
         res = conesolver.solve(prog)
         value = meta.original_value(res)
 
@@ -306,14 +306,15 @@ def test_criterion_6_special_case_builders():
         mu_out = np.array([rng.normal() * 0.1, 0.0])
         r_out = rng.uniform(0.2, 0.5)
         poly = [(np.array([1.0, 0.0]), rng.uniform(0.3, 1.0))]
-        prog, meta, rep = reformulate.build_vtrs(
+        inst = reformulate.build_vtrs(
             SymMatrix.from_dense(a),
             cvec,
             balls_in=[(mu_in, r_in)],
             balls_out=[(mu_out, r_out)],
             poly_rows=poly,
         )
-        assert rep.holds
+        prog, meta = reformulate.build_cr2(inst)
+        assert reformulate.check_condition_c(inst, meta.lifted).holds
         res = conesolver.solve(prog)
         value = meta.original_value(res)
 
@@ -387,8 +388,10 @@ def _fixed_corpus():
         )
     )
     programs.append(
-        reformulate.build_ttrs(
-            SymMatrix.from_dense(np.diag([-1.0, 0.5])), np.array([0.1, -0.2]), 0.5, 2.0
+        reformulate.build_cr2(
+            reformulate.build_ttrs(
+                SymMatrix.from_dense(np.diag([-1.0, 0.5])), np.array([0.1, -0.2]), 0.5, 2.0
+            )
         )[0]
     )
     rng = np.random.default_rng(8)

@@ -364,6 +364,62 @@ def test_oracle_command_uq(capsys, gap1d_file):
     assert rep["value"] == pytest.approx(1.0, abs=2e-4)
 
 
+def test_batch_honours_force_kind(tmp_path, capsys, gap1d_file):
+    import shutil
+
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(gap1d_file, batch / "a.json")
+    code, out = run(
+        capsys, "solve", str(batch), "--force-kind", "balls", "--report-format", "structured"
+    )
+    assert code == 2
+    rows = json.loads(out.out)["batch"]
+    assert len(rows) == 1
+    assert "--force-kind balls but file parses as uq" in rows[0]["error"]
+
+
+def test_tol_rank_reaches_block_psd_check(tmp_path, capsys):
+    # block 0 is packed [1, 0, -1e-6] = diag(1, -1e-6): PSD at 1e-4, not at 1e-8
+    doc = {
+        "kind": "qcqp", "n": 2, "sense": "min",
+        "blocks": [[1.0, 0.0, -1e-6], [1.0, 0.0, 1.0]],
+        "signs": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.1, 0.0], [0.0, 0.0]],
+        "c": [0.0, 0.0], "bounds": [{"lo": "-inf", "hi": 1.0}],
+    }
+    path = tmp_path / "near_psd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "solve", str(path))
+    assert code == 2
+    assert "not PSD at tolerance 1e-08" in out.err
+    code, out = run(
+        capsys, "solve", str(path), "--tol-rank", "1e-4", "--report-format", "structured"
+    )
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["solver"]["status"] == "Optimal"
+    assert rep["relaxation_value"] == pytest.approx(-0.01, abs=1e-6)
+
+
+def test_tol_rank_reaches_psd_singular_uq_view(tmp_path, capsys):
+    # Q = diag(1, -1e-6) is singular PSD at --tol-rank 1e-4; its one-block
+    # view must accept Q at that tolerance too
+    doc = {
+        "kind": "uq", "n": 2, "q": [1.0, 0.0, -1e-6], "b": [[0.1, 0.0], [0.0, 0.0]],
+        "d": [0.0, 0.0], "bounds": [{"lo": "-inf", "hi": 1.0}],
+    }
+    path = tmp_path / "near_singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(
+        capsys, "solve", str(path), "--tol-rank", "1e-4", "--report-format", "structured"
+    )
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["shape"] == "psd_singular" and rep["exact"] is True
+    assert rep["relaxation_value"] == pytest.approx(1.2, abs=1e-6)
+    assert rep["recovered"]["objective"] == pytest.approx(1.2, abs=1e-6)
+
+
 def test_batch_mode(tmp_path, capsys, gap1d_file, exact_file):
     import shutil
 

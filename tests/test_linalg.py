@@ -117,30 +117,6 @@ def test_rank_one_range_is_spanned_by_v():
     assert abs(cos - 1.0) < 1e-10
 
 
-def test_union_dim_examples():
-    e = np.eye(3)
-    span_e1 = SubspaceBasis(3, e[:, :1])
-    span_e2 = SubspaceBasis(3, e[:, 1:2])
-    assert linalg.union_dim([span_e1], [e[:, 0]]) == 1
-    assert linalg.union_dim([span_e1, span_e2]) == 2
-
-
-def test_union_dim_matches_stacked_rank_and_monotone():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        a = rng.normal(size=(4, 2))
-        b = rng.normal(size=(4, 1))
-        qa, _ = np.linalg.qr(a)
-        qb, _ = np.linalg.qr(b)
-        sub_a = SubspaceBasis(4, qa)
-        sub_b = SubspaceBasis(4, qb)
-        extra = [rng.normal(size=4)]
-        got = linalg.union_dim([sub_a, sub_b], extra)
-        stacked = np.column_stack([qa, qb, extra[0]])
-        assert got == np.linalg.matrix_rank(stacked, tol=1e-8)
-        assert got >= linalg.union_dim([sub_a, sub_b])
-
-
 def test_subspace_basis_rejects_non_orthonormal():
     with pytest.raises(InvalidInput):
         SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))

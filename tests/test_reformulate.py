@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socqp import conesolver, linalg, model, recover, reformulate
 from socqp.errors import InvalidBounds, WrongShape
@@ -515,11 +517,10 @@ def test_build_etrs_reduces_to_trs():
     a = 0.5 * (a + a.T) - 2.0 * np.eye(3)
     b = rng.normal(size=3)
     trs = reformulate.build_trs(SymMatrix.from_dense(a), b)
-    etr, report, shift = reformulate.build_etrs(
-        SymMatrix.from_dense(a), 2.0 * b, np.zeros(3), 1.0
-    )
-    assert np.allclose(shift, 0.0)
-    assert report.holds
+    etr = reformulate.build_etrs(SymMatrix.from_dense(a), 2.0 * b, np.zeros(3), 1.0)
+    for got, want in ((etr.a, trs.a), (etr.b, trs.b), (etr.c, trs.c)):
+        assert np.array_equal(got, want)
+    assert reformulate.check_condition_c(etr, reformulate.lift_set_onesided(etr)).holds
     v1, _ = solve_value(*reformulate.build_cr(trs))
     v2, _ = solve_value(*reformulate.build_cr(etr))
     assert v1 == pytest.approx(v2, abs=1e-7)
@@ -529,17 +530,17 @@ def test_build_etrs_condition_cases():
     # range of the shifted Hessian has dim 2; one in-range row keeps it
     a = np.diag([-1.0, -1.0, 2.0])
     row_in = (np.array([0.0, 0.0, 1.0]), 0.5)
-    _, rep, _ = reformulate.build_etrs(
+    inst = reformulate.build_etrs(
         SymMatrix.from_dense(a), np.zeros(3), np.zeros(3), 1.0, [row_in]
     )
-    assert rep.holds
+    assert reformulate.check_condition_c(inst, reformulate.lift_set_onesided(inst)).holds
     # two independent rows in R^2 exhaust the space
     a2 = np.diag([-1.0, 1.0])
     rows = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0)]
-    _, rep2, _ = reformulate.build_etrs(
+    inst2 = reformulate.build_etrs(
         SymMatrix.from_dense(a2), np.zeros(2), np.zeros(2), 1.0, rows
     )
-    assert not rep2.holds
+    assert not reformulate.check_condition_c(inst2, reformulate.lift_set_onesided(inst2)).holds
 
 
 def test_build_etrs_matches_grid():
@@ -555,11 +556,9 @@ def test_build_etrs_matches_grid():
         x0 = rng.normal(size=n) * 0.2
         u = rng.uniform(0.5, 1.5)
         a_vec = rng.normal(size=n) * 0.4
-        inst, rep, shift = reformulate.build_etrs(
-            SymMatrix.from_dense(a), a_vec, x0, u, [(b1, 0.3)]
-        )
-        assert rep.holds
+        inst = reformulate.build_etrs(SymMatrix.from_dense(a), a_vec, x0, u, [(b1, 0.3)])
         prog, meta = reformulate.build_cr(inst)
+        assert reformulate.check_condition_c(inst, meta.lifted).holds
         value, _ = solve_value(prog, meta)
 
         def f(pts):
@@ -611,12 +610,25 @@ def test_build_wd_condition_fails_in_general_position():
 
 
 def test_build_ttrs_band_example():
-    prog, meta = reformulate.build_ttrs(
-        SymMatrix.from_dense(-np.eye(2)), np.zeros(2), 1.0, 4.0
-    )
+    inst = reformulate.build_ttrs(SymMatrix.from_dense(-np.eye(2)), np.zeros(2), 1.0, 4.0)
+    prog, meta = reformulate.build_cr2(inst)
     value, res = solve_value(prog, meta)
     assert value == pytest.approx(-2.0, abs=1e-7)
-    assert res.z[meta.t_index[0]] == pytest.approx(4.0, abs=1e-5)
+    # the lifted identity block s I carries s x'x, at the outer radius s * 4
+    s = inst.blocks[1].dense()[0, 0]
+    assert res.z[meta.t_index[1]] == pytest.approx(4.0 * s, abs=1e-5)
+
+
+def test_build_ttrs_positive_definite_band_keeps_lower_side():
+    # min x'x/2 over 1 <= x'x <= 4: the lower side binds, value 0.5; an
+    # unshifted (convex) objective block would drop it and read 0
+    inst = reformulate.build_ttrs(SymMatrix.identity(2), np.zeros(2), 1.0, 4.0)
+    assert np.array_equal(inst.a[0], [1.0, 1.0])
+    prog, meta = reformulate.build_cr2(inst)
+    value, res = solve_value(prog, meta)
+    assert value == pytest.approx(0.5, abs=1e-7)
+    x, _ = recover.tighten_qcqp(inst, res, meta)
+    assert float(x @ x) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_build_ttrs_rejects_bad_band():
@@ -632,7 +644,9 @@ def test_build_ttrs_matches_grid():
         a = 0.5 * (a + a.T)
         b = rng.normal(size=n) * 0.5
         alpha, beta = 0.3, 1.8
-        prog, meta = reformulate.build_ttrs(SymMatrix.from_dense(a), b, alpha, beta)
+        prog, meta = reformulate.build_cr2(
+            reformulate.build_ttrs(SymMatrix.from_dense(a), b, alpha, beta)
+        )
         value, _ = solve_value(prog, meta)
 
         def f(pts):
@@ -654,13 +668,12 @@ def test_build_vtrs_reduces_to_etrs_shape():
     cvec = rng.normal(size=2) * 0.4
     mu = np.array([0.2, -0.1])
     r = 1.1
-    prog, meta, rep = reformulate.build_vtrs(
-        SymMatrix.from_dense(a), cvec, balls_in=[(mu, r)]
+    value, _ = solve_value(
+        *reformulate.build_cr2(
+            reformulate.build_vtrs(SymMatrix.from_dense(a), cvec, balls_in=[(mu, r)])
+        )
     )
-    value, _ = solve_value(prog, meta)
-    inst, rep2, shift = reformulate.build_etrs(
-        SymMatrix.from_dense(a), cvec, mu, r**2
-    )
+    inst = reformulate.build_etrs(SymMatrix.from_dense(a), cvec, mu, r**2)
     v2, _ = solve_value(*reformulate.build_cr(inst))
     assert value == pytest.approx(v2, abs=1e-6)
 
@@ -677,14 +690,15 @@ def test_build_vtrs_matches_grid_with_condition():
         mu_out = np.array([rng.normal() * 0.1, 0.0])
         r_out = rng.uniform(0.2, 0.5)
         poly = [(np.array([1.0, 0.0]), rng.uniform(0.3, 1.0))]
-        prog, meta, rep = reformulate.build_vtrs(
+        inst = reformulate.build_vtrs(
             SymMatrix.from_dense(a),
             cvec,
             balls_in=[(mu_in, r_in)],
             balls_out=[(mu_out, r_out)],
             poly_rows=poly,
         )
-        assert rep.holds
+        prog, meta = reformulate.build_cr2(inst)
+        assert reformulate.check_condition_c(inst, meta.lifted).holds
         res = conesolver.solve(prog)
         assert res.status == "Optimal"
         value = meta.original_value(res)
@@ -701,6 +715,103 @@ def test_build_vtrs_matches_grid_with_condition():
         box = (mu_in - r_in, mu_in + r_in)
         val_grid, _ = grid_opt(f, feas, box, r_in / 50.0, "min")
         assert value == pytest.approx(val_grid, abs=2e-3), trial
+
+
+def _trust_region_data(rng, n, mult, lam_min, k_rows, in_range):
+    """A with eigenvalue lam_min of multiplicity ``mult`` and the others
+    well above it, plus ``k_rows`` vectors, each drawn inside R(A - lam_min I)
+    or in general position as ``in_range`` says."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = np.concatenate([np.full(mult, lam_min), lam_min + rng.uniform(0.5, 2.0, n - mult)])
+    vecs = [
+        q[:, mult:] @ rng.normal(size=n - mult) if inside else rng.normal(size=n)
+        for inside in in_range[:k_rows]
+    ]
+    return (q * w) @ q.T, vecs
+
+
+def _reference_union_holds(a, vecs):
+    """rank[vecs; range basis of A - lam_min I] <= n-1, by numpy alone."""
+    n = a.shape[0]
+    w, v = np.linalg.eigh(a - np.linalg.eigvalsh(a)[0] * np.eye(n))
+    rows = [v[:, np.abs(w) > 1e-6 * max(np.abs(w).max(), 1e-300)].T] + [
+        np.reshape(x, (1, n)) for x in vecs
+    ]
+    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    rank = int(np.sum(sv > 1e-6 * sv[0])) if sv.size and sv[0] > 0 else 0
+    return rank <= n - 1
+
+
+_special_case_data = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    mult=st.integers(1, 4),
+    lam_sign=st.sampled_from([-1.0, 0.0, 1.0]),
+    counts=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    in_range=st.lists(st.booleans(), min_size=7, max_size=7),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_special_case_data)
+def test_etrs_certificate_matches_numpy_rank(seed, n, mult, lam_sign, counts, in_range):
+    rng = np.random.default_rng(seed)
+    lam_min = lam_sign * rng.uniform(0.5, 2.0)
+    a, vecs = _trust_region_data(rng, n, min(mult, n), lam_min, counts[0], in_range)
+    rows = [(bi, 1.0) for bi in vecs]
+    inst = reformulate.build_etrs(
+        SymMatrix.from_dense(a), rng.normal(size=n), rng.normal(size=n), 1.0, rows
+    )
+    got = reformulate.check_condition_c(inst, reformulate.lift_set_onesided(inst)).holds
+    # a PSD objective lifts nothing; otherwise the union of the rows and the range
+    assert got == (lam_sign >= 0.0 or _reference_union_holds(a, vecs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_special_case_data)
+def test_vtrs_certificate_matches_numpy_rank(seed, n, mult, lam_sign, counts, in_range):
+    rng = np.random.default_rng(seed)
+    lam_min = lam_sign * rng.uniform(0.5, 2.0)
+    k_in, k_out, k_poly = counts[0] % 2 + 1, counts[1], counts[2]  # at least one inside ball
+    a, vecs = _trust_region_data(rng, n, min(mult, n), lam_min, k_in + k_out + k_poly, in_range)
+    inst = reformulate.build_vtrs(
+        SymMatrix.from_dense(a),
+        rng.normal(size=n),
+        balls_in=[(mu, 2.0) for mu in vecs[:k_in]],
+        balls_out=[(mu, 0.5) for mu in vecs[k_in : k_in + k_out]],
+        poly_rows=[(ak, 1.0) for ak in vecs[k_in + k_out :]],
+    )
+    _, meta = reformulate.build_cr2(inst)
+    assert meta.lifted == (1,)
+    assert reformulate.check_condition_c(inst, meta.lifted).holds == _reference_union_holds(a, vecs)
+
+
+def test_trust_region_variants_recover_through_tighten_qcqp():
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(4):
+        a = rng.normal(size=(3, 3))
+        cases.append(
+            reformulate.build_ttrs(SymMatrix.from_dense(a + a.T), rng.normal(size=3), 0.3, 1.8)
+        )
+    for _ in range(4):
+        w = np.array([rng.uniform(0.5, 1.5), -1.0])
+        cases.append(
+            reformulate.build_vtrs(
+                SymMatrix.from_dense(np.diag(w)),
+                np.array([rng.normal() * 0.3, 0.0]),
+                balls_in=[(np.array([rng.normal() * 0.2, 0.0]), 1.2)],
+                balls_out=[(np.array([rng.normal() * 0.1, 0.0]), 0.3)],
+                poly_rows=[(np.array([1.0, 0.0]), 0.6)],
+            )
+        )
+    for k, inst in enumerate(cases):
+        prog, meta = reformulate.build_cr2(inst)
+        assert reformulate.check_condition_c(inst, meta.lifted).holds, k
+        value, res = solve_value(prog, meta)
+        x, _ = recover.tighten_qcqp(inst, res, meta)
+        assert inst.worst_violation(x) <= 1e-6, k
+        assert inst.eval_g(0, x) == pytest.approx(value, abs=1e-6 * (1 + abs(value))), k
 
 
 def test_build_cr2_equality_row_matches_grid():
