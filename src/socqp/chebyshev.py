@@ -15,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, recover
+from . import model, recover, reformulate
 from .conesolver import ConeProgram, SocBlock, SolveOptions, solve
 from .errors import PreconditionViolated, SocqpError, SolverFailed
+from .linalg import SymMatrix
 from .model import BallIntersection, Bound, UqInstance
 
 # interiority margin below which no ratio certificate is claimed
 DEGENERATE_GAMMA = 1e-6
+_CHAIN_TOL = 1e-6  # slack of the certificate chain, relative to 1 + |v_dcc|
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def beck_center(
     The cone solve is followed by an active-set polish so the center is
     accurate to machine precision on the identified support.
     """
-    p, n = balls.p, balls.n
+    p = balls.p
     nv = p + 1  # weights plus the epigraph of the squared norm
     c = np.zeros(nv)
     c[:p] = balls.radii**2 - np.sum(balls.centers**2, axis=1)
@@ -98,14 +100,7 @@ def beck_center(
     e = np.zeros((1, nv))
     e[0, :p] = 1.0
     f = np.array([1.0])
-    a = np.zeros((n + 1, nv))
-    a[:n, :p] = balls.centers.T
-    w_vec = np.zeros(nv)
-    w_vec[p] = 1.0
-    a[n] = 0.5 * w_vec
-    b = np.zeros(n + 1)
-    b[n] = -0.5
-    soc = [SocBlock(a, b, 0.5 * w_vec, 0.5)]
+    soc = [reformulate.quad_epigraph(balls.centers.T, nv, np.eye(nv)[p], 0.0)]
     res = solve(ConeProgram(c=c, g=g, h=h, e=e, f=f, soc=soc), opts)
     if res.status != "Optimal":
         raise SolverFailed(f"center solve ended with status {res.status}")
@@ -160,8 +155,6 @@ def gamma_upper(balls: BallIntersection) -> float:
 
 def _inner_instance(balls: BallIntersection, z: np.ndarray) -> UqInstance:
     """max ||x||^2 - 2 z'x over Omega as a uniform instance (Q = I)."""
-    from .linalg import SymMatrix
-
     p, n = balls.p, balls.n
     b = np.zeros((p + 1, n))
     d = np.zeros(p + 1)
@@ -176,7 +169,6 @@ def _inner_instance(balls: BallIntersection, z: np.ndarray) -> UqInstance:
 
 def chebyshev_certified(
     balls: BallIntersection,
-    tol: float = 1e-6,
     opts: SolveOptions | None = None,
 ) -> ChebyshevResult:
     """Certified center of the smallest enclosing ball of the intersection.
@@ -210,7 +202,7 @@ def chebyshev_certified(
     lower = cert.lower + d0 + znorm
 
     scale = 1.0 + abs(v_dcc)
-    chain_tol = tol * scale
+    chain_tol = _CHAIN_TOL * scale
     if not (
         lower <= upper + chain_tol
         and upper <= v_dcc + chain_tol

@@ -216,7 +216,7 @@ def _solve(obj, args) -> tuple[dict, int]:
     maximize = uniform or obj.sense == "max"  # the builders minimise
     report["relaxation_value"] = -res.objective if maximize else res.objective
     if view is None:  # positive definite Q: the dual has a closed form
-        duality = conesolver.certify_strong_duality(obj, res)
+        duality = reformulate.certify_strong_duality(obj, res)
         report["duality"] = {"gap": duality.gap, "holds": duality.holds}
         if not cert.holds:
             report["note"] = "no exactness claim; relaxation value is an upper bound"
@@ -315,7 +315,7 @@ def cmd_approx(args) -> int:
         inst.d[i + 1] >= bd.upper for i, bd in enumerate(inst.bounds) if bd.has_upper
     )
     if needs_shift:
-        shift, margin = model.find_interior_point(inst)
+        shift, margin = recover.find_interior_point(inst)
         inst, offset = model.translate_origin(inst, shift)
         inst.d = inst.d.copy()
         inst.d[0] = 0.0

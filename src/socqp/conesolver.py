@@ -14,9 +14,6 @@ unreduced operator.  On a second-order cone W is kept in arrow form (a unit
 vector wbar and a scale eta), so W and W^-1 cost one O(d) pass, batched over
 all cones of equal dimension; the step to the boundary is taken in the same
 scaled coordinates.
-
-Also evaluates the closed-form Lagrangian dual of a uniform quadratic
-instance and certifies strong duality of a relaxation solve against it.
 """
 
 from __future__ import annotations
@@ -28,8 +25,12 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from . import model
-from .errors import InvalidMultiplier, InvalidProgram, NotPositiveDefinite
+from .errors import InvalidProgram
+
+_STEP_SCALE = 0.99  # share of the step to the cone boundary that is taken
+_STATIC_REG = 1e-10  # KKT regularization, raised while factoring fails
+_REFINE_STEPS = 2  # iterative-refinement passes per KKT solve
+_UNBOUNDED_OBJECTIVE = 1e12  # a feasible iterate below minus this is unbounded
 
 
 @dataclass
@@ -119,10 +120,6 @@ class SolveOptions:
     feastol: float = 1e-8
     gaptol: float = 1e-8
     max_iter: int = 200
-    step_scale: float = 0.99
-    static_reg: float = 1e-10
-    refine_steps: int = 2
-    unbounded_objective: float = 1e12
 
 
 @dataclass
@@ -144,18 +141,6 @@ class SolverResult:
     iterations: int
     certificate: np.ndarray | None = None
     certificate_kind: str | None = None
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """Signed multipliers of the two-sided rows: lam_i = lam_i^+ - lam_i^-."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
-        if not np.all(np.isfinite(self.lam)):
-            raise InvalidMultiplier("multipliers must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +318,14 @@ class _Kkt:
     residual from the full, unreduced scaled operator.
     """
 
-    def __init__(self, e, reg, refine_steps):
+    def __init__(self, e):
         ne, nv = e.shape
         self.nv = nv
-        self.reg = reg
-        self.refine_steps = refine_steps
         self.k0 = np.zeros((nv + ne, nv + ne))  # [[0, E'], [E, 0]]
         self.k0[nv:, :nv] = e
         self.k0[:nv, nv:] = e.T
         self.sign = np.concatenate((np.ones(nv), -np.ones(ne)))
-        self.k_reg = self.k0 + np.diag(reg * self.sign)
+        self.k_reg = self.k0 + np.diag(_STATIC_REG * self.sign)
 
     def factor(self, a_pad):
         """Factor the reduced matrix for a_pad = [A'; 0] (nv + ne rows, one
@@ -350,7 +333,7 @@ class _Kkt:
         self.a_pad = a_pad
         self.a_t = a_pad[: self.nv]
         k = a_pad @ a_pad.T
-        bump = self.reg
+        bump = _STATIC_REG
         ldu, ipiv, info = lapack.dsytrf(k + self.k_reg, lower=1)
         while info != 0 and bump < 1.0:
             bump *= 100.0
@@ -372,7 +355,7 @@ class _Kkt:
         nv, a_pad, a_t = self.nv, self.a_pad, self.a_t
         x = self._factor_solve(r12 + a_pad @ r3)
         dl = x[:nv] @ a_t - r3
-        for _ in range(self.refine_steps):
+        for _ in range(_REFINE_STEPS):
             # residual of the full operator, then the same elimination
             e3 = r3 - x[:nv] @ a_t + dl
             e12 = r12 - self.k0 @ x - a_pad @ dl
@@ -430,7 +413,7 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
     if cones.m == 0:
         return _solve_equality_only(prog, opts)
     ne = ec.shape[0]
-    kkt = _Kkt(ec, opts.static_reg, opts.refine_steps)
+    kkt = _Kkt(ec)
     # [G' ; 0 ; res_z]: rows in cone layout, scaled by W^{-1} in one pass
     rows = np.zeros((nv + ne + 1, cones.m))
     rows[:nv] = gc.T
@@ -494,7 +477,7 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
                     *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
                     certificate=zh, certificate_kind="improving_ray",
                 )
-        if pobj <= -opts.unbounded_objective and pres <= opts.feastol:
+        if pobj <= -_UNBOUNDED_OBJECTIVE and pres <= opts.feastol:
             return SolverResult(
                 "Unbounded", z, pobj + prog.offset, y,
                 *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
@@ -532,7 +515,7 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         ds_comb = -v + cones.jsolve(v, sigma * mu * cones.identity - cones.jprod(ds_a, dl_a))
         x, dl = kkt.solve(r12, r3 - ds_comb)
         ds_t = ds_comb - dl
-        alpha = min(1.0, opts.step_scale * cones.max_step(v, np.array([ds_t, dl])))
+        alpha = min(1.0, _STEP_SCALE * cones.max_step(v, np.array([ds_t, dl])))
         ds = scaling.apply(ds_t)
         dlam = scaling.apply_inv(dl)
 
@@ -588,100 +571,8 @@ def _solve_equality_only(prog: ConeProgram, opts: SolveOptions) -> SolverResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# closed-form Lagrangian dual of a uniform quadratic instance
-# ---------------------------------------------------------------------------
-
-
-def dual_value(
-    inst: model.UqInstance,
-    point: DualPoint,
-    zero_tol: float = 1e-9,
-) -> float:
-    """Evaluate the dual function d(lam) of a positive definite instance.
-
-    With sigma = 1 - sum(lam), beta = b_0 - sum(lam_i b_i) and the constant
-    kappa = -sum(lam_i d_i) + sum(lam_i^+ u_i - lam_i^- l_i) + d_0:
-    d(lam) = kappa - beta' Q^{-1} beta / sigma  when sigma < 0,
-    kappa when sigma = 0 and beta = 0, and +inf otherwise (the inner sup
-    over x is unbounded).
-    """
-    lam = point.lam
-    if lam.size != inst.p:
-        raise InvalidMultiplier(f"expected {inst.p} multipliers, got {lam.size}")
-    try:
-        cho = scipy.linalg.cho_factor(inst.q.dense())
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("dual evaluation requires Q positive definite") from exc
-
-    kappa = float(inst.d[0])
-    for i, bd in enumerate(inst.bounds):
-        li = lam[i]
-        lp, lm = max(li, 0.0), max(-li, 0.0)
-        if lp > 0.0 and not bd.has_upper:
-            raise InvalidMultiplier(f"lam_{i + 1}^+ > 0 but u_{i + 1} = +inf")
-        if lm > 0.0 and not bd.has_lower:
-            raise InvalidMultiplier(f"lam_{i + 1}^- > 0 but l_{i + 1} = -inf")
-        kappa += -li * float(inst.d[i + 1])
-        if lp > 0.0:
-            kappa += lp * bd.upper
-        if lm > 0.0:
-            kappa -= lm * bd.lower
-    sigma = 1.0 - float(lam.sum())
-    beta = inst.b[0] - lam @ inst.b[1:]
-    sig_scale = 1.0 + float(np.abs(lam).sum())
-    beta_scale = 1.0 + float(np.abs(inst.b).max())
-    if sigma < 0.0:
-        return kappa - float(beta @ scipy.linalg.cho_solve(cho, beta)) / sigma
-    if sigma <= zero_tol * sig_scale and np.linalg.norm(beta) <= math.sqrt(zero_tol) * beta_scale:
-        return kappa
-    return math.inf
-
-
-@dataclass(frozen=True)
-class StrongDualityReport:
-    holds: bool
-    gap: float
-    relaxation_value: float
-    dual_value: float
-    point: DualPoint
-
-
-def recover_multipliers(inst: model.UqInstance, res: SolverResult) -> DualPoint:
-    """Signed constraint multipliers from a relaxation solve of ``inst``.
-
-    Assumes the standard row layout of the uniform-instance relaxation
-    builder: for each constraint, the finite upper row precedes the finite
-    lower row.  lam_i is the upper-row multiplier minus the lower-row one.
-    """
-    lam = np.zeros(inst.p)
-    at = 0
-    for i, bd in enumerate(inst.bounds):
-        if bd.has_upper:
-            lam[i] += res.lam_lin[at]
-            at += 1
-        if bd.has_lower:
-            lam[i] -= res.lam_lin[at]
-            at += 1
-    if at != res.lam_lin.size:
-        raise InvalidMultiplier(
-            "solver result does not match this instance's relaxation layout"
-        )
-    return DualPoint(lam)
-
-
-def certify_strong_duality(
-    inst: model.UqInstance,
-    res: SolverResult,
-    rel_tol: float = 1e-5,
-) -> StrongDualityReport:
-    """Compare the closed-form dual value at the solve's multipliers with the
-    relaxation optimum; the certificate holds when they agree to rel_tol."""
-    if res.status != "Optimal":
-        raise InvalidMultiplier(f"certificate needs an Optimal solve, got {res.status}")
-    point = recover_multipliers(inst, res)
-    value = -res.objective  # relaxation builders negate the max objective
-    dval = dual_value(inst, point)
-    gap = dval - value
-    holds = bool(abs(gap) <= rel_tol * (1.0 + abs(value)))
-    return StrongDualityReport(holds, gap, value, dval, point)
+def certify_strong_duality(inst, res: SolverResult):
+    """``reformulate.certify_strong_duality`` under the name the benchmark
+    harness calls and times; the engine itself knows nothing of instances."""
+    from . import reformulate  # function-level: reformulate imports this module
+    return reformulate.certify_strong_duality(inst, res)

@@ -31,7 +31,13 @@ from .model import BallIntersection, Bound, QcqpInstance, UqInstance
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):  # json also reads NaN, Infinity and -Infinity
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return out
 
 
 def _bound_in(obj, where: str) -> Bound:
@@ -86,14 +92,16 @@ def parse_instance(text: str, psd_tol: float = DEFAULT_RANK_TOL):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise ParseError('top level must be an object with a "kind" field')
     kind = data["kind"]
     if kind not in ("uq", "qcqp", "balls", "ilp"):
         raise ParseError(f"unknown kind {kind!r}")
-    if not isinstance(data.get("n"), int) or data["n"] < 1:
+    n = data.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError('"n" must be a positive integer')
-    n = data["n"]
     try:
         if kind == "uq":
             _require(data, {"kind", "n", "q", "b", "d", "bounds"}, kind)

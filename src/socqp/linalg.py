@@ -26,6 +26,7 @@ from .errors import InvalidInput, InvalidMatrix, NotPsd
 
 # Shared relative tolerance for every rank decision in the package.
 DEFAULT_RANK_TOL = 1e-8
+_SYM_TOL = 1e-10  # relative asymmetry that SymMatrix.from_dense accepts
 
 
 def _packed_size(n: int) -> int:
@@ -71,14 +72,16 @@ class SymMatrix:
         return (type(self), (self.n, self.packed))
 
     @classmethod
-    def from_dense(cls, a, *, sym_tol: float = 1e-10) -> "SymMatrix":
+    def from_dense(cls, a) -> "SymMatrix":
+        """Symmetric part of a square matrix that is symmetric to within a
+        relative 1e-10."""
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrix("matrix entries must be finite")
         scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > sym_tol * scale:
+        if np.abs(a - a.T).max() > _SYM_TOL * scale:
             raise InvalidMatrix("matrix is not symmetric within tolerance")
         n = a.shape[0]
         sym = 0.5 * (a + a.T)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    EmptyInterior,
-    InvalidBounds,
-    InvalidIndex,
-    InvalidInput,
-    WrongShape,
-)
+from .errors import InvalidBounds, InvalidIndex, InvalidInput
 from .linalg import SymMatrix
 
 # Default absolute tolerance on constraint values when testing feasibility.
@@ -238,50 +232,6 @@ def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:
     d = np.array([eval_f(inst, i, x_hat) for i in range(inst.p + 1)])
     out = UqInstance(inst.n, inst.q, b, d, list(inst.bounds))
     return out, float(d[0])
-
-
-def find_interior_point(inst: UqInstance, tol: float = 1e-8):
-    """Point with strictly positive slack in every upper bound, plus its margin.
-
-    Solves max s subject to t + 2 b_i'x + d_i + s <= u_i and x'Qx <= t with
-    the cone solver.  Requires the one-sided convex shape (every l_i = -inf,
-    every u_i finite).
-    """
-    from . import conesolver  # deferred; conesolver depends on this module
-
-    if any(bd.has_lower for bd in inst.bounds):
-        raise WrongShape("interior-point search expects all lower bounds = -inf")
-    if not all(bd.has_upper for bd in inst.bounds):
-        raise WrongShape("interior-point search expects every upper bound finite")
-
-    n, p = inst.n, inst.p
-    nv = n + 2  # variables (x, t, s)
-    c = np.zeros(nv)
-    c[n + 1] = -1.0  # maximize s
-    g = np.zeros((p, nv))
-    h = np.zeros(p)
-    for i, bd in enumerate(inst.bounds):
-        g[i, :n] = 2.0 * inst.b[i + 1]
-        g[i, n] = 1.0
-        g[i, n + 1] = 1.0
-        h[i] = bd.upper - inst.d[i + 1]
-    root = linalg.psd_sqrt(inst.q).dense()
-    a = np.zeros((n + 1, nv))
-    a[:n, :n] = root
-    a[n, n] = 0.5
-    bvec = np.zeros(n + 1)
-    bvec[n] = -0.5
-    ck = np.zeros(nv)
-    ck[n] = 0.5
-    soc = [conesolver.SocBlock(a, bvec, ck, 0.5)]
-    prog = conesolver.ConeProgram(c=c, g=g, h=h, soc=soc)
-    res = conesolver.solve(prog)
-    if res.status != "Optimal":
-        raise EmptyInterior(f"interior search ended with status {res.status}")
-    margin = -res.objective
-    if margin <= tol:
-        raise EmptyInterior(f"best margin {margin:.3e} is within tolerance {tol:g}")
-    return res.z[:n].copy(), float(margin)
 
 
 def ilp_to_uq(c, a_rows, rhs) -> UqInstance:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import linalg, model
 from .errors import EmptyFeasibleGrid, InvalidInput, UnboundedBox
 from .model import BallIntersection, UqInstance
 
@@ -42,8 +42,6 @@ def infer_box(inst: UqInstance, inflate: float = 1.1):
     their bounding cubes, inflated, is returned.  Raises UnboundedBox when no
     row has a finite upper bound or Q is singular.
     """
-    from . import linalg
-
     w, _ = linalg.sym_eig(inst.q)
     if w[-1] <= 1e-12 * max(1.0, abs(w[0])):
         raise UnboundedBox("box inference needs positive definite Q; pass a box")

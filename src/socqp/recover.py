@@ -6,7 +6,9 @@ leave the linear rows unchanged until the lifted cone closes, following the
 constructive exactness arguments; the approximation routine splits the
 relaxation optimum into two cone-tight candidates and scales the better one
 back into the feasible region, certifying
-f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).
+f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).  Instances whose
+origin is not interior are moved onto a strictly interior point found by
+``find_interior_point`` first.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg, model, reformulate
-from .conesolver import SolveOptions, SolverResult, solve
+from .conesolver import ConeProgram, SolveOptions, SolverResult, solve
 from .errors import (
     ConditionNotMet,
+    EmptyInterior,
     IdentityViolated,
     InvalidInstance,
     PreconditionViolated,
@@ -32,6 +35,9 @@ from .errors import (
 from .model import QcqpInstance, UqInstance
 
 _ACTIVE_SLACK = 1e-7
+_CLOSED_GAP = 1e-8  # a lifted gap below this, relative to 1 + |t_j|, is closed
+_RATIO_ABS_TOL = 1e-8  # absolute slack on the certified approximation ratio
+_INTERIOR_MARGIN = 1e-8  # margin that an interior point must exceed
 
 
 @dataclass
@@ -41,7 +47,6 @@ class TightenTrace:
 
     steps: list[dict] = field(default_factory=list)
     final_gap: float = math.nan
-    active_history: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -124,7 +129,7 @@ def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
     return null_cols[:, 0]
 
 
-def _full_active_solve(inst: UqInstance, x, t, trace, tol):
+def _full_active_solve(inst: UqInstance, x, t, trace):
     """p = n branch: all rows active with full-rank coefficients; the cone is
     closed by sliding t along the one-dimensional family B x = delta - t e."""
     active = _active_rows(inst, x, t)
@@ -159,8 +164,6 @@ def _full_active_solve(inst: UqInstance, x, t, trace, tol):
 def tighten_uq(
     inst: UqInstance,
     res: SolverResult,
-    tol: float = 1e-8,
-    meta: reformulate.ReformulationMeta | None = None,
     tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, TightenTrace]:
     """Turn a relaxation optimum of a uniform instance into a feasible point
@@ -177,8 +180,7 @@ def tighten_uq(
     cert = reformulate.check_as3(inst, tol_rank)
     if not cert.holds:
         raise ConditionNotMet(f"exactness condition fails: {cert.reason}")
-    meta = meta or reformulate.ReformulationMeta(kind="uq", n=inst.n, sense="max")
-    x = meta.x_of(res.z)
+    x = res.z[: inst.n].copy()
     t = float(res.z[inst.n])
     value = -res.objective
     qd = inst.q.dense()
@@ -189,12 +191,11 @@ def tighten_uq(
         if gap <= 1e-6 * (1.0 + abs(t)):
             break
         active = _active_rows(inst, x, t)
-        trace.active_history.append(tuple(i for i, _ in active))
         null = linalg.null_space_of_rows([inst.b[i + 1] for i, _ in active], inst.n)
         direction = _direction_in_null(null, inst.b[0])
         if direction is None:
             if inst.p == inst.n:
-                x, t = _full_active_solve(inst, x, t, trace, tol)
+                x, t = _full_active_solve(inst, x, t, trace)
                 trace.final_gap = t - float(x @ qd @ x)
                 break
             raise TightenFailed("no move direction left and p != n", trace)
@@ -246,7 +247,6 @@ def tighten_qcqp(
     inst: QcqpInstance,
     res: SolverResult,
     meta: reformulate.ReformulationMeta,
-    tol: float = 1e-8,
     tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, TightenTrace]:
     """Close every open lifted cone of a structured relaxation optimum.
@@ -270,7 +270,7 @@ def tighten_qcqp(
         qj = inst.blocks[j].dense()
         tj = float(res.z[meta.t_index[j]])
         gap = tj - float(x @ qj @ x)
-        if gap <= tol * (1.0 + abs(tj)):
+        if gap <= _CLOSED_GAP * (1.0 + abs(tj)):
             continue
         if not union:
             union = reformulate.union_rows(inst, meta.lifted, tol_rank)
@@ -343,7 +343,7 @@ def _gamma_terms(inst: UqInstance):
     return qb, radicand, gamma
 
 
-def tau_bar(inst: UqInstance, x_bar, tol: float = 0.0) -> float:
+def tau_bar(inst: UqInstance, x_bar) -> float:
     """Largest tau in [0,1] with f_i(tau x_bar) <= u_i for every i.
 
     Each constraint gives a convex quadratic in tau with f_i(0) = d_i < u_i,
@@ -351,7 +351,7 @@ def tau_bar(inst: UqInstance, x_bar, tol: float = 0.0) -> float:
     """
     x_bar = np.asarray(x_bar, dtype=float).reshape(inst.n)
     for i, bd in enumerate(inst.bounds):
-        if bd.has_upper and inst.d[i + 1] > bd.upper + tol:
+        if bd.has_upper and inst.d[i + 1] > bd.upper:
             raise PreconditionViolated("origin is not feasible")
     quad = inst.q.quad(x_bar)
     best = 1.0
@@ -383,9 +383,38 @@ def _check_approx_shape(inst: UqInstance):
             )
 
 
+def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
+    """Point with strictly positive slack in every upper bound, plus its margin.
+
+    Solves max s subject to t + 2 b_i'x + d_i + s <= u_i and x'Qx <= t with
+    the cone solver.  Requires the one-sided convex shape (every l_i = -inf,
+    every u_i finite).
+    """
+    if any(bd.has_lower for bd in inst.bounds):
+        raise WrongShape("interior-point search expects all lower bounds = -inf")
+    if not all(bd.has_upper for bd in inst.bounds):
+        raise WrongShape("interior-point search expects every upper bound finite")
+    n = inst.n
+    nv = n + 2  # variables (x, t, s)
+    c = np.zeros(nv)
+    c[n + 1] = -1.0  # maximize s
+    g = np.ones((inst.p, nv))
+    g[:, :n] = 2.0 * inst.b[1:]
+    h = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:]
+    cone = reformulate.quad_epigraph(linalg.psd_sqrt(inst.q).dense(), nv, np.eye(nv)[n], 0.0)
+    res = solve(ConeProgram(c=c, g=g, h=h, soc=[cone]))
+    if res.status != "Optimal":
+        raise EmptyInterior(f"interior search ended with status {res.status}")
+    margin = -res.objective
+    if margin <= _INTERIOR_MARGIN:
+        raise EmptyInterior(
+            f"best margin {margin:.3e} is within tolerance {_INTERIOR_MARGIN:g}"
+        )
+    return res.z[:n].copy(), float(margin)
+
+
 def approx_uq(
     inst: UqInstance,
-    tol: float = 1e-8,
     opts: SolveOptions | None = None,
     tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
@@ -495,7 +524,7 @@ def approx_uq(
     x_out = tau * x_bar
     fx = model.eval_f(inst, 0, x_out)
     cert = ApproxCertificate(fx, value, gamma, ratio)
-    if fx < ratio * value - tol - 1e-5 * (1.0 + abs(value)):
+    if fx < ratio * value - _RATIO_ABS_TOL - 1e-5 * (1.0 + abs(value)):
         raise TightenFailed(
             f"certified ratio violated: f_0 = {fx:.6e} < {ratio:.4f} * {value:.6e}",
             None,

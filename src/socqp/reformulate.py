@@ -11,6 +11,10 @@ generic ``build_cr``/``build_cr2``, ``check_condition_c`` and
 ``recover.tighten_qcqp``.  Maximization problems are negated into the solver's
 min convention inside the builder, with the original sense recorded in the
 meta.
+
+Next to ``check_as3`` sit the closed-form Lagrangian dual of a uniform
+instance (``dual_value``) and ``certify_strong_duality``, which checks a
+relaxation solve against that dual at the solve's own multipliers.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
-from .errors import InvalidBounds, InvalidInput, WrongShape
+from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, NotPositiveDefinite, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
 from .model import Bound, QcqpInstance, UqInstance, uq_as_qcqp
 
@@ -67,19 +72,36 @@ class ReformulationMeta:
         return res.objective if self.sense == "min" else -res.objective
 
 
-def _quad_epigraph_block(p_half: np.ndarray, nv: int, w_vec: np.ndarray, w_const: float) -> SocBlock:
-    """Cone block for x' P x <= w with w an affine expression w_vec'z + w_const.
+_DUALITY_REL_TOL = 1e-5  # largest relative dual-relaxation gap that certifies
+_DUAL_ZERO_TOL = 1e-9  # relative sigma (sqrt of it for beta) that counts as zero
 
-    P enters through its PSD square root ``p_half`` padded to the full
-    variable space.
+
+def quad_epigraph(factor: np.ndarray, nv: int, w_vec: np.ndarray, w_const: float) -> SocBlock:
+    """Cone block for ||F x||^2 <= w with w the affine expression
+    w_vec'z + w_const over all nv variables.
+
+    F is the (r, k) matrix ``factor`` acting on the first k variables, for
+    example a PSD square root of P, so that ||F x||^2 = x'Px.
     """
-    n = p_half.shape[0]
-    a = np.zeros((n + 1, nv))
-    a[:n, :n] = p_half
-    a[n] = 0.5 * w_vec
-    b = np.zeros(n + 1)
-    b[n] = 0.5 * (w_const - 1.0)
+    r, k = factor.shape
+    a = np.zeros((r + 1, nv))
+    a[:r, :k] = factor
+    a[r] = 0.5 * w_vec
+    b = np.zeros(r + 1)
+    b[r] = 0.5 * (w_const - 1.0)
     return SocBlock(a, b, 0.5 * w_vec, 0.5 * (w_const + 1.0))
+
+
+def _row_layout(bounds, linear: np.ndarray) -> tuple[np.ndarray, list]:
+    """Linear rows of a lifted program: for each constraint its upper side,
+    then its lower side, each kept when finite and ``linear[i]`` (not encoded
+    in a cone).  Returns the keep mask over the 2p candidate rows and the
+    per-constraint (upper, lower) row indices (None where not kept)."""
+    finite = np.array([[bd.has_upper, bd.has_lower] for bd in bounds], bool).reshape(-1, 2)
+    keep = (finite & linear[:, None]).reshape(-1)
+    index = np.where(keep, np.cumsum(keep) - 1, -1).reshape(-1, 2).tolist()
+    row_map = [(u if u >= 0 else None, lo if lo >= 0 else None) for u, lo in index]
+    return keep, row_map
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +144,85 @@ def check_as3(inst: UqInstance, tol_rel: float = DEFAULT_RANK_TOL) -> Certificat
         f"rank {rank} > n-1 = {inst.n - 1} and p = {inst.p} != n = {inst.n}",
         rank=rank,
     )
+
+
+def dual_value(inst: UqInstance, lam) -> float:
+    """Evaluate the dual function d(lam) of a positive definite instance at
+    the signed multipliers lam_i = lam_i^+ - lam_i^- of its p rows.
+
+    With sigma = 1 - sum(lam), beta = b_0 - sum(lam_i b_i) and the constant
+    kappa = -sum(lam_i d_i) + sum(lam_i^+ u_i - lam_i^- l_i) + d_0:
+    d(lam) = kappa - beta' Q^{-1} beta / sigma  when sigma < 0,
+    kappa when sigma = 0 and beta = 0, and +inf otherwise (the inner sup
+    over x is unbounded).
+    """
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(lam)):
+        raise InvalidMultiplier("multipliers must be finite")
+    if lam.size != inst.p:
+        raise InvalidMultiplier(f"expected {inst.p} multipliers, got {lam.size}")
+    try:
+        cho = scipy.linalg.cho_factor(inst.q.dense())
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("dual evaluation requires Q positive definite") from exc
+
+    kappa = float(inst.d[0])
+    for i, bd in enumerate(inst.bounds):
+        li = lam[i]
+        lp, lm = max(li, 0.0), max(-li, 0.0)
+        if lp > 0.0 and not bd.has_upper:
+            raise InvalidMultiplier(f"lam_{i + 1}^+ > 0 but u_{i + 1} = +inf")
+        if lm > 0.0 and not bd.has_lower:
+            raise InvalidMultiplier(f"lam_{i + 1}^- > 0 but l_{i + 1} = -inf")
+        kappa += -li * float(inst.d[i + 1])
+        if lp > 0.0:
+            kappa += lp * bd.upper
+        if lm > 0.0:
+            kappa -= lm * bd.lower
+    sigma = 1.0 - float(lam.sum())
+    beta = inst.b[0] - lam @ inst.b[1:]
+    sig_scale = 1.0 + float(np.abs(lam).sum())
+    beta_scale = 1.0 + float(np.abs(inst.b).max())
+    if sigma < 0.0:
+        return kappa - float(beta @ scipy.linalg.cho_solve(cho, beta)) / sigma
+    flat = np.linalg.norm(beta) <= math.sqrt(_DUAL_ZERO_TOL) * beta_scale
+    if sigma <= _DUAL_ZERO_TOL * sig_scale and flat:
+        return kappa
+    return math.inf
+
+
+@dataclass(frozen=True)
+class StrongDualityReport:
+    holds: bool
+    gap: float
+    relaxation_value: float
+    dual_value: float
+    lam: np.ndarray  # signed multipliers at which the dual was evaluated
+
+
+def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDualityReport:
+    """Compare the closed-form dual value at the multipliers of a
+    ``build_socp_uq`` solve of ``inst`` with the relaxation optimum; the
+    certificate holds when they agree to a relative 1e-5.
+
+    lam_i is the multiplier of row i's upper side minus that of its lower
+    side, read through the relaxation's row layout.
+    """
+    if res.status != "Optimal":
+        raise InvalidMultiplier(f"certificate needs an Optimal solve, got {res.status}")
+    keep, _ = _row_layout(inst.bounds, np.ones(inst.p, dtype=bool))
+    if np.count_nonzero(keep) != res.lam_lin.size:
+        raise InvalidMultiplier(
+            "solver result does not match this instance's relaxation layout"
+        )
+    sides = np.zeros(keep.size)
+    sides[keep] = res.lam_lin
+    lam = sides[0::2] - sides[1::2]
+    value = -res.objective  # the relaxation builder negates the max objective
+    dval = dual_value(inst, lam)
+    gap = dval - value
+    holds = bool(abs(gap) <= _DUALITY_REL_TOL * (1.0 + abs(value)))
+    return StrongDualityReport(holds, gap, value, dval, lam)
 
 
 def split_indefinite(
@@ -252,14 +353,14 @@ def _assemble(
     c = expr[0].copy()
     unit = np.eye(nv)
     soc = [
-        _quad_epigraph_block(
+        quad_epigraph(
             linalg.psd_sqrt(inst.blocks[j], inst.psd_tol).dense(), nv, unit[t_index[j]], 0.0
         )
         for j in lifted
     ]
     if epi is not None:
         c[epi] = 1.0
-        soc.append(_quad_epigraph_block(root0, nv, unit[epi], 0.0))
+        soc.append(quad_epigraph(root0, nv, unit[epi], 0.0))
 
     upper = np.array([bd.upper for bd in inst.bounds])
     lower = np.array([bd.lower for bd in inst.bounds])
@@ -269,16 +370,12 @@ def _assemble(
         if root_i is not None:
             # x'P_i x + expr'z <= limit as a cone epigraph on w = limit - expr'z
             limit = upper[i] - inst.c[i + 1]
-            soc.append(_quad_epigraph_block(root_i, nv, -expr[i + 1], limit))
+            soc.append(quad_epigraph(root_i, nv, -expr[i + 1], limit))
             linear[i] = False
     # rows in constraint order, the upper side of each before its lower side
     sides = np.stack([expr[1:], -expr[1:]], axis=1).reshape(2 * p, nv)
     rhs = np.stack([upper - inst.c[1:], inst.c[1:] - lower], axis=1).reshape(2 * p)
-    keep = np.stack(
-        [linear & (upper < math.inf), linear & (lower > -math.inf)], axis=1
-    ).reshape(2 * p)
-    index = np.where(keep, np.cumsum(keep) - 1, -1).reshape(p, 2).tolist()
-    row_map = [(u if u >= 0 else None, lo if lo >= 0 else None) for u, lo in index]
+    keep, row_map = _row_layout(inst.bounds, linear)
     prog = ConeProgram(
         c=c,
         g=sides[keep] if keep.any() else None,

@@ -143,7 +143,7 @@ def test_criterion_4_strong_duality_certificate():
         res = conesolver.solve(prog)
         if res.status != "Optimal":
             continue
-        rep = conesolver.certify_strong_duality(inst, res)
+        rep = reformulate.certify_strong_duality(inst, res)
         assert rep.holds, rep
         worst = max(worst, abs(rep.gap) / (1.0 + abs(rep.relaxation_value)))
         checked += 1

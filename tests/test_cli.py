@@ -86,6 +86,39 @@ def test_parse_diagnostics():
         fileio.parse_instance("{}")
 
 
+ILP_NAN = '{"kind": "ilp", "n": 2, "c": [NaN, 1.0], "rows": [{"a": [1.0, 1.0], "rhs": 1.0}]}'
+
+
+def _ilp_rhs(literal):
+    return '{"kind": "ilp", "n": 1, "c": [1.0], "rows": [{"a": [1.0], "rhs": %s}]}' % literal
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (ILP_NAN, "finite number"),
+        (_ilp_rhs("Infinity"), "finite number"),
+        (_ilp_rhs("-1e999"), "finite number"),
+        (_ilp_rhs("1" + "0" * 400), "finite number"),
+        (_ilp_rhs("1" + "0" * 5000), "invalid JSON"),
+        ('{"kind": "balls", "n": 1, "centers": [[0.0]], "radii": [-Infinity]}', "finite number"),
+        ('{"kind": "ilp", "n": true, "c": [1.0], "rows": []}', "positive integer"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers_and_boolean_n(text, match):
+    with pytest.raises(ParseError, match=match):
+        fileio.parse_instance(text)
+
+
+@pytest.mark.parametrize("command", ["reduce-ilp", "oracle"])
+def test_non_finite_ilp_file_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "nan.json"
+    path.write_text(ILP_NAN, encoding="utf-8")
+    code, out = run(capsys, command, str(path))
+    assert code == 2
+    assert "parse error" in out.err and "finite" in out.err
+
+
 def test_solve_gap_instance_reports_no_claim(capsys, gap1d_file):
     code, out = run(capsys, "solve", str(gap1d_file), "--report-format", "structured")
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socqp import conesolver, model, reformulate
-from socqp.conesolver import ConeProgram, DualPoint, SocBlock, SolveOptions
+from socqp.conesolver import ConeProgram, SocBlock, SolveOptions
 from socqp.errors import InvalidMultiplier, InvalidProgram
 from socqp.linalg import SymMatrix
 from socqp.model import Bound, UqInstance
@@ -234,7 +234,7 @@ def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
     scaling = conesolver._Scaling(cones, s[perm], lam[perm])
     rows = np.zeros((nv + ne, m))
     rows[:nv] = gc_solver.T
-    solver_kkt = conesolver._Kkt(prog.e, 1e-10, refine_steps=2)
+    solver_kkt = conesolver._Kkt(prog.e)
     solver_kkt.factor(scaling.apply_inv(rows))
     x, dl = solver_kkt.solve(rhs[: nv + ne], scaling.apply_inv(rhs[nv + ne :][perm]))
     got = np.concatenate([x, np.empty(m)])
@@ -278,7 +278,7 @@ def single_ball(radius2=1.0):
 
 
 def test_dual_value_zero_multiplier_is_unbounded():
-    assert conesolver.dual_value(single_ball(), DualPoint(np.zeros(1))) == math.inf
+    assert reformulate.dual_value(single_ball(), np.zeros(1)) == math.inf
 
 
 def test_dual_value_limit_toward_one():
@@ -290,14 +290,14 @@ def test_dual_value_limit_toward_one():
         [Bound(-math.inf, 1.0)],
     )
     vals = [
-        conesolver.dual_value(inst, DualPoint(np.array([1.0 + eps])))
+        reformulate.dual_value(inst, np.array([1.0 + eps]))
         for eps in (1e-1, 1e-2, 1e-3, 1e-4)
     ]
     assert all(np.diff(vals) < 0)
     assert vals[-1] == pytest.approx(1.0, abs=1e-3)
     # the infimum over the grid matches max x^2 on [-1, 1]
     grid = [
-        conesolver.dual_value(inst, DualPoint(np.array([lam])))
+        reformulate.dual_value(inst, np.array([lam]))
         for lam in np.linspace(1.0, 3.0, 200)
     ]
     assert min(grid) == pytest.approx(1.0, abs=1e-8)
@@ -305,7 +305,7 @@ def test_dual_value_limit_toward_one():
 
 def test_dual_value_rejects_multiplier_on_infinite_bound():
     with pytest.raises(InvalidMultiplier):
-        conesolver.dual_value(single_ball(), DualPoint(np.array([-1.0])))
+        reformulate.dual_value(single_ball(), np.array([-1.0]))
 
 
 def test_certify_strong_duality_single_ball():
@@ -351,7 +351,7 @@ def test_weak_duality_sampled():
     # finite dual values bound every feasible objective value
     for _ in range(200):
         lam = np.abs(rng.normal(size=2)) + np.array([0.6, 0.6])
-        dval = conesolver.dual_value(inst, DualPoint(lam))
+        dval = reformulate.dual_value(inst, lam)
         if not math.isfinite(dval):
             continue
         x = rng.normal(size=2) * 0.5

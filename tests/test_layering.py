@@ -1,0 +1,66 @@
+"""The package's imports run one way.
+
+The cone engine solves cone programs and knows no instances, the data model
+builds no programs, and no module hides an import cycle inside a function.
+The one exception is ``conesolver.certify_strong_duality``, which forwards to
+``reformulate`` under the name the benchmark harness calls.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "socqp"
+FORWARDER = ("conesolver", "certify_strong_duality")
+
+
+def _targets(node) -> set[str]:
+    """socqp modules pulled in by one import statement."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            name = node.module or ""
+            if name == "socqp":
+                return {alias.name for alias in node.names}
+            return {name.split(".")[1]} if name.startswith("socqp.") else set()
+        if node.module:
+            return {node.module.split(".")[0]}
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("socqp.")}
+    return set()
+
+
+def _imports():
+    """(module-level graph, {(module, top-level def): modules imported inside it})."""
+    graph, nested = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = set().union(*(_targets(node) for node in tree.body))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = set().union(*(_targets(node) for node in ast.walk(top)))
+                if inner:
+                    nested[(path.stem, top.name)] = inner
+    return graph, nested
+
+
+def test_module_level_imports_form_a_dag():
+    graph, _ = _imports()
+    assert {"conesolver", "model", "reformulate", "recover"} <= set(graph)
+    graphlib.TopologicalSorter(graph).static_order()  # raises CycleError on a cycle
+
+
+def test_cone_engine_imports_only_errors():
+    graph, _ = _imports()
+    assert graph["conesolver"] == {"errors"}
+
+
+def test_data_model_imports_only_linalg_and_errors():
+    graph, nested = _imports()
+    inside = [names for (module, _), names in nested.items() if module == "model"]
+    assert graph["model"].union(*inside) == {"linalg", "errors"}
+
+
+def test_only_the_bench_forwarder_imports_inside_a_function():
+    _, nested = _imports()
+    assert nested == {FORWARDER: {"reformulate"}}

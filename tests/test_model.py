@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from socqp import model, oracle
+from socqp import model, oracle, recover
 from socqp.errors import (
     EmptyInterior,
     InvalidBounds,
@@ -133,7 +133,7 @@ def test_find_interior_single_ball():
         np.zeros(2),
         [Bound(-math.inf, 1.0)],
     )
-    x, margin = model.find_interior_point(inst)
+    x, margin = recover.find_interior_point(inst)
     assert np.linalg.norm(x) < 1e-4
     assert margin == pytest.approx(1.0, abs=1e-6)
 
@@ -145,7 +145,7 @@ def test_find_interior_two_balls_symmetric():
     inst = UqInstance(
         2, SymMatrix.identity(2), b, d, [Bound(-math.inf, 1.0)] * 2
     )
-    x, margin = model.find_interior_point(inst)
+    x, margin = recover.find_interior_point(inst)
     assert abs(x[0]) < 1e-5
     assert margin == pytest.approx(0.75, abs=1e-5)
 
@@ -157,7 +157,7 @@ def test_find_interior_touching_balls():
         2, SymMatrix.identity(2), b, d, [Bound(-math.inf, 1.0)] * 2
     )
     with pytest.raises(EmptyInterior):
-        model.find_interior_point(inst)
+        recover.find_interior_point(inst)
 
 
 def test_ilp_reduction_single_variable():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socqp import conesolver, linalg, model, recover, reformulate
-from socqp.errors import InvalidBounds, WrongShape
+from socqp.errors import InvalidBounds, InvalidMultiplier, WrongShape
 from socqp.linalg import SymMatrix
 from socqp.model import Bound, QcqpInstance, UqInstance
 
@@ -81,6 +81,68 @@ def test_check_as3_examples():
     cert = reformulate.check_as3(over)
     assert cert.holds == (cert.rank <= 3)
     assert cert.rank == np.linalg.matrix_rank(over.b[1:], tol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# strong duality of the uniform relaxation
+# ---------------------------------------------------------------------------
+
+
+def _solved_uq(seed, p, two_sided_prob):
+    inst = random_uq(np.random.default_rng(seed), 3, p, two_sided_prob=two_sided_prob)
+    res = conesolver.solve(reformulate.build_socp_uq(inst)[0])
+    assert res.status == "Optimal"
+    return inst, res
+
+
+def _dual_at(lam):
+    return reformulate.dual_value(random_uq(np.random.default_rng(6), 3, 3), lam)
+
+
+def _certify_with(change):
+    """certify_strong_duality on a solved instance after ``change(inst, res)``."""
+    return reformulate.certify_strong_duality(*change(*_solved_uq(7, 2, 0.5)))
+
+
+def _other_layout(inst, res):
+    _, other_res = _solved_uq(8, 4, 1.0)
+    assert other_res.lam_lin.size != res.lam_lin.size
+    return inst, other_res
+
+
+def _capped(inst, res):
+    prog, _ = reformulate.build_socp_uq(inst)
+    return inst, conesolver.solve(prog, conesolver.SolveOptions(max_iter=1))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: _dual_at([np.nan, 1.0, 0.0]), "finite"),
+        (lambda: _dual_at([1.0, np.inf, 0.0]), "finite"),
+        (lambda: _dual_at([2.0, 0.0]), "expected 3 multipliers"),
+        (lambda: _dual_at(np.ones(4)), "expected 3 multipliers"),
+        (lambda: _certify_with(_other_layout), "layout"),
+        (lambda: _certify_with(_capped), "Optimal solve"),
+    ],
+    ids=["nan", "inf", "too_few", "too_many", "other_layout", "not_optimal"],
+)
+def test_invalid_multipliers_are_rejected(call, match):
+    with pytest.raises(InvalidMultiplier, match=match):
+        call()
+
+
+def test_engine_forwarder_matches_certificate():
+    for seed, p, two_sided in ((7, 2, 0.5), (8, 4, 1.0), (9, 3, 0.0)):
+        inst, res = _solved_uq(seed, p, two_sided)
+        direct = reformulate.certify_strong_duality(inst, res)
+        forwarded = conesolver.certify_strong_duality(inst, res)
+        assert direct.holds and forwarded.holds
+        assert (direct.gap, direct.relaxation_value, direct.dual_value) == (
+            forwarded.gap, forwarded.relaxation_value, forwarded.dual_value
+        )
+        assert np.array_equal(direct.lam, forwarded.lam)
+        assert direct.dual_value == reformulate.dual_value(inst, direct.lam)
 
 
 # ---------------------------------------------------------------------------
