@@ -7,13 +7,21 @@ and Mehrotra predictor-corrector steps.
 
 Each iteration works in NT-scaled coordinates.  The cone block of the KKT
 system is eliminated, so only the reduced matrix [[G'W^-2 G + dI, E'],
-[E, -dI]] of size nv + ne is factored (symmetric indefinite, static
+[E, -dI]] of size nv + ne is factored (symmetric quasi-definite, static
 regularization d); W^-1 G is formed and the cone multipliers recovered block
 by block, and iterative refinement takes its residual from the full,
 unreduced operator.  On a second-order cone W is kept in arrow form (a unit
 vector wbar and a scale eta), so W and W^-1 cost one O(d) pass, batched over
 all cones of equal dimension; the step to the boundary is taken in the same
 scaled coordinates.
+
+The reduced matrix is factored one of two ways, picked by its order nv + ne.
+Up to order 32 it is split into two Cholesky factors with numpy (the
+quasi-definite LDL' of Vanderbei, SIAM J. Optim. 5, 1995) whose inverses are
+kept, so a solve is a few matrix-vector products.  Above that, LAPACK's
+Bunch-Kaufman ``sytrf``/``sytrs`` is faster, since numpy has no triangular
+solve; scipy is imported for it on the first such factorization, so a
+process that solves only small programs never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,14 +30,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import InvalidProgram
 
 _STEP_SCALE = 0.99  # share of the step to the cone boundary that is taken
 _STATIC_REG = 1e-10  # KKT regularization, raised while factoring fails
 _REFINE_STEPS = 2  # iterative-refinement passes per KKT solve
+_NUMPY_KKT_ORDER = 32  # largest reduced KKT order factored with numpy alone
 _UNBOUNDED_OBJECTIVE = 1e12  # a feasible iterate below minus this is unbounded
 
 
@@ -306,6 +313,66 @@ class _Scaling:
         return self._apply(x, True)
 
 
+class _QuasiDefiniteFactor:
+    """The quasi-definite K = [[P, E'], [E, -dI]] (P positive definite,
+    d > 0) is L D L' with L = [[L1, 0], [W, L2]] and D = diag(I, -I), from
+    the two Cholesky factors P = L1 L1' and dI + W W' = L2 L2' with
+    W = E L1^-T.  numpy has no triangular solve, so L^-1 = [[M1, 0],
+    [-M2 W M1, M2]] is formed from M1 = L1^-1 and M2 = L2^-1, and a solve
+    K^-1 r = L^-T D L^-1 r is two matrix-vector products.
+    """
+
+    def __init__(self, nv, ne):
+        self.nv = nv
+        self.ne = ne
+
+    def factor(self, k, bump) -> bool:
+        """Factor k at regularization bump; False when k is not numerically
+        quasi-definite."""
+        nv = self.nv
+        try:
+            m1 = np.linalg.inv(np.linalg.cholesky(k[:nv, :nv]))
+            if not self.ne:
+                self.l_inv = m1
+                return True
+            w = k[nv:, :nv] @ m1.T
+            m2 = np.linalg.inv(np.linalg.cholesky(w @ w.T + bump * np.eye(self.ne)))
+        except np.linalg.LinAlgError:
+            return False
+        self.l_inv = np.zeros_like(k)
+        self.l_inv[:nv, :nv] = m1
+        self.l_inv[nv:, nv:] = m2
+        self.l_inv[nv:, :nv] = -(m2 @ w) @ m1
+        return True
+
+    def solve(self, rr):
+        u = self.l_inv @ rr
+        if self.ne:
+            u[self.nv :] *= -1.0  # D
+        return u @ self.l_inv
+
+
+class _LapackFactor:
+    """K factored by LAPACK's symmetric indefinite ``sytrf`` (Bunch-Kaufman)."""
+
+    def __init__(self):
+        # imported here, not at module level: loading scipy costs about 0.25 s
+        # of process start, which small programs never need to pay
+        from scipy.linalg import lapack
+
+        self.lapack = lapack
+
+    def factor(self, k, bump) -> bool:
+        self.ldu, self.ipiv, info = self.lapack.dsytrf(k, lower=1)
+        return info == 0
+
+    def solve(self, rr):
+        x, info = self.lapack.dsytrs(self.ldu, self.ipiv, rr, lower=1)
+        if info != 0:
+            raise InvalidProgram("KKT solve failed")
+        return x
+
+
 class _Kkt:
     """Reduced KKT solver in NT-scaled coordinates.
 
@@ -314,8 +381,9 @@ class _Kkt:
     [0 E' A'; E 0 0; A 0 -I] (dz, dy, dl) = (r1, r2, W^{-1} r3).  Eliminating
     dl = A dz - W^{-1} r3 leaves [[A'A + dI, E'], [E, -dI]] of size nv + ne,
     factored once per iteration with static regularization d (raised x100,
-    up to 1, while the factorization fails).  Iterative refinement takes its
-    residual from the full, unreduced scaled operator.
+    up to 1, while the factorization fails); orders up to _NUMPY_KKT_ORDER
+    use the numpy quasi-definite factor, larger ones LAPACK.  Iterative
+    refinement takes its residual from the full, unreduced scaled operator.
     """
 
     def __init__(self, e):
@@ -326,6 +394,10 @@ class _Kkt:
         self.k0[:nv, nv:] = e.T
         self.sign = np.concatenate((np.ones(nv), -np.ones(ne)))
         self.k_reg = self.k0 + np.diag(_STATIC_REG * self.sign)
+        if nv + ne <= _NUMPY_KKT_ORDER:
+            self.fac = _QuasiDefiniteFactor(nv, ne)
+        else:
+            self.fac = _LapackFactor()
 
     def factor(self, a_pad):
         """Factor the reduced matrix for a_pad = [A'; 0] (nv + ne rows, one
@@ -334,32 +406,24 @@ class _Kkt:
         self.a_t = a_pad[: self.nv]
         k = a_pad @ a_pad.T
         bump = _STATIC_REG
-        ldu, ipiv, info = lapack.dsytrf(k + self.k_reg, lower=1)
-        while info != 0 and bump < 1.0:
+        ok = self.fac.factor(k + self.k_reg, bump)
+        while not ok and bump < 1.0:
             bump *= 100.0
-            ldu, ipiv, info = lapack.dsytrf(k + self.k0 + np.diag(bump * self.sign), lower=1)
-        if info != 0:
+            ok = self.fac.factor(k + self.k0 + np.diag(bump * self.sign), bump)
+        if not ok:
             raise InvalidProgram("KKT matrix is numerically singular")
-        self.ldu = ldu
-        self.ipiv = ipiv
-
-    def _factor_solve(self, rr):
-        x, info = lapack.dsytrs(self.ldu, self.ipiv, rr, lower=1)
-        if info != 0:
-            raise InvalidProgram("KKT solve failed")
-        return x
 
     def solve(self, r12, r3):
         """((dz, dy), dl) for the right-hand side (r1, r2) = r12 and the
         scaled third block r3, already multiplied by W^{-1}."""
         nv, a_pad, a_t = self.nv, self.a_pad, self.a_t
-        x = self._factor_solve(r12 + a_pad @ r3)
+        x = self.fac.solve(r12 + a_pad @ r3)
         dl = x[:nv] @ a_t - r3
         for _ in range(_REFINE_STEPS):
             # residual of the full operator, then the same elimination
             e3 = r3 - x[:nv] @ a_t + dl
             e12 = r12 - self.k0 @ x - a_pad @ dl
-            cx = self._factor_solve(e12 + a_pad @ e3)
+            cx = self.fac.solve(e12 + a_pad @ e3)
             x += cx
             dl += cx[:nv] @ a_t - e3
         return x, dl
@@ -543,7 +607,7 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
 def _solve_equality_only(prog: ConeProgram, opts: SolveOptions) -> SolverResult:
     """Corner case: no cone rows at all."""
     ec, fc, cvec = prog.e, prog.f, prog.c
-    z, *_ = scipy.linalg.lstsq(ec, fc)
+    z, *_ = np.linalg.lstsq(ec, fc, rcond=None)
     empty = np.zeros(0)
     if float(np.abs(ec @ z - fc).max(initial=0.0)) > opts.feastol * (
         1.0 + float(np.abs(fc).max(initial=0.0))
@@ -554,7 +618,7 @@ def _solve_equality_only(prog: ConeProgram, opts: SolveOptions) -> SolverResult:
         )
     # objective varies over the feasible affine set iff c has a component in
     # the null space of E
-    y, *_ = scipy.linalg.lstsq(ec.T, -cvec)
+    y, *_ = np.linalg.lstsq(ec.T, -cvec, rcond=None)
     reduced = cvec + ec.T @ y
     if float(np.abs(reduced).max(initial=0.0)) > opts.feastol * (
         1.0 + float(np.abs(cvec).max(initial=0.0))

@@ -9,9 +9,9 @@ Every function here returns the same result for the same inputs.  The one
 piece of state is memoisation on ``SymMatrix``: its dense view and its
 eigendecomposition are computed on first use and kept on the matrix, so
 instance validation, the builders, the exactness certificates and recovery
-share one ``syev`` call per matrix.  A ``SymMatrix`` is immutable to make that
-safe: its fields cannot be reassigned, and ``packed``, ``dense()`` and the
-arrays ``sym_eig`` returns are read-only (writing into them raises
+share one numpy ``eigh`` call per matrix.  A ``SymMatrix`` is immutable to
+make that safe: its fields cannot be reassigned, and ``packed``, ``dense()``
+and the arrays ``sym_eig`` returns are read-only (writing into them raises
 ``ValueError``).  Copy an array before changing it.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, InvalidMatrix, NotPsd
 
@@ -134,13 +133,13 @@ class SubspaceBasis:
 def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    Uses the tridiagonalization + implicit QL/QR LAPACK path (``syev``) so
-    repeated runs are bit-identical.  Returns ``(w, v)`` with ``m = v diag(w) v'``.
+    Uses numpy's ``eigh``, which is deterministic, so repeated runs are
+    bit-identical.  Returns ``(w, v)`` with ``m = v diag(w) v'``.
     The decomposition is computed once per matrix and kept on it; every call
     returns the same read-only arrays.
     """
     if m._eig is None:
-        w, v = scipy.linalg.eigh(m.dense(), driver="ev")
+        w, v = np.linalg.eigh(m.dense())
         w, v = w[::-1].copy(), v[:, ::-1].copy()
         w.setflags(write=False)
         v.setflags(write=False)
@@ -168,7 +167,7 @@ def numerical_rank(vectors, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     if any(v.size != n for v in vecs):
         raise InvalidInput("all vectors must share the same ambient dimension")
     a = np.column_stack(vecs)
-    sv = scipy.linalg.svdvals(a)
+    sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol_rel * sv[0]))
@@ -206,7 +205,7 @@ def null_space_of_rows(rows, n: int, tol_rel: float = DEFAULT_RANK_TOL) -> np.nd
     a = np.vstack(rows)
     if a.shape[1] != n:
         raise InvalidInput("row dimension mismatch")
-    u, sv, vt = scipy.linalg.svd(a, full_matrices=True)
+    _, sv, vt = np.linalg.svd(a, full_matrices=True)
     if sv.size and sv[0] > 0:
         rank = int(np.count_nonzero(sv > tol_rel * sv[0]))
     else:

@@ -152,10 +152,21 @@ def grid_max_uq(
     return GridMax(value, arg, lip, lip * step)
 
 
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """Binary erosion by the cross of unit steps along each axis, with every
+    cell outside the array counted as False: a cell survives when it and
+    its 2 * ndim axis neighbours are all True."""
+    padded = np.pad(mask, 1)
+    inner = (slice(1, -1),) * mask.ndim
+    out = mask.copy()
+    for axis in range(mask.ndim):
+        for shift in (-1, 1):
+            out &= np.roll(padded, shift, axis)[inner]
+    return out
+
+
 def _omega_boundary(balls: BallIntersection, h: float):
     """Feasible boundary grid points of the ball intersection (n <= 2)."""
-    import scipy.ndimage  # slow to import, and only this oracle needs it
-
     lo = np.max(balls.centers - balls.radii[:, None], axis=0)
     hi = np.min(balls.centers + balls.radii[:, None], axis=0)
     if np.any(hi < lo):
@@ -170,8 +181,7 @@ def _omega_boundary(balls: BallIntersection, h: float):
     mask = feas.reshape([a.size for a in axes])
     if not mask.any():
         raise EmptyFeasibleGrid(f"no feasible grid point at resolution {h:g}")
-    eroded = scipy.ndimage.binary_erosion(mask, border_value=0)
-    boundary = mask & ~eroded
+    boundary = mask & ~_erode(mask)
     return pts[boundary.ravel()], pts[feas], (lo, hi)
 
 

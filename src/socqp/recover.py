@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, model, reformulate
 from .conesolver import ConeProgram, SolveOptions, SolverResult, solve
@@ -321,16 +320,17 @@ def gamma_uq(inst: UqInstance) -> float:
 def _gamma_terms(inst: UqInstance):
     """(Q^(-1) b_i as columns, radicands u_i - d_i + b_i'Q^(-1)b_i, gamma).
 
-    One Cholesky solve over all p right-hand sides; the bounds and radicands
+    One solve over all p right-hand sides; the bounds and radicands
     are then checked in constraint order, so the first offending constraint
     is the one reported.
     """
+    q = inst.q.dense()
     try:
-        cho = scipy.linalg.cho_factor(inst.q.dense())
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
         raise InvalidInstance("gamma needs positive definite Q") from exc
     bt = inst.b[1:].T
-    qb = scipy.linalg.cho_solve(cho, bt)
+    qb = np.linalg.solve(q, bt)
     nrm2 = np.vecdot(bt, qb, axis=0)
     upper = np.array([bd.upper for bd in inst.bounds])
     radicand = upper - inst.d[1:] + nrm2

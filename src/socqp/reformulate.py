@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
@@ -162,8 +161,8 @@ def dual_value(inst: UqInstance, lam) -> float:
     if lam.size != inst.p:
         raise InvalidMultiplier(f"expected {inst.p} multipliers, got {lam.size}")
     try:
-        cho = scipy.linalg.cho_factor(inst.q.dense())
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(inst.q.dense())
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("dual evaluation requires Q positive definite") from exc
 
     kappa = float(inst.d[0])
@@ -184,7 +183,7 @@ def dual_value(inst: UqInstance, lam) -> float:
     sig_scale = 1.0 + float(np.abs(lam).sum())
     beta_scale = 1.0 + float(np.abs(inst.b).max())
     if sigma < 0.0:
-        return kappa - float(beta @ scipy.linalg.cho_solve(cho, beta)) / sigma
+        return kappa - float(beta @ np.linalg.solve(inst.q.dense(), beta)) / sigma
     flat = np.linalg.norm(beta) <= math.sqrt(_DUAL_ZERO_TOL) * beta_scale
     if sigma <= _DUAL_ZERO_TOL * sig_scale and flat:
         return kappa

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,36 @@ def test_solve_tol_rank_reaches_qcqp_tightening(tmp_path, capsys):
     assert rep["exact"] is True
     assert rep["recovered"]["objective"] == pytest.approx(rep["relaxation_value"], abs=1e-5)
     assert rep["recovered"]["worst_violation"] <= 1e-5
+
+
+@pytest.mark.parametrize("tol_feas, feasible", [("1e-8", False), ("1e-5", True)])
+def test_recovered_point_reports_feasibility_at_tol_feas(tmp_path, capsys, tol_feas, feasible):
+    # the near-rank instance above recovers a point that violates block 0's
+    # row by about 1e-6: exact by the certificate, yet not feasible to 1e-8
+    inst = QcqpInstance(
+        2,
+        [
+            SymMatrix.from_dense(np.diag([1.0, 0.0])),
+            SymMatrix.from_dense(np.diag([1e-6, 1.0])),
+        ],
+        np.array([[-1.0, 1.0], [1.0, 1.0]]),
+        np.zeros((2, 2)),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    path = tmp_path / "near_rank_blocks.json"
+    fileio.save_instance(inst, path)
+    code, out = run(
+        capsys, "solve", str(path), "--tol-rank", "1e-4", "--tol-feas", tol_feas,
+        "--report-format", "structured",
+    )
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["exact"] is True
+    assert rep["recovered"]["feasible"] is feasible
+    assert ("note" in rep) is not feasible
+    if not feasible:
+        assert "--tol-feas" in rep["note"]
 
 
 @pytest.mark.parametrize("command", ["approx", "cheby"])
@@ -509,16 +543,14 @@ def test_indefinite_solve_splits_q_once(tmp_path, capsys, monkeypatch):
     )
     path = tmp_path / "indef4.json"
     fileio.save_instance(inst, path)
-    import scipy.linalg
-
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
     calls = []
 
     def counting_eigh(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     code, out = run(capsys, "solve", str(path), "--report-format", "structured")
     assert code == 0, out.err
     rep = json.loads(out.out)
@@ -558,3 +590,59 @@ def test_solve_max_sense_qcqp_file(tmp_path, capsys):
     assert hi["recovered"]["worst_violation"] <= 1e-6
     x = np.asarray(hi["recovered"]["x"])
     assert twins["max"].eval_g(0, x) == pytest.approx(hi["recovered"]["objective"], abs=1e-12)
+
+
+def test_small_commands_run_without_scipy(tmp_path):
+    # every command on tiny files, in a process where importing scipy fails:
+    # small problems run on numpy alone
+    files = {
+        "pd.json": UqInstance(
+            2, SymMatrix.identity(2), np.array([[0.4, 0.0], [0.2, 0.1]]), np.zeros(2),
+            [Bound(-math.inf, 1.0)],
+        ),
+        "psd.json": UqInstance(
+            2, SymMatrix.from_dense(np.diag([1.0, 0.0])),
+            np.array([[0.2, 0.0], [0.0, 0.3], [0.0, -0.3]]), np.zeros(3),
+            [Bound(-1.0, 1.0), Bound(-1.0, 1.0)],
+        ),
+        "indef.json": UqInstance(
+            2, SymMatrix.from_dense(np.diag([1.0, -1.0])), np.zeros((2, 2)), np.zeros(2),
+            [Bound(-1.0, 1.0)],
+        ),
+        "qcqp.json": QcqpInstance(
+            2, [SymMatrix.from_dense(np.diag([1.0, 0.0])), SymMatrix.identity(2)],
+            np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([[0.1, 0.0], [0.0, 0.0]]),
+            np.zeros(2), [Bound(-math.inf, 1.0)],
+        ),
+        "shifted.json": UqInstance(
+            2, SymMatrix.identity(2), np.array([[0.0, 0.0], [-1.0, 0.0]]),
+            np.array([0.0, 1.5]), [Bound(-math.inf, 1.0)],
+        ),
+        "balls.json": BallIntersection(
+            2, np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, 1.0])
+        ),
+    }
+    for name, obj in files.items():
+        fileio.save_instance(obj, tmp_path / name)
+    solved = ("pd.json", "psd.json", "indef.json", "qcqp.json")
+    runs = [["solve", str(tmp_path / name)] for name in solved]
+    runs += [
+        ["approx", str(tmp_path / "pd.json")],
+        ["approx", str(tmp_path / "shifted.json")],
+        ["cheby", str(tmp_path / "balls.json")],
+        ["oracle", str(tmp_path / "balls.json"), "--grid-h", "0.05"],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from socqp import cli\n"
+        f"print(json.dumps([cli.main(argv) for argv in {runs!r}]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(runs), done.stderr

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socqp import conesolver, model, reformulate
@@ -200,6 +200,18 @@ def dense_nt_w2(s, lam, nlin, dims):
     ne=st.integers(0, 2),
     dims=st.lists(st.integers(2, 5), min_size=0, max_size=4),
 )
+# reduced orders nv + ne of 31-34 straddle the cut between the numpy
+# quasi-definite factor (<= 32) and LAPACK sytrf; with ne > 0 the cone rows
+# number nv - ne, so A'A is rank-deficient and only E makes K nonsingular
+@example(seed=31, nv=31, nlin=28, ne=0, dims=[3, 4])
+@example(seed=32, nv=31, nlin=27, ne=1, dims=[3])
+@example(seed=33, nv=30, nlin=25, ne=2, dims=[3])
+@example(seed=34, nv=32, nlin=30, ne=0, dims=[2, 5])
+@example(seed=35, nv=33, nlin=29, ne=0, dims=[4])
+@example(seed=36, nv=32, nlin=28, ne=1, dims=[3])
+@example(seed=37, nv=31, nlin=25, ne=2, dims=[2, 2])
+@example(seed=38, nv=33, nlin=30, ne=1, dims=[2])
+@example(seed=39, nv=32, nlin=26, ne=2, dims=[4])
 def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
     ne = min(ne, nv - 1)
     nlin = max(nlin, nv - ne - sum(dims))  # [G; E] of full column rank

@@ -3,7 +3,8 @@
 The cone engine solves cone programs and knows no instances, the data model
 builds no programs, and no module hides an import cycle inside a function.
 The one exception is ``conesolver.certify_strong_duality``, which forwards to
-``reformulate`` under the name the benchmark harness calls.
+``reformulate`` under the name the benchmark harness calls.  No module imports
+scipy when it is loaded: only the factorization of a large KKT system does.
 """
 
 import ast
@@ -64,3 +65,27 @@ def test_data_model_imports_only_linalg_and_errors():
 def test_only_the_bench_forwarder_imports_inside_a_function():
     _, nested = _imports()
     assert nested == {FORWARDER: {"reformulate"}}
+
+
+def _runs_on_import(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_when_loaded():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _runs_on_import(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

@@ -86,6 +86,19 @@ def test_grid_max_halving_consistency():
     assert abs(g2.value - g1.value) <= g1.error_bound
 
 
+@pytest.mark.parametrize(
+    "shape", [(1,), (2,), (9,), (64,), (1, 1), (1, 7), (6, 1), (5, 8), (23, 17)]
+)
+def test_erosion_matches_scipy(shape):
+    import scipy.ndimage
+
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.3, 0.8, 0.97, 1.0):
+        mask = rng.random(shape) < density
+        want = scipy.ndimage.binary_erosion(mask, border_value=0)
+        assert np.array_equal(oracle._erode(mask), want)
+
+
 def test_grid_minmax_single_ball():
     balls = BallIntersection(2, np.array([[0.2, -0.1]]), np.array([1.5]))
     g = oracle.grid_minmax_cc(balls, h=2e-3)
