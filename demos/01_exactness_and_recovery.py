@@ -1,8 +1,8 @@
 """Exact relaxation of a uniform quadratic maximization, start to finish.
 
 Builds a random instance whose constraint terms satisfy the rank condition,
-solves the cone relaxation, certifies exactness, and walks the relaxation
-optimum into a feasible point attaining the same value.
+solves the cone relaxation, certifies exactness, and steps the relaxation
+optimum onto a feasible point attaining the same value.
 """
 
 import numpy as np

@@ -193,16 +193,6 @@ def _classify(obj, tol_rank: float):
     return head, prog, meta, reformulate.check_condition_c(view, meta.lifted, tol_rank), view
 
 
-def _data_scale(obj) -> float:
-    """Largest absolute entry of a uq or qcqp instance, finite bounds included."""
-    if isinstance(obj, UqInstance):
-        parts = [obj.q.packed, obj.b, obj.d]
-    else:
-        parts = [blk.packed for blk in obj.blocks] + [obj.a, obj.b, obj.c]
-    parts.append([v for bd in obj.bounds for v in (bd.lower, bd.upper) if math.isfinite(v)])
-    return max(float(np.abs(np.asarray(x, dtype=float)).max(initial=0.0)) for x in parts)
-
-
 def _solve(obj, args) -> tuple[dict, int]:
     """Classify, solve once, then recover a point when the certificate holds;
     returns the report and the exit code."""
@@ -242,7 +232,7 @@ def _solve(obj, args) -> tuple[dict, int]:
         objective, violation = model.eval_f(obj, 0, x), model.worst_violation(obj, x)
     else:
         objective, violation = obj.eval_g(0, x), obj.worst_violation(x)
-    feasible = bool(violation <= args.tol_feas * max(1.0, _data_scale(obj)))
+    feasible = bool(violation <= args.tol_feas * max(1.0, model.data_scale(obj)))
     report["recovered"] = {
         "x": x, "objective": objective, "worst_violation": violation, "feasible": feasible,
     }

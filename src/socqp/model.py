@@ -220,6 +220,20 @@ def is_feasible(inst: UqInstance, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
     return worst_violation(inst, x) <= tol
 
 
+def data_scale(inst: UqInstance | QcqpInstance) -> float:
+    """Largest absolute entry of a uq or qcqp instance, finite bounds included.
+
+    Feasibility tolerances are taken relative to max(1, this), so a check
+    means the same on data scaled by any factor.
+    """
+    if isinstance(inst, UqInstance):
+        parts = [inst.q.packed, inst.b, inst.d]
+    else:
+        parts = [blk.packed for blk in inst.blocks] + [inst.a, inst.b, inst.c]
+    parts.append([v for bd in inst.bounds for v in (bd.lower, bd.upper) if math.isfinite(v)])
+    return max(float(np.abs(np.asarray(x, dtype=float)).max(initial=0.0)) for x in parts)
+
+
 def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:
     """Shift coordinates so that x_hat becomes the origin.
 

@@ -1,14 +1,14 @@
 """Exact-solution extraction from relaxation optima and the bounded-ratio
 approximation for convex-constrained uniform instances.
 
-The tightening procedures walk a relaxation optimum along directions that
-leave the linear rows unchanged until the lifted cone closes, following the
-constructive exactness arguments; the approximation routine splits the
-relaxation optimum into two cone-tight candidates and scales the better one
-back into the feasible region, certifying
-f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).  Instances whose
-origin is not interior are moved onto a strictly interior point found by
-``find_interior_point`` first.
+The tightening procedures close each open lifted cone of a relaxation
+optimum in one quadratic step along a direction that leaves every linear row
+value unchanged; the exactness conditions are what supply that direction.
+The approximation routine splits the relaxation optimum into two cone-tight
+candidates and scales the better one back into the feasible region,
+certifying f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).
+Instances whose origin is not interior are moved onto a strictly interior
+point found by ``find_interior_point`` first.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .model import QcqpInstance, UqInstance
 
-_ACTIVE_SLACK = 1e-7
 _CLOSED_GAP = 1e-8  # a lifted gap below this, relative to 1 + |t_j|, is closed
 _RATIO_ABS_TOL = 1e-8  # absolute slack on the certified approximation ratio
 _INTERIOR_MARGIN = 1e-8  # margin that an interior point must exceed
@@ -74,49 +73,8 @@ class ApproxCertificate:
     guaranteed_ratio: float
 
 
-def _halves_interval(inst: UqInstance, x, t, direction):
-    """Feasible step interval E = {eps : all rows hold at x + eps*direction}."""
-    lo, hi = -math.inf, math.inf
-    for i, bd in enumerate(inst.bounds):
-        val = t + 2.0 * float(inst.b[i + 1] @ x) + float(inst.d[i + 1])
-        slope = 2.0 * float(inst.b[i + 1] @ direction)
-        if abs(slope) < 1e-14:
-            continue
-        if bd.has_upper:
-            room = (bd.upper - val) / slope
-            if slope > 0:
-                hi = min(hi, room)
-            else:
-                lo = max(lo, room)
-        if bd.has_lower:
-            room = (bd.lower - val) / slope
-            if slope > 0:
-                lo = max(lo, room)
-            else:
-                hi = min(hi, room)
-    return lo, hi
-
-
-def _active_rows(inst: UqInstance, x, t):
-    active = []
-    for i, bd in enumerate(inst.bounds):
-        val = t + 2.0 * float(inst.b[i + 1] @ x) + float(inst.d[i + 1])
-        tol = _ACTIVE_SLACK * (
-            1.0
-            + (abs(bd.upper) if bd.has_upper else 0.0)
-            + (abs(bd.lower) if bd.has_lower else 0.0)
-        )
-        at_upper = bd.has_upper and abs(val - bd.upper) <= tol
-        at_lower = bd.has_lower and abs(val - bd.lower) <= tol
-        if at_upper or at_lower:
-            active.append((i, bd.upper if at_upper else bd.lower))
-    return active
-
-
 def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
     """A unit direction in the given null space, preferring b0-orthogonality."""
-    if null_cols.shape[1] == 0:
-        return None
     w = null_cols.T @ b0
     nw = np.linalg.norm(w)
     if nw <= 1e-12 * (1.0 + np.linalg.norm(b0)):
@@ -128,36 +86,21 @@ def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
     return null_cols[:, 0]
 
 
-def _full_active_solve(inst: UqInstance, x, t, trace):
-    """p = n branch: all rows active with full-rank coefficients; the cone is
-    closed by sliding t along the one-dimensional family B x = delta - t e."""
-    active = _active_rows(inst, x, t)
-    if len(active) != inst.n:
-        raise TightenFailed(
-            f"stuck with {len(active)} active rows; need all {inst.n}", trace
-        )
-    bmat = 2.0 * np.vstack([inst.b[i + 1] for i, _ in active])
-    delta = np.array([hit for _, hit in active])
-    try:
-        q0 = np.linalg.solve(bmat, delta)
-        q1 = np.linalg.solve(bmat, np.ones(inst.n))
-    except np.linalg.LinAlgError as exc:
-        raise TightenFailed("active coefficient matrix is singular", trace) from exc
-    qd = inst.q.dense()
-    a2 = float(q1 @ qd @ q1)
-    a1 = -2.0 * float(q0 @ qd @ q1) - 1.0
-    a0 = float(q0 @ qd @ q0)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if a2 <= 0.0 or disc < 0.0:
-        raise TightenFailed("one-dimensional slide has no real crossing", trace)
-    roots = sorted(((-a1 - math.sqrt(disc)) / (2 * a2), (-a1 + math.sqrt(disc)) / (2 * a2)))
-    slope = 1.0 - 2.0 * float(inst.b[0] @ q1)
-    t_new = roots[1] if slope >= 0.0 else roots[0]
-    x_new = q0 - t_new * q1
-    trace.steps.append(
-        {"kind": "slide", "t": t_new, "objective_slope": slope, "roots": tuple(roots)}
-    )
-    return x_new, t_new
+def _cone_step(q, x, t, dx, dt, rise, rise_scale) -> float:
+    """Step alpha to a root of (x + alpha dx)'Q(x + alpha dx) = t + alpha dt.
+
+    ``rise`` is the rate at which the objective being kept grows along
+    (dx, dt).  The root taken does not lower it; when |rise| is within
+    1e-12 * ``rise_scale`` of zero, the root nearer zero is taken.
+    """
+    a2 = float(dx @ q @ dx)
+    half = float(dx @ q @ x) - 0.5 * dt
+    a0 = float(x @ q @ x) - t
+    rt = math.sqrt(max(half * half - a2 * a0, 0.0))
+    roots = ((-half + rt) / a2, (-half - rt) / a2)
+    if abs(rise) <= 1e-12 * rise_scale:
+        return min(roots, key=abs)
+    return max(roots, key=lambda r: r * rise)
 
 
 def tighten_uq(
@@ -169,10 +112,13 @@ def tighten_uq(
     of the original problem with the same objective value.
 
     Requires the exactness certificate (rank condition or p = n) to hold and
-    Q positive definite.  Walks x along directions orthogonal to the active
-    rows; each move either closes the cone x'Qx = t or activates a new
-    independent row, in at most n + p steps.  ``tol_rank`` is the relative
-    rank tolerance of that certificate check.
+    Q positive definite.  The certificate gives a direction (dx, dt) with
+    2 b_i'dx + dt = 0 for every row, so moving along it leaves every row
+    value t + 2 b_i'x + d_i unchanged: dx in the null space of b_1..b_p with
+    dt = 0 when their rank is at most n - 1, otherwise (p = n)
+    dx = -(2B)^(-1) e with dt = 1.  One quadratic step along it closes the
+    cone x'Qx = t without lowering f_0.  ``tol_rank`` is the relative rank
+    tolerance of the certificate and of the null space.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
@@ -184,51 +130,23 @@ def tighten_uq(
     value = -res.objective
     qd = inst.q.dense()
     trace = TightenTrace()
-    for _ in range(inst.n + inst.p):
-        gap = t - float(x @ qd @ x)
-        trace.final_gap = gap
-        if gap <= 1e-6 * (1.0 + abs(t)):
-            break
-        active = _active_rows(inst, x, t)
-        null = linalg.null_space_of_rows([inst.b[i + 1] for i, _ in active], inst.n)
-        direction = _direction_in_null(null, inst.b[0])
-        if direction is None:
-            if inst.p == inst.n:
-                x, t = _full_active_solve(inst, x, t, trace)
-                trace.final_gap = t - float(x @ qd @ x)
-                break
-            raise TightenFailed("no move direction left and p != n", trace)
-        lo, hi = _halves_interval(inst, x, t, direction)
-        a2 = float(direction @ qd @ direction)
-        a1 = float(direction @ qd @ x)
-        a0 = float(x @ qd @ x) - t
-        disc = a1 * a1 - a2 * a0
-        rt = math.sqrt(max(disc, 0.0))
-        eps_pos = (-a1 + rt) / a2
-        eps_neg = (-a1 - rt) / a2
-        candidates = [e for e in (eps_pos, eps_neg) if lo - 1e-12 <= e <= hi + 1e-12]
-        if candidates:
-            eps = min(candidates, key=abs)
-            x = x + eps * direction
-            trace.final_gap = t - float(x @ qd @ x)
-            trace.steps.append(
-                {"kind": "close", "eps": eps, "direction": direction.copy(),
-                 "gap": trace.final_gap}
-            )
-            break
-        finite_ends = [e for e in (lo, hi) if math.isfinite(e)]
-        if not finite_ends:
-            raise TightenFailed("unbounded move interval without a cone crossing", trace)
-        eps = max(finite_ends, key=lambda e: a2 * e * e + 2 * a1 * e + a0)
-        x = x + eps * direction
-        trace.steps.append(
-            {"kind": "endpoint", "eps": eps, "direction": direction.copy(),
-             "gap": t - float(x @ qd @ x)}
-        )
-    else:
-        raise TightenFailed("iteration cap reached before the cone closed", trace)
-
     gap = t - float(x @ qd @ x)
+    if gap > 1e-6 * (1.0 + abs(t)):
+        rows = inst.b[1:]
+        if cert.rank <= inst.n - 1:
+            null = linalg.null_space_of_rows(rows, inst.n, tol_rank)
+            dx, dt = _direction_in_null(null, inst.b[0]), 0.0
+        else:
+            dx, dt = np.linalg.solve(2.0 * rows, -np.ones(inst.n)), 1.0
+        rise = dt + 2.0 * float(inst.b[0] @ dx)
+        rise_scale = 1.0 + dt + 2.0 * np.linalg.norm(inst.b[0]) * np.linalg.norm(dx)
+        alpha = _cone_step(qd, x, t, dx, dt, rise, rise_scale)
+        x = x + alpha * dx
+        t = t + alpha * dt
+        gap = t - float(x @ qd @ x)
+        trace.steps.append(
+            {"kind": "close", "alpha": alpha, "direction": dx.copy(), "dt": dt, "gap": gap}
+        )
     trace.final_gap = gap
     fx = model.eval_f(inst, 0, x)
     scale = 1.0 + abs(value)
@@ -237,7 +155,7 @@ def tighten_uq(
             f"residual gap {gap:.2e} or objective drift {fx - value:.2e} too large",
             trace,
         )
-    if not model.is_feasible(inst, x, tol=1e-6 * (1.0 + float(np.abs(inst.d).max()))):
+    if not model.is_feasible(inst, x, tol=1e-6 * max(1.0, model.data_scale(inst))):
         raise TightenFailed("tightened point is infeasible", trace)
     return x, trace
 
@@ -280,19 +198,11 @@ def tighten_qcqp(
                 "condition does not hold numerically"
             )
         direction = _direction_in_null(subspace, inst.b[0])
-        a2 = float(direction @ qj @ direction)
-        if a2 <= 0.0:
+        if float(direction @ qj @ direction) <= 0.0:
             raise ConditionNotMet(f"direction has no energy in block {j}")
-        a1 = float(direction @ qj @ x)
-        a0 = float(x @ qj @ x) - tj
-        rt = math.sqrt(max(a1 * a1 - a2 * a0, 0.0))
-        roots = ((-a1 + rt) / a2, (-a1 - rt) / a2)
-        drift = float(inst.b[0] @ direction)
-        if abs(drift) <= 1e-12 * (1.0 + np.linalg.norm(inst.b[0])):
-            alpha = min(roots, key=abs)
-        else:
-            # exactly one root weakly improves the minimization objective
-            alpha = min(roots, key=lambda r: 2.0 * r * drift)
+        # g_0 is minimized, so the quantity kept from falling is -g_0
+        rise = -float(inst.b[0] @ direction)
+        alpha = _cone_step(qj, x, tj, direction, 0.0, rise, 1.0 + np.linalg.norm(inst.b[0]))
         x = x + alpha * direction
         trace.steps.append(
             {"kind": "block_close", "block": j, "alpha": alpha, "direction": direction.copy()}

@@ -170,6 +170,32 @@ def test_solve_tol_rank_reaches_tightening(tmp_path, capsys):
     )
 
 
+def test_solve_tol_rank_closes_open_cone_in_rank_null_space(tmp_path, capsys):
+    # with b_0 the mean of the same near-rank rows every row is active along
+    # a segment of optima, so the cone is open; the step direction must be
+    # the null space at --tol-rank 1e-4, not at the default tolerance
+    rows = np.array([[1.0, 0.0], [1.0, 1e-6], [1.0, 0.0]])
+    inst = UqInstance(
+        2,
+        SymMatrix.identity(2),
+        np.vstack([rows.mean(axis=0), rows]),
+        np.zeros(4),
+        [Bound(-math.inf, 1.0)] * 3,
+    )
+    path = tmp_path / "near_rank_open.json"
+    fileio.save_instance(inst, path)
+    code, out = run(
+        capsys, "solve", str(path), "--tol-rank", "1e-4", "--report-format", "structured"
+    )
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["exact"] is True
+    assert rep["recovered"]["worst_violation"] <= 1e-6
+    assert rep["recovered"]["objective"] == pytest.approx(
+        rep["relaxation_value"], abs=1e-5
+    )
+
+
 def test_solve_tol_rank_reaches_qcqp_tightening(tmp_path, capsys):
     # at --tol-rank 1e-4 the 1e-6 entry drops out of R(Q_1), so the union
     # N(Q_0) + R(Q_1) is span{e2} and the certificate holds; tightening must

@@ -76,16 +76,78 @@ def test_tighten_closes_open_cone():
     assert model.eval_f(inst, 0, x) == pytest.approx(1.0, abs=1e-6)
 
 
+def _segment_optimum_uq(rng, n, rows, mix):
+    """Instance whose objective is the convex combination ``mix`` of the
+    first rows, all of them <= 1 and the rest <= 1.5: the point (x, t) =
+    (0, 1) is optimal with an open cone, so the optimal set is more than a
+    point and the solver stops inside it."""
+    q = SymMatrix.from_dense(np.diag(rng.uniform(0.8, 2.0, size=n)))
+    b = np.vstack([mix @ rows[: mix.size], rows])
+    bounds = [Bound(-math.inf, 1.0)] * mix.size + [Bound(-math.inf, 1.5)] * (
+        len(rows) - mix.size
+    )
+    return UqInstance(n, q, b, np.zeros(len(rows) + 1), bounds)
+
+
+def _assert_one_row_preserving_step(inst):
+    res, meta = solve_uq(inst)
+    z, v = res.z, meta.original_value(res)
+    t = float(z[inst.n])
+    assert t - inst.q.quad(z[: inst.n]) > 1e-3 * t  # the solver left the cone open
+    x, trace = recover.tighten_uq(inst, res)
+    assert len(trace.steps) == 1
+    step = trace.steps[0]
+    t_new = t + step["alpha"] * step["dt"]
+    assert inst.q.quad(x) == pytest.approx(t_new, rel=1e-12)
+    for i in range(1, inst.p + 1):
+        before = t + 2.0 * float(inst.b[i] @ z[: inst.n]) + inst.d[i]
+        assert model.eval_f(inst, i, x) == pytest.approx(before, rel=1e-12, abs=1e-12)
+    assert model.eval_f(inst, 0, x) == pytest.approx(v, rel=1e-12, abs=1e-12)
+    return step
+
+
 def test_tighten_p_equals_n_slide():
-    # two-sided equality rows force the full-active slide branch
+    # objective a convex combination of all n full-rank rows: only p = n
+    # certifies, and the step moves t along with x
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        inst = random_uq(rng, 2, 2, two_sided_prob=1.0)
-        res, meta = solve_uq(inst)
-        v = meta.original_value(res)
-        x, _ = recover.tighten_uq(inst, res)
-        assert model.is_feasible(inst, x, 1e-6)
-        assert model.eval_f(inst, 0, x) == pytest.approx(v, abs=1e-5 * (1 + abs(v)))
+    for n in (2, 3, 5):
+        rows = rng.normal(size=(n, n)) * 0.3
+        mix = rng.dirichlet(np.ones(n))
+        inst = _segment_optimum_uq(rng, n, rows, mix)
+        assert reformulate.check_as3(inst).rank == n
+        assert _assert_one_row_preserving_step(inst)["dt"] == 1.0
+
+
+def test_tighten_rank_deficient_one_step():
+    # p > n rows spanning n - 1 dimensions, objective combining two of them:
+    # the step runs in the rows' null space and leaves t alone
+    rng = np.random.default_rng(2)
+    for n in (2, 3, 4):
+        basis = rng.normal(size=(n - 1, n))
+        rows = rng.normal(size=(n + 1, n - 1)) @ basis * 0.3
+        mix = rng.dirichlet(np.ones(2))
+        inst = _segment_optimum_uq(rng, n, rows, mix)
+        assert reformulate.check_as3(inst).rank == n - 1
+        assert _assert_one_row_preserving_step(inst)["dt"] == 0.0
+
+
+def test_tighten_feasibility_is_relative_to_data_scale():
+    # the same instance with every entry scaled by 1e6: a violation of a few
+    # 1e-5 on values near 1e6 is rounding, not infeasibility
+    base = random_uq(np.random.default_rng(5), 3, 2)
+    k = 1e6
+    inst = UqInstance(
+        3,
+        SymMatrix.from_dense(k * base.q.dense()),
+        k * base.b,
+        k * base.d,
+        [Bound(k * bd.lower, k * bd.upper) for bd in base.bounds],
+    )
+    res, meta = solve_uq(inst)
+    v = meta.original_value(res)
+    x, _ = recover.tighten_uq(inst, res)
+    assert model.worst_violation(inst, x) <= 1e-6 * model.data_scale(inst)
+    assert model.eval_f(inst, 0, x) == pytest.approx(v, rel=1e-6)
 
 
 def test_tighten_random_exact_suite():
