@@ -7,10 +7,12 @@ unbounded or failed solve, and recover a point when the certificate holds.
 Given a directory, ``solve`` prints one row per ``*.json`` file; a file that
 fails becomes an error row and the batch goes on.
 
-Exit codes: 0 success, 2 parse error (malformed or invalid instance data),
-3 precondition/certificate failure, 4 solver failure; a batch exits with the
-worst code over its files.  Every report embeds the tolerances used so a run
-can be reproduced from the report alone; ``--report-format structured`` emits
+Each subcommand takes only the flags it reads.  Exit codes follow the error
+classes: 0 success, 2 parse error (malformed or invalid instance data), 3 a
+``PreconditionViolated`` (precondition/certificate failure), 4 any other
+``SocqpError`` (solver failure); a batch exits with the worst code over its
+files.  Every report embeds the tolerance flags of its command, so a run can
+be reproduced from the report alone; ``--report-format structured`` emits
 JSON.
 """
 
@@ -27,36 +29,8 @@ import numpy as np
 
 from . import chebyshev, conesolver, fileio, linalg, model, oracle, recover, reformulate
 from .conesolver import SolveOptions
-from .errors import (
-    ConditionNotMet,
-    EmptyFeasibleGrid,
-    EmptyInterior,
-    InvalidBounds,
-    InvalidInstance,
-    NotPositiveDefinite,
-    NotPsd,
-    ParseError,
-    PreconditionViolated,
-    SocqpError,
-    TightenFailed,
-    UnboundedBox,
-    WrongShape,
-)
+from .errors import ParseError, PreconditionViolated, SocqpError, WrongShape
 from .model import BallIntersection, QcqpInstance, UqInstance
-
-_PRECONDITION_ERRORS = (
-    PreconditionViolated,
-    ConditionNotMet,
-    WrongShape,
-    EmptyInterior,
-    NotPsd,
-    NotPositiveDefinite,
-    InvalidBounds,
-    InvalidInstance,
-    EmptyFeasibleGrid,
-    UnboundedBox,
-    TightenFailed,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -67,7 +41,7 @@ EXIT_SOLVER = 4
 # first matching entry wins, so the SocqpError base class comes last
 _EXIT_TABLE = (
     ((ParseError, FileNotFoundError), EXIT_PARSE, "parse error"),
-    (_PRECONDITION_ERRORS, EXIT_PRECONDITION, "precondition/certificate failure"),
+    (PreconditionViolated, EXIT_PRECONDITION, "precondition/certificate failure"),
     (SocqpError, EXIT_SOLVER, "solver failure"),
 )
 _FAILURES = (SocqpError, FileNotFoundError)
@@ -114,14 +88,12 @@ def _emit(report: dict, fmt: str, out=None):
     walk(report, 0)
 
 
+_TOLERANCES = ("tol_rank", "tol_feas", "gap", "max_iter", "grid_h", "refine")
+
+
 def _tolerances(args) -> dict:
-    return {
-        "tol_rank": args.tol_rank,
-        "tol_feas": args.tol_feas,
-        "gap": args.gap,
-        "max_iter": args.max_iter,
-        "grid_h": args.grid_h,
-    }
+    """The tolerance flags this command takes, as parsed."""
+    return {k: v for k, v in vars(args).items() if k in _TOLERANCES}
 
 
 def _options(args) -> SolveOptions:
@@ -186,7 +158,7 @@ def _classify(obj, tol_rank: float):
             prog, meta, cert, view = reformulate.build_socp_indefinite(obj, tol_rank)
             return head, prog, meta, cert, view
         head["shape"] = "psd_singular"
-        view = model.uq_as_qcqp(obj, negate=True, psd_tol=tol_rank)
+        view = model.uq_as_qcqp(obj, psd_tol=tol_rank)
         prog, meta = reformulate.build_cr2(view)
     else:
         raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
@@ -236,36 +208,20 @@ def _solve(obj, args) -> tuple[dict, int]:
     report["recovered"] = {
         "x": x, "objective": objective, "worst_violation": violation, "feasible": feasible,
     }
+    report["exact"] = feasible  # the certificate holds; exact also needs a feasible point
     if not feasible:
         report["note"] = (
-            f"recovered point violates a constraint by {violation:.3g}, beyond "
-            "--tol-feas relative to the largest instance entry"
+            f"not exact: the recovered point violates a constraint by {violation:.3g}, "
+            "beyond --tol-feas relative to the largest instance entry"
         )
     return report, EXIT_OK
-
-
-def _load(path, args):
-    obj = fileio.load_instance(path, psd_tol=args.tol_rank)
-    if args.force_kind:
-        kinds = {
-            UqInstance: "uq",
-            QcqpInstance: "qcqp",
-            BallIntersection: "balls",
-            tuple: "ilp",
-        }
-        actual = kinds.get(type(obj), "?")
-        if actual != args.force_kind:
-            raise ParseError(
-                f"--force-kind {args.force_kind} but file parses as {actual}"
-            )
-    return obj
 
 
 def cmd_solve(args) -> int:
     path = Path(args.instance)
     if path.is_dir():
         return _cmd_batch(path, args)
-    report, code = _solve(_load(path, args), args)
+    report, code = _solve(fileio.load_instance(path, args.tol_rank), args)
     report["tolerances"] = _tolerances(args)
     _emit(report, args.report_format)
     return code
@@ -279,7 +235,7 @@ def _cmd_batch(path: Path, args) -> int:
     for name in sorted(path.glob("*.json")):
         started = time.perf_counter()
         try:
-            report, code = _solve(_load(name, args), args)
+            report, code = _solve(fileio.load_instance(name, args.tol_rank), args)
         except _FAILURES as exc:
             code, _ = _failure(exc)
             rows.append({"file": name.name, "error": str(exc)})
@@ -312,7 +268,7 @@ def _cmd_batch(path: Path, args) -> int:
 
 
 def cmd_approx(args) -> int:
-    obj = _load(args.instance, args)
+    obj = fileio.load_instance(args.instance, args.tol_rank)
     if not isinstance(obj, UqInstance):
         raise WrongShape("approx expects a uq instance")
     inst = obj
@@ -350,7 +306,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_cheby(args) -> int:
-    obj = _load(args.instance, args)
+    obj = fileio.load_instance(args.instance)
     if not isinstance(obj, BallIntersection):
         raise WrongShape("cheby expects a balls instance")
     result = chebyshev.chebyshev_certified(obj, opts=_options(args))
@@ -374,7 +330,7 @@ def cmd_cheby(args) -> int:
 
 
 def cmd_reduce_ilp(args) -> int:
-    obj = _load(args.instance, args)
+    obj = fileio.load_instance(args.instance)
     if not (isinstance(obj, tuple) and obj[0] == "ilp"):
         raise WrongShape("reduce-ilp expects an ilp instance")
     _, c, rows, rhs = obj
@@ -388,7 +344,7 @@ def cmd_reduce_ilp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    obj = _load(args.instance, args)
+    obj = fileio.load_instance(args.instance)
     report: dict = {"kind": "oracle", "tolerances": _tolerances(args)}
     if isinstance(obj, UqInstance):
         g = oracle.grid_max_uq(obj, h=args.grid_h, refine=args.refine)
@@ -409,33 +365,35 @@ def cmd_oracle(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=linalg.DEFAULT_RANK_TOL)
-    common.add_argument("--tol-feas", type=float, default=1e-8)
-    common.add_argument("--gap", type=float, default=1e-8)
-    common.add_argument("--max-iter", type=int, default=200)
-    common.add_argument("--grid-h", type=float, default=1e-3)
-    common.add_argument("--refine", type=int, default=2)
-    common.add_argument("--force-kind", choices=["uq", "qcqp", "balls", "ilp"])
-    common.add_argument(
-        "--report-format", choices=["text", "structured"], default="text"
-    )
+    defaults = SolveOptions()
+    flags = {
+        "--tol-rank": {"type": float, "default": linalg.DEFAULT_RANK_TOL},
+        "--tol-feas": {"type": float, "default": defaults.feastol},
+        "--gap": {"type": float, "default": defaults.gaptol},
+        "--max-iter": {"type": int, "default": defaults.max_iter},
+        "--grid-h": {"type": float, "default": 1e-3},
+        "--refine": {"type": int, "default": 2},
+        "--report-format": {"choices": ["text", "structured"], "default": "text"},
+    }
+    solver = ("--tol-feas", "--gap", "--max-iter", "--report-format")
     parser = argparse.ArgumentParser(
         prog="socqp",
         description="Second-order cone relaxations of nonconvex QCQPs with "
         "exactness certificates and approximation bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, extra in (
-        ("solve", cmd_solve, ()),
-        ("approx", cmd_approx, ()),
-        ("cheby", cmd_cheby, ()),
-        ("reduce-ilp", cmd_reduce_ilp, ("output",)),
-        ("oracle", cmd_oracle, ()),
+    for name, func, names in (
+        ("solve", cmd_solve, ("--tol-rank", *solver)),
+        ("approx", cmd_approx, ("--tol-rank", *solver)),
+        ("cheby", cmd_cheby, solver),
+        ("reduce-ilp", cmd_reduce_ilp, ()),
+        ("oracle", cmd_oracle, ("--grid-h", "--refine", "--report-format")),
     ):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
         p.add_argument("instance")
-        if "output" in extra:
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        if func is cmd_reduce_ilp:
             p.add_argument("-o", "--output")
         p.set_defaults(func=func)
     return parser

@@ -37,7 +37,6 @@ _STEP_SCALE = 0.99  # share of the step to the cone boundary that is taken
 _STATIC_REG = 1e-10  # KKT regularization, raised while factoring fails
 _REFINE_STEPS = 2  # iterative-refinement passes per KKT solve
 _NUMPY_KKT_ORDER = 32  # largest reduced KKT order factored with numpy alone
-_UNBOUNDED_OBJECTIVE = 1e12  # a feasible iterate below minus this is unbounded
 
 
 @dataclass
@@ -541,13 +540,6 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
                     *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
                     certificate=zh, certificate_kind="improving_ray",
                 )
-        if pobj <= -_UNBOUNDED_OBJECTIVE and pres <= opts.feastol:
-            return SolverResult(
-                "Unbounded", z, pobj + prog.offset, y,
-                *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
-                certificate=z / max(1.0, float(np.linalg.norm(z))),
-                certificate_kind="improving_ray",
-            )
 
         if it == opts.max_iter or stall >= 3:
             break

@@ -1,19 +1,29 @@
-"""Exception hierarchy shared by all socqp modules."""
+"""Exception hierarchy shared by all socqp modules.
+
+The command line maps a failure to its exit code by class: ``ParseError``
+exits 2, the ``PreconditionViolated`` family (an instance or a certificate
+that does not meet what the operation needs) exits 3, and every other
+``SocqpError`` exits 4 as a solver failure.
+"""
 
 
 class SocqpError(Exception):
     """Base class for all errors raised by socqp."""
 
 
+class PreconditionViolated(SocqpError):
+    """A documented precondition of the operation is violated."""
+
+
 class InvalidMatrix(SocqpError):
     """Matrix input is malformed (non-finite, wrong shape, not symmetric)."""
 
 
-class NotPsd(SocqpError):
+class NotPsd(PreconditionViolated):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
-class NotPositiveDefinite(SocqpError):
+class NotPositiveDefinite(PreconditionViolated):
     """Matrix is not positive definite at the requested tolerance."""
 
 
@@ -25,15 +35,15 @@ class InvalidIndex(SocqpError):
     """Constraint or block index out of range."""
 
 
-class InvalidBounds(SocqpError):
+class InvalidBounds(PreconditionViolated):
     """Lower/upper bound pair is inconsistent."""
 
 
-class InvalidInstance(SocqpError):
+class InvalidInstance(PreconditionViolated):
     """Problem instance violates a structural requirement."""
 
 
-class EmptyInterior(SocqpError):
+class EmptyInterior(PreconditionViolated):
     """Feasible region has no strictly interior point."""
 
 
@@ -45,15 +55,15 @@ class InvalidMultiplier(SocqpError):
     """Dual multiplier pairs with an infinite bound; dual term undefined."""
 
 
-class WrongShape(SocqpError):
+class WrongShape(PreconditionViolated):
     """Instance shape does not match the requested reformulation."""
 
 
-class ConditionNotMet(SocqpError):
+class ConditionNotMet(PreconditionViolated):
     """An exactness condition required by a recovery routine does not hold."""
 
 
-class TightenFailed(SocqpError):
+class TightenFailed(PreconditionViolated):
     """Cone-gap tightening did not close the gap; carries the partial trace."""
 
     def __init__(self, message, trace=None):
@@ -75,15 +85,11 @@ class SolverFailed(SocqpError):
     """A cone solve ended without the Optimal status the operation needs."""
 
 
-class PreconditionViolated(SocqpError):
-    """A documented precondition of the operation is violated."""
-
-
-class EmptyFeasibleGrid(SocqpError):
+class EmptyFeasibleGrid(PreconditionViolated):
     """No grid point is feasible at the oracle's resolution."""
 
 
-class UnboundedBox(SocqpError):
+class UnboundedBox(PreconditionViolated):
     """No finite search box can be inferred for the grid oracle."""
 
 

@@ -283,30 +283,15 @@ def ilp_to_uq(c, a_rows, rhs) -> UqInstance:
     return UqInstance(n, SymMatrix.identity(n), b, d, bounds)
 
 
-def uq_as_qcqp(
-    inst: UqInstance, negate: bool = False, psd_tol: float = linalg.DEFAULT_RANK_TOL
-) -> QcqpInstance:
-    """View a UQ instance as a single-block structured QCQP.
-
-    With ``negate`` the objective is flipped so the result is a minimization
-    of -f_0, matching the builders that require min sense.  ``psd_tol`` is the
-    relative tolerance at which Q must be PSD.
+def uq_as_qcqp(inst: UqInstance, psd_tol: float = linalg.DEFAULT_RANK_TOL) -> QcqpInstance:
+    """View a UQ instance as the single-block structured QCQP that minimises
+    -f_0 over the same rows, the sense the relaxation builders require.
+    ``psd_tol`` is the relative tolerance at which Q must be PSD.
     """
-    sgn = -1.0 if negate else 1.0
-    p = inst.p
-    a = np.ones((p + 1, 1))
-    a[0, 0] = sgn
+    a = np.ones((inst.p + 1, 1))
+    a[0, 0] = -1.0
     b = inst.b.copy()
-    b[0] *= sgn
+    b[0] *= -1.0
     cvec = inst.d.copy()
-    cvec[0] *= sgn
-    return QcqpInstance(
-        inst.n,
-        [inst.q],
-        a,
-        b,
-        cvec,
-        list(inst.bounds),
-        sense="min",
-        psd_tol=psd_tol,
-    )
+    cvec[0] *= -1.0
+    return QcqpInstance(inst.n, [inst.q], a, b, cvec, list(inst.bounds), sense="min", psd_tol=psd_tol)

@@ -8,9 +8,11 @@ certificate is a separate call (``check_as3`` for uniform instances,
 The trust-region special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
 ``build_vtrs``) return a min-sense ``QcqpInstance`` that goes through the
 generic ``build_cr``/``build_cr2``, ``check_condition_c`` and
-``recover.tighten_qcqp``.  Maximization problems are negated into the solver's
-min convention inside the builder, with the original sense recorded in the
-meta.
+``recover.tighten_qcqp``.  ``build_cr`` and ``build_cr2`` take min-sense
+instances only and reject a max-sense one; a caller negates it first, as
+``socqp solve`` does.  The uniform builders (``build_socp_uq``,
+``build_socp_indefinite``) minimise -f_0 and record the instance's max sense
+in the meta.
 
 Next to ``check_as3`` sit the closed-form Lagrangian dual of a uniform
 instance (``dual_value``) and ``certify_strong_duality``, which checks a
@@ -117,7 +119,7 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
     -f_0 (``model.uq_as_qcqp``), relabelled with the instance's max sense.
     """
     try:
-        view = uq_as_qcqp(inst, negate=True)
+        view = uq_as_qcqp(inst)
     except InvalidInput as exc:  # the view's only check a UqInstance can fail: Q PSD
         raise WrongShape(
             "Q is indefinite; use build_socp_indefinite for the split relaxation"

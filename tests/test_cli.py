@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socqp import cli, fileio
+from socqp import cli, errors, fileio
 from socqp.errors import ParseError
 from socqp.linalg import SymMatrix
 from socqp.model import BallIntersection, Bound, QcqpInstance, UqInstance
@@ -189,7 +190,11 @@ def test_solve_tol_rank_closes_open_cone_in_rank_null_space(tmp_path, capsys):
     )
     assert code == 0, out.err
     rep = json.loads(out.out)
-    assert rep["exact"] is True
+    # the row of size 1e-6 moves by about 3e-7: beyond the default --tol-feas,
+    # so the certificate holds but the point is not called exact
+    assert rep["certificate"]["holds"] is True
+    assert rep["exact"] is False and rep["recovered"]["feasible"] is False
+    assert "not exact" in rep["note"] and "--tol-feas" in rep["note"]
     assert rep["recovered"]["worst_violation"] <= 1e-6
     assert rep["recovered"]["objective"] == pytest.approx(
         rep["relaxation_value"], abs=1e-5
@@ -219,7 +224,8 @@ def test_solve_tol_rank_reaches_qcqp_tightening(tmp_path, capsys):
     assert code == 0, out.err
     rep = json.loads(out.out)
     assert rep["certificate"]["holds"] is True
-    assert rep["exact"] is True
+    # block 0's row is violated by about 1e-6, beyond the default --tol-feas
+    assert rep["exact"] is False and rep["recovered"]["feasible"] is False
     assert rep["recovered"]["objective"] == pytest.approx(rep["relaxation_value"], abs=1e-5)
     assert rep["recovered"]["worst_violation"] <= 1e-5
 
@@ -227,7 +233,8 @@ def test_solve_tol_rank_reaches_qcqp_tightening(tmp_path, capsys):
 @pytest.mark.parametrize("tol_feas, feasible", [("1e-8", False), ("1e-5", True)])
 def test_recovered_point_reports_feasibility_at_tol_feas(tmp_path, capsys, tol_feas, feasible):
     # the near-rank instance above recovers a point that violates block 0's
-    # row by about 1e-6: exact by the certificate, yet not feasible to 1e-8
+    # row by about 1e-6: the certificate holds, yet the point is not feasible
+    # to 1e-8, so it is called exact only at the looser --tol-feas
     inst = QcqpInstance(
         2,
         [
@@ -247,7 +254,8 @@ def test_recovered_point_reports_feasibility_at_tol_feas(tmp_path, capsys, tol_f
     )
     assert code == 0, out.err
     rep = json.loads(out.out)
-    assert rep["exact"] is True
+    assert rep["certificate"]["holds"] is True
+    assert rep["exact"] is feasible
     assert rep["recovered"]["feasible"] is feasible
     assert ("note" in rep) is not feasible
     if not feasible:
@@ -283,11 +291,6 @@ def test_solve_malformed_file(tmp_path, capsys):
 
 def test_solve_missing_file(capsys):
     code, out = run(capsys, "solve", "/nonexistent/path.json")
-    assert code == 2
-
-
-def test_force_kind_mismatch(capsys, gap1d_file):
-    code, out = run(capsys, "solve", str(gap1d_file), "--force-kind", "balls")
     assert code == 2
 
 
@@ -455,21 +458,6 @@ def test_oracle_command_uq(capsys, gap1d_file):
     assert code == 0
     rep = json.loads(out.out)
     assert rep["value"] == pytest.approx(1.0, abs=2e-4)
-
-
-def test_batch_honours_force_kind(tmp_path, capsys, gap1d_file):
-    import shutil
-
-    batch = tmp_path / "batch"
-    batch.mkdir()
-    shutil.copy(gap1d_file, batch / "a.json")
-    code, out = run(
-        capsys, "solve", str(batch), "--force-kind", "balls", "--report-format", "structured"
-    )
-    assert code == 2
-    rows = json.loads(out.out)["batch"]
-    assert len(rows) == 1
-    assert "--force-kind balls but file parses as uq" in rows[0]["error"]
 
 
 def test_tol_rank_reaches_block_psd_check(tmp_path, capsys):
@@ -672,3 +660,158 @@ def test_small_commands_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(runs), done.stderr
+
+
+def test_text_report_nests_blocks(tmp_path, capsys):
+    # the default report format: one "key: value" line per entry, each nested
+    # block indented two spaces deeper than its key
+    inst = QcqpInstance(
+        2,
+        [SymMatrix.from_dense(np.diag([1.0, 0.0])), SymMatrix.identity(2)],
+        np.array([[1.0, -1.0], [0.0, 1.0]]),
+        np.array([[0.1, 0.0], [0.0, 0.0]]),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    path = tmp_path / "q.json"
+    fileio.save_instance(inst, path)
+    code, out = run(capsys, "solve", str(path))
+    assert code == 0, out.err
+    lines = out.out.splitlines()
+    assert lines[:5] == ["kind: qcqp", "n: 2", "p: 1", "sense: min", "lifted_blocks: [1]"]
+    cert = lines.index("certificate:")
+    assert lines[cert + 1] == "  holds: True"
+    dims = lines.index("  dims:", cert)
+    assert lines[dims + 1] == "    1: 1"
+    assert lines[lines.index("solver:") + 1] == "  status: Optimal"
+    assert "exact: True" in lines
+    recovered = lines.index("recovered:")
+    assert re.fullmatch(r"  x: \[\S+, \S+\]", lines[recovered + 1])
+    tol = lines.index("tolerances:")
+    assert lines[tol:] == [
+        "tolerances:", "  tol_rank: 1e-08", "  tol_feas: 1e-08", "  gap: 1e-08", "  max_iter: 200",
+    ]
+
+
+def test_text_batch_rows(tmp_path, capsys, gap1d_file, exact_file):
+    import shutil
+
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(gap1d_file, batch / "a.json")
+    (batch / "b.json").write_text('{"kind": "uq"', encoding="utf-8")
+    shutil.copy(exact_file, batch / "c.json")
+    code, out = run(capsys, "solve", str(batch))
+    assert code == 2
+    a, b, c = out.out.splitlines()
+    name, kind, status, value, certificate, seconds = a.split()
+    assert (name, kind, status, certificate) == ("a.json", "uq", "Optimal", "certificate=False")
+    assert float(value.removeprefix("value=")) == pytest.approx(3.0, abs=1e-6)
+    assert re.fullmatch(r"\d+\.\d{3}s", seconds)
+    assert b.split()[:2] == ["b.json", "ERROR"]
+    assert c.split()[:3] == ["c.json", "uq", "Optimal"] and "certificate=True" in c
+
+
+def test_unbounded_uq_relaxation_exits_0(tmp_path, capsys):
+    # max x'x subject to x'x >= 0: the relaxation and the instance are unbounded
+    inst = UqInstance(
+        1, SymMatrix.identity(1), np.zeros((2, 1)), np.zeros(2), [Bound(0.0, math.inf)]
+    )
+    path = tmp_path / "unbounded.json"
+    fileio.save_instance(inst, path)
+    code, out = run(capsys, "solve", str(path), "--report-format", "structured")
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["solver"]["status"] == "Unbounded"
+    assert rep["relaxation_value"] == "inf"
+    assert rep["note"] == "relaxation unbounded; the instance optimum is +inf"
+    assert "exact" not in rep and "recovered" not in rep
+
+
+_SOLVER_FLAGS = {"--tol-feas", "--gap", "--max-iter", "--report-format"}
+_FLAGS = {
+    "solve": {"--tol-rank", *_SOLVER_FLAGS},
+    "approx": {"--tol-rank", *_SOLVER_FLAGS},
+    "cheby": _SOLVER_FLAGS,
+    "reduce-ilp": {"--output"},
+    "oracle": {"--grid-h", "--refine", "--report-format"},
+}
+_FLAG_VALUES = {"--max-iter": "5", "--refine": "1", "--report-format": "structured"}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"} == _FLAGS[command]
+    parser = cli._build_parser()
+    for flag in sorted(set().union(*_FLAGS.values(), {"--force-kind"})):
+        argv = [command, "x.json", flag, _FLAG_VALUES.get(flag, "1e-6")]
+        if flag in _FLAGS[command]:
+            parser.parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["solve", "exact.json"], ["tol_rank", "tol_feas", "gap", "max_iter"]),
+        (["approx", "exact.json"], ["tol_rank", "tol_feas", "gap", "max_iter"]),
+        (["cheby", "balls.json"], ["tol_feas", "gap", "max_iter"]),
+        (["oracle", "exact.json", "--grid-h", "0.05", "--refine", "1"], ["grid_h", "refine"]),
+    ],
+)
+def test_tolerances_echo_the_flags_the_command_read(tmp_path, capsys, exact_file, argv, keys):
+    balls = BallIntersection(2, np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, 1.0]))
+    fileio.save_instance(balls, tmp_path / "balls.json")
+    command, name, *flags = argv
+    code, out = run(capsys, command, str(tmp_path / name), *flags, "--report-format", "structured")
+    assert code == 0, out.err
+    tolerances = json.loads(out.out)["tolerances"]
+    assert list(tolerances) == keys
+    if command == "oracle":
+        assert tolerances == {"grid_h": 0.05, "refine": 1}
+
+
+# the exit code of every SocqpError class; a new class gets its code here on
+# purpose, not by where it happens to sit in the hierarchy
+_EXIT_CODES = {
+    "SocqpError": 4,
+    "ParseError": 2,
+    "PreconditionViolated": 3,
+    "ConditionNotMet": 3,
+    "WrongShape": 3,
+    "EmptyInterior": 3,
+    "NotPsd": 3,
+    "NotPositiveDefinite": 3,
+    "InvalidBounds": 3,
+    "InvalidInstance": 3,
+    "EmptyFeasibleGrid": 3,
+    "UnboundedBox": 3,
+    "TightenFailed": 3,
+    "InvalidMatrix": 4,
+    "InvalidInput": 4,
+    "InvalidIndex": 4,
+    "InvalidProgram": 4,
+    "InvalidMultiplier": 4,
+    "IdentityViolated": 4,
+    "SelectionBoundViolated": 4,
+    "SolverFailed": 4,
+}
+
+
+def test_exit_code_of_every_error_class():
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.SocqpError)
+    }
+    assert set(classes) == set(_EXIT_CODES)
+    for name, cls in classes.items():
+        assert cli._failure(cls("message"))[0] == _EXIT_CODES[name], name
+    assert cli._failure(FileNotFoundError("missing.json"))[0] == 2
