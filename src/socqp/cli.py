@@ -229,7 +229,9 @@ def cmd_solve(args) -> int:
 
 def _cmd_batch(path: Path, args) -> int:
     """One row per ``*.json`` file; a file that fails becomes an error row
-    and the batch goes on.  The exit code is the worst over the files."""
+    and the batch goes on.  A row's ``exact`` is its file's own report's
+    verdict (false when that report makes no exactness claim).  Both formats
+    end with the tolerances, and the exit code is the worst over the files."""
     rows = []
     worst = EXIT_OK
     for name in sorted(path.glob("*.json")):
@@ -247,23 +249,25 @@ def _cmd_batch(path: Path, args) -> int:
                     "status": report["solver"]["status"],
                     "value": report.get("relaxation_value", math.nan),
                     "certificate": report["certificate"]["holds"],
+                    "exact": report.get("exact", False),
                     "seconds": time.perf_counter() - started,
                 }
             )
         worst = max(worst, code)
-    report = {"batch": rows, "tolerances": _tolerances(args)}
+    tolerances = {"tolerances": _tolerances(args)}
     if args.report_format == "structured":
-        _emit(report, "structured")
-    else:
-        for row in rows:
-            if "error" in row:
-                print(f"{row['file']:30s}  ERROR  {row['error']}")
-            else:
-                print(
-                    f"{row['file']:30s}  {row['kind']:5s}  {row['status']:10s}  "
-                    f"value={row['value']:.9g}  certificate={row['certificate']}  "
-                    f"{row['seconds']:.3f}s"
-                )
+        _emit({"batch": rows, **tolerances}, "structured")
+        return worst
+    for row in rows:
+        if "error" in row:
+            print(f"{row['file']:30s}  ERROR  {row['error']}")
+        else:
+            print(
+                f"{row['file']:30s}  {row['kind']:5s}  {row['status']:10s}  "
+                f"value={row['value']:.9g}  certificate={row['certificate']}  "
+                f"exact={row['exact']}  {row['seconds']:.3f}s"
+            )
+    _emit(tolerances, "text")
     return worst
 
 

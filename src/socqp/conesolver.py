@@ -144,7 +144,7 @@ class SolverResult:
     dres: float
     gap: float
     relgap: float
-    iterations: int
+    iterations: int  # index of the returned (best) iterate, not the number run
     certificate: np.ndarray | None = None
     certificate_kind: str | None = None
 

@@ -1,9 +1,14 @@
 """Dense symmetric linear algebra kernel.
 
-Eigendecomposition, PSD square roots, numerical rank, null/range bases and
-the null space of a set of rows.  Tolerances are explicit arguments with one
-shared default so that the rank-based certificates built on top of this module
-are reproducible.
+Eigendecomposition, rank-sized PSD factors, numerical rank, null/range bases
+and the null space of a set of rows.  Tolerances are explicit arguments with
+one shared default so that the rank-based certificates built on top of this
+module are reproducible.
+
+A PSD factor has one row per eigenvalue that ``range_basis`` keeps, so a
+block of rank r gives an r x n factor F with x'Mx = ||Fx||^2 up to the
+eigenvalues below the rank cut, the spectrum that the certificates already
+treat as zero.
 
 Every function here returns the same result for the same inputs.  The one
 piece of state is memoisation on ``SymMatrix``: its dense view and its
@@ -147,37 +152,46 @@ def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m._eig
 
 
-def psd_sqrt(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> SymMatrix:
-    """Symmetric PSD square root; eigenvalues in [-tol*scale, 0) are clamped to 0."""
+def psd_factor(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Rank-sized factor F = diag(sqrt(w)) V' of a PSD matrix, so F'F = M.
+
+    F has one row per positive eigenpair that ``range_basis(m, tol)`` keeps
+    (eigenvalues above tol times the largest magnitude), in descending order.
+    The eigenvalues it drops lie below that cut; raises ``NotPsd`` when the
+    least eigenvalue is below -tol*max(1, largest eigenvalue).
+    """
     w, v = sym_eig(m)
-    scale = max(1.0, float(w[0])) if w.size else 1.0
+    scale = max(1.0, float(w[0]))
     if w[-1] < -tol * scale:
         raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} below -{tol:.1e}*{scale:.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return SymMatrix.from_dense(0.5 * (root + root.T))
+    r = int(np.count_nonzero(_range_mask(w, tol) & (w > 0.0)))
+    return np.sqrt(w[:r])[:, None] * v[:, :r].T
 
 
 def numerical_rank(vectors, tol_rel: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of the span of a list of vectors: singular values > tol_rel * max."""
-    vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    if not vecs:
+    """Rank of the span of the rows of a (k, n) array, or of a list of k
+    vectors of one length: singular values > tol_rel * max."""
+    try:
+        a = np.asarray(vectors, dtype=float)
+    except ValueError as exc:
+        raise InvalidInput("all vectors must share the same ambient dimension") from exc
+    if a.size == 0:
         return 0
-    n = vecs[0].size
-    if any(v.size != n for v in vecs):
-        raise InvalidInput("all vectors must share the same ambient dimension")
-    a = np.column_stack(vecs)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    sv = np.linalg.svd(a.reshape(a.shape[0], -1), compute_uv=False)
+    if sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol_rel * sv[0]))
 
 
+def _range_mask(w: np.ndarray, tol_rel: float) -> np.ndarray:
+    """Eigenvalues above tol_rel times the largest magnitude: the range."""
+    scale = float(np.abs(w).max()) if w.size else 0.0
+    return np.abs(w) > tol_rel * max(scale, 1e-300)
+
+
 def _split_spectrum(m: SymMatrix, tol_rel: float):
     w, v = sym_eig(m)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    thresh = tol_rel * max(scale, 1e-300)
-    keep = np.abs(w) > thresh
+    keep = _range_mask(w, tol_rel)
     return v[:, keep], v[:, ~keep]
 
 

@@ -311,7 +311,7 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     g = np.ones((inst.p, nv))
     g[:, :n] = 2.0 * inst.b[1:]
     h = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:]
-    cone = reformulate.quad_epigraph(linalg.psd_sqrt(inst.q).dense(), nv, np.eye(nv)[n], 0.0)
+    cone = reformulate.quad_epigraph(linalg.psd_factor(inst.q), nv, np.eye(nv)[n], 0.0)
     res = solve(ConeProgram(c=c, g=g, h=h, soc=[cone]))
     if res.status != "Optimal":
         raise EmptyInterior(f"interior search ended with status {res.status}")

@@ -82,7 +82,8 @@ def quad_epigraph(factor: np.ndarray, nv: int, w_vec: np.ndarray, w_const: float
     w_vec'z + w_const over all nv variables.
 
     F is the (r, k) matrix ``factor`` acting on the first k variables, for
-    example a PSD square root of P, so that ||F x||^2 = x'Px.
+    example the rank-sized ``linalg.psd_factor`` of P, so that
+    ||F x||^2 = x'Px and the cone has r + 2 rows whatever k is.
     """
     r, k = factor.shape
     a = np.zeros((r + 1, nv))
@@ -133,7 +134,7 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
 def check_as3(inst: UqInstance, tol_rel: float = DEFAULT_RANK_TOL) -> CertificateReport:
     """Exactness condition for the uniform relaxation with positive definite
     Q: rank[b_1, ..., b_p] <= n-1, or p = n."""
-    rank = linalg.numerical_rank(list(inst.b[1:]), tol_rel)
+    rank = linalg.numerical_rank(inst.b[1:], tol_rel)
     if rank <= inst.n - 1:
         return CertificateReport(
             True, f"rank of constraint terms is {rank} <= n-1 = {inst.n - 1}", rank=rank
@@ -269,7 +270,7 @@ def build_socp_indefinite(
     prog, meta = build_cr2(qcqp)
     meta.kind = "uq_indefinite"
     meta.sense = "max"
-    rank = linalg.numerical_rank(list(inst.b[1:]), tol_rel)
+    rank = linalg.numerical_rank(inst.b[1:], tol_rel)
     thresh = min(r1, r2) - 1
     report = CertificateReport(
         rank <= thresh,
@@ -301,18 +302,18 @@ def lift_set_twosided(inst: QcqpInstance) -> tuple[int, ...]:
     )
 
 
-def _residual_root(inst: QcqpInstance, summed: np.ndarray, roots: dict):
-    """PSD root of a convex residual, the sum of the blocks flagged in
-    ``summed`` (non-lifted, sign +1); None when that sum is zero.
+def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict):
+    """Rank-sized PSD factor of a convex residual, the sum of the blocks
+    flagged in ``summed`` (non-lifted, sign +1); None when that sum is zero.
 
-    ``roots`` memoises the root by the set of summed blocks, so rows sharing
-    a residual share one root.  A residual of one block is that block itself,
-    which reuses the block's own eigendecomposition.
+    ``factors`` memoises the factor by the set of summed blocks, so rows
+    sharing a residual share one factor.  A residual of one block is that
+    block itself, which reuses the block's own eigendecomposition.
     """
     key = tuple(np.flatnonzero(summed).tolist())
     if not key:
         return None
-    if key not in roots:
+    if key not in factors:
         if len(key) == 1:
             residual = inst.blocks[key[0]]
         else:
@@ -321,8 +322,8 @@ def _residual_root(inst: QcqpInstance, summed: np.ndarray, roots: dict):
                 acc += inst.blocks[j].dense()
             residual = SymMatrix.from_dense(acc)
         nonzero = np.abs(residual.packed).max(initial=0.0) > 0.0
-        roots[key] = linalg.psd_sqrt(residual, inst.psd_tol).dense() if nonzero else None
-    return roots[key]
+        factors[key] = linalg.psd_factor(residual, inst.psd_tol) if nonzero else None
+    return factors[key]
 
 
 def _assemble(
@@ -332,7 +333,11 @@ def _assemble(
 
     Variables are (x, t_j for each lifted block j, and an epigraph variable
     when the objective keeps a convex residual).  Each lifted block gets the
-    cone x'Q_j x <= t_j.  A constraint whose convex residual (its non-lifted
+    cone x'Q_j x <= t_j, encoded through the rank-sized factor F_j of
+    ``linalg.psd_factor`` as ||F_j x||^2 <= t_j, so it has rank(Q_j) + 2 rows;
+    the eigenvalues that F_j drops lie below ``inst.psd_tol``, the cut at
+    which the certificate already treats them as zero.  Residual cones are
+    encoded the same way.  A constraint whose convex residual (its non-lifted
     +1 blocks) is nonzero becomes the cone epigraph of its upper side; every
     other constraint becomes up to two linear rows in (x, t).  Callers make
     sure a residual never meets a lower bound: the one-sided builder rejects
@@ -343,10 +348,10 @@ def _assemble(
     n, p, k = inst.n, inst.p, len(lifted)
     summed = inst.a == 1.0
     summed[:, list(lifted)] = False
-    roots: dict = {}
-    root0 = _residual_root(inst, summed[0], roots)
-    nv = n + k + (root0 is not None)
-    epi = n + k if root0 is not None else None
+    factors: dict = {}
+    factor0 = _residual_factor(inst, summed[0], factors)
+    nv = n + k + (factor0 is not None)
+    epi = n + k if factor0 is not None else None
     t_index = {j: n + pos for pos, j in enumerate(lifted)}
     expr = np.zeros((p + 1, nv))  # row i: the (x, t) part of g_i
     expr[:, :n] = 2.0 * inst.b
@@ -354,24 +359,22 @@ def _assemble(
     c = expr[0].copy()
     unit = np.eye(nv)
     soc = [
-        quad_epigraph(
-            linalg.psd_sqrt(inst.blocks[j], inst.psd_tol).dense(), nv, unit[t_index[j]], 0.0
-        )
+        quad_epigraph(linalg.psd_factor(inst.blocks[j], inst.psd_tol), nv, unit[t_index[j]], 0.0)
         for j in lifted
     ]
     if epi is not None:
         c[epi] = 1.0
-        soc.append(quad_epigraph(root0, nv, unit[epi], 0.0))
+        soc.append(quad_epigraph(factor0, nv, unit[epi], 0.0))
 
     upper = np.array([bd.upper for bd in inst.bounds])
     lower = np.array([bd.lower for bd in inst.bounds])
     linear = np.ones(p, dtype=bool)
     for i in np.flatnonzero(summed[1:].any(axis=1) & (upper < math.inf)):
-        root_i = _residual_root(inst, summed[i + 1], roots)
-        if root_i is not None:
+        factor_i = _residual_factor(inst, summed[i + 1], factors)
+        if factor_i is not None:
             # x'P_i x + expr'z <= limit as a cone epigraph on w = limit - expr'z
             limit = upper[i] - inst.c[i + 1]
-            soc.append(quad_epigraph(root_i, nv, -expr[i + 1], limit))
+            soc.append(quad_epigraph(factor_i, nv, -expr[i + 1], limit))
             linear[i] = False
     # rows in constraint order, the upper side of each before its lower side
     sides = np.stack([expr[1:], -expr[1:]], axis=1).reshape(2 * p, nv)
@@ -584,7 +587,7 @@ def build_wd(
         x_shift=x0.copy(),
         t_index={0: n},
     )
-    rank = linalg.numerical_rank(list(shifted), tol_rel)
+    rank = linalg.numerical_rank(shifted, tol_rel)
     report = CertificateReport(
         rank <= n - 1,
         f"rank of re-centered points {rank} vs n-1 = {n - 1}",

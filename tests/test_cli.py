@@ -511,7 +511,7 @@ def test_batch_mode(tmp_path, capsys, gap1d_file, exact_file):
     code, out = run(capsys, "solve", str(batch))
     assert code == 0
     lines = [ln for ln in out.out.splitlines() if ln.strip()]
-    assert len(lines) == 2
+    assert len(lines) == 2 + 5  # two rows, then the tolerances block
     assert lines[0].startswith("a.json")
     assert lines[1].startswith("b.json")
 
@@ -703,13 +703,59 @@ def test_text_batch_rows(tmp_path, capsys, gap1d_file, exact_file):
     shutil.copy(exact_file, batch / "c.json")
     code, out = run(capsys, "solve", str(batch))
     assert code == 2
-    a, b, c = out.out.splitlines()
-    name, kind, status, value, certificate, seconds = a.split()
-    assert (name, kind, status, certificate) == ("a.json", "uq", "Optimal", "certificate=False")
+    a, b, c = out.out.splitlines()[:3]
+    name, kind, status, value, certificate, exact, seconds = a.split()
+    assert (name, kind, status, certificate, exact) == (
+        "a.json", "uq", "Optimal", "certificate=False", "exact=False"
+    )
     assert float(value.removeprefix("value=")) == pytest.approx(3.0, abs=1e-6)
     assert re.fullmatch(r"\d+\.\d{3}s", seconds)
     assert b.split()[:2] == ["b.json", "ERROR"]
     assert c.split()[:3] == ["c.json", "uq", "Optimal"] and "certificate=True" in c
+
+
+def test_text_batch_ends_with_its_tolerances(tmp_path, capsys, exact_file):
+    import shutil
+
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(exact_file, batch / "a.json")
+    code, out = run(capsys, "solve", str(batch), "--tol-rank", "1e-6", "--max-iter", "150")
+    assert code == 0
+    lines = out.out.splitlines()
+    assert lines[0].startswith("a.json") and "exact=True" in lines[0]
+    assert lines[1:] == [
+        "tolerances:", "  tol_rank: 1e-06", "  tol_feas: 1e-08", "  gap: 1e-08", "  max_iter: 150",
+    ]
+
+
+def test_batch_row_carries_the_files_exact_verdict(tmp_path, capsys):
+    # the near-rank instance of test_solve_tol_rank_reaches_qcqp_tightening:
+    # its certificate holds but its recovered point is infeasible, so its
+    # batch row reads exact false, as its own report does
+    inst = QcqpInstance(
+        2,
+        [
+            SymMatrix.from_dense(np.diag([1.0, 0.0])),
+            SymMatrix.from_dense(np.diag([1e-6, 1.0])),
+        ],
+        np.array([[-1.0, 1.0], [1.0, 1.0]]),
+        np.zeros((2, 2)),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    fileio.save_instance(inst, batch / "near_rank_blocks.json")
+    flags = ("--tol-rank", "1e-4", "--report-format", "structured")
+    code, out = run(capsys, "solve", str(batch / "near_rank_blocks.json"), *flags)
+    assert code == 0 and json.loads(out.out)["exact"] is False
+    code, out = run(capsys, "solve", str(batch), *flags)
+    assert code == 0
+    (row,) = json.loads(out.out)["batch"]
+    assert row["certificate"] is True and row["exact"] is False
+    code, out = run(capsys, "solve", str(batch), "--tol-rank", "1e-4")
+    assert "certificate=True  exact=False" in out.out.splitlines()[0]
 
 
 def test_unbounded_uq_relaxation_exits_0(tmp_path, capsys):

@@ -36,32 +36,38 @@ def test_sym_eig_rejects_nonfinite():
         SymMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-def test_psd_sqrt_identity_and_diagonal():
-    assert np.allclose(linalg.psd_sqrt(SymMatrix.identity(3)).dense(), np.eye(3))
-    root = linalg.psd_sqrt(SymMatrix.from_dense(np.diag([4.0, 9.0])))
-    assert np.allclose(root.dense(), np.diag([2.0, 3.0]))
+def test_psd_factor_identity_and_diagonal():
+    f = linalg.psd_factor(SymMatrix.identity(3))
+    assert f.shape == (3, 3) and np.allclose(f.T @ f, np.eye(3))
+    f = linalg.psd_factor(SymMatrix.from_dense(np.diag([4.0, 9.0])))
+    assert np.allclose(np.abs(f), [[0.0, 3.0], [2.0, 0.0]])  # descending eigenvalues
 
 
-def test_psd_sqrt_rejects_indefinite():
+def test_psd_factor_rejects_indefinite():
     with pytest.raises(NotPsd):
-        linalg.psd_sqrt(SymMatrix.from_dense(np.diag([1.0, -1.0])))
+        linalg.psd_factor(SymMatrix.from_dense(np.diag([1.0, -1.0])))
 
 
-def test_psd_sqrt_clamps_small_negatives():
-    m = SymMatrix.from_dense(np.diag([1.0, -1e-12]))
-    root = linalg.psd_sqrt(m)
-    w, _ = linalg.sym_eig(root)
-    assert w[-1] >= 0.0
+def test_psd_factor_drops_small_negatives():
+    m = SymMatrix.from_dense(np.diag([1.0, 0.5, -1e-12]))
+    f = linalg.psd_factor(m)
+    assert f.shape == (2, 3) == (linalg.range_basis(m).dim, m.n)
+    assert np.allclose(f.T @ f, np.diag([1.0, 0.5, 0.0]), atol=1e-15)
 
 
-def test_psd_sqrt_squares_back():
+@pytest.mark.parametrize("tol", [linalg.DEFAULT_RANK_TOL, 1e-4])
+def test_psd_factor_squares_back(tol):
+    # F'F = M to within tol times the scale, with one row per eigenvalue that
+    # range_basis keeps: full rank, low rank, a near-zero tail and zero
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        a = rng.normal(size=(4, 4))
-        m = SymMatrix.from_dense(a @ a.T)
-        root = linalg.psd_sqrt(m)
-        err = np.abs(root.dense() @ root.dense() - m.dense()).max()
-        assert err <= 1e-8 * (1.0 + np.abs(m.dense()).max())
+    for rank in (4, 2, 1, 0):
+        u = rng.normal(size=(4, rank))
+        tail = rng.normal(size=(4, 1)) * (rank > 0)  # a zero matrix has no tail
+        m = SymMatrix.from_dense(u @ u.T + 1e-6 * tol * (tail @ tail.T))
+        f = linalg.psd_factor(m, tol)
+        scale = max(1.0, np.abs(m.dense()).max())
+        assert f.shape == (linalg.range_basis(m, tol).dim, 4) == (rank, 4)
+        assert np.abs(f.T @ f - m.dense()).max() <= tol * scale
 
 
 def test_numerical_rank_examples():
@@ -69,6 +75,15 @@ def test_numerical_rank_examples():
     assert linalg.numerical_rank([]) == 0
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
     assert linalg.numerical_rank([e1, e2, e1 + e2]) == 2
+
+
+def test_numerical_rank_takes_arrays_and_lists_alike():
+    rng = np.random.default_rng(2)
+    for k, n, r in ((5, 4, 2), (3, 6, 3), (1, 3, 1), (4, 1, 1)):
+        a = rng.normal(size=(k, r)) @ rng.normal(size=(r, n))
+        assert linalg.numerical_rank(a) == linalg.numerical_rank(list(a)) == r
+    assert linalg.numerical_rank(np.zeros((0, 3))) == linalg.numerical_rank([]) == 0
+    assert linalg.numerical_rank(np.zeros((2, 3))) == 0
 
 
 def test_numerical_rank_dimension_mismatch():
@@ -142,7 +157,7 @@ def test_sym_eig_is_computed_once_and_read_only(monkeypatch):
     m = SymMatrix.from_dense(np.diag([3.0, 1.0, 0.0]))
     w, v = linalg.sym_eig(m)
     assert linalg.sym_eig(m)[0] is w and linalg.sym_eig(m)[1] is v
-    linalg.psd_sqrt(m)
+    linalg.psd_factor(m)
     linalg.null_basis(m)
     linalg.range_basis(m)
     assert len(calls) == 1

@@ -425,8 +425,34 @@ def test_assembled_rows_match_per_row_reference(two_sided):
         first = len(meta.lifted) + (meta.epi_index is not None)
         assert len(prog.soc) == first + len(cones), trial
         for blk, (i, w_vec, limit) in zip(prog.soc[first:], cones):
-            assert np.array_equal(blk.a[n], 0.5 * w_vec) and np.array_equal(blk.c, 0.5 * w_vec)
+            assert np.array_equal(blk.a[-1], 0.5 * w_vec) and np.array_equal(blk.c, 0.5 * w_vec)
             assert blk.d == 0.5 * (limit + 1.0), (trial, i)
+
+
+def test_cones_have_the_rank_of_their_block():
+    # lifted blocks 0 (zero) and 1 (rank 1); residuals Q2 (objective), Q3
+    # (row 1) and Q2 + Q3 (row 2): each cone has rank + 2 rows, and its
+    # factor reproduces the quadratic form
+    rng = np.random.default_rng(17)
+    n = 5
+    dense = [np.zeros((n, n))]
+    for rank in (1, 3, 2):
+        u = rng.normal(size=(n, rank))
+        dense.append(u @ u.T)
+    inst = QcqpInstance(
+        n, [SymMatrix.from_dense(q) for q in dense],
+        np.array([[-1.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]),
+        rng.normal(size=(3, n)), np.zeros(3), [Bound(-math.inf, 1.0)] * 2,
+    )
+    prog, meta = reformulate.build_cr(inst)
+    assert meta.lifted == (0, 1) and meta.epi_index is not None
+    forms = [dense[0], dense[1], dense[2], dense[3], dense[2] + dense[3]]
+    assert len(prog.soc) == len(forms)
+    for blk, q in zip(prog.soc, forms):
+        assert blk.dim == np.linalg.matrix_rank(q) + 2
+        f = blk.a[:-1, :n]
+        for x in rng.normal(size=(4, n)):
+            assert np.sum((f @ x) ** 2) == pytest.approx(x @ q @ x, rel=1e-12, abs=1e-300)
 
 
 def test_condition_invariant_under_rotation():
