@@ -5,10 +5,10 @@ and the null space of a set of rows.  Tolerances are explicit arguments with
 one shared default so that the rank-based certificates built on top of this
 module are reproducible.
 
-A PSD factor has one row per eigenvalue that ``range_basis`` keeps, so a
-block of rank r gives an r x n factor F with x'Mx = ||Fx||^2 up to the
-eigenvalues below the rank cut, the spectrum that the certificates already
-treat as zero.
+A PSD factor has one row per eigenvalue above roundoff, so a block of rank r
+gives an r x n factor F with x'Mx = ||Fx||^2.  It drops only roundoff, not
+the spectrum below the rank tolerance: an eigenvalue the certificates treat
+as zero can still bound x, so the factor keeps it.
 
 Every function here returns the same result for the same inputs.  The one
 piece of state is memoisation on ``SymMatrix``: its dense view and its
@@ -153,18 +153,20 @@ def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_factor(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Rank-sized factor F = diag(sqrt(w)) V' of a PSD matrix, so F'F = M.
+    """Factor F = diag(sqrt(w)) V' of the positive part of a PSD matrix, so
+    F'F = M up to roundoff.
 
-    F has one row per positive eigenpair that ``range_basis(m, tol)`` keeps
-    (eigenvalues above tol times the largest magnitude), in descending order.
-    The eigenvalues it drops lie below that cut; raises ``NotPsd`` when the
-    least eigenvalue is below -tol*max(1, largest eigenvalue).
+    F has one row per eigenvalue above the roundoff floor n*eps*max|w|, in
+    descending order.  ``tol`` sets only the ``NotPsd`` test, the one that
+    ``QcqpInstance`` validation applies: raises when the least eigenvalue is
+    below -tol*max(1, largest eigenvalue); negative eigenvalues above that
+    are dropped.
     """
-    w, v = sym_eig(m)
+    w, v = sym_eig(m)  # n >= 1, so w is never empty
     scale = max(1.0, float(w[0]))
     if w[-1] < -tol * scale:
         raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} below -{tol:.1e}*{scale:.3e}")
-    r = int(np.count_nonzero(_range_mask(w, tol) & (w > 0.0)))
+    r = int(np.count_nonzero(w > m.n * np.finfo(float).eps * np.abs(w).max()))
     return np.sqrt(w[:r])[:, None] * v[:, :r].T
 
 
@@ -183,15 +185,11 @@ def numerical_rank(vectors, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > tol_rel * sv[0]))
 
 
-def _range_mask(w: np.ndarray, tol_rel: float) -> np.ndarray:
-    """Eigenvalues above tol_rel times the largest magnitude: the range."""
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    return np.abs(w) > tol_rel * max(scale, 1e-300)
-
-
 def _split_spectrum(m: SymMatrix, tol_rel: float):
     w, v = sym_eig(m)
-    keep = _range_mask(w, tol_rel)
+    scale = float(np.abs(w).max()) if w.size else 0.0
+    thresh = tol_rel * max(scale, 1e-300)
+    keep = np.abs(w) > thresh
     return v[:, keep], v[:, ~keep]
 
 

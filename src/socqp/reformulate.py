@@ -335,9 +335,8 @@ def _assemble(
     when the objective keeps a convex residual).  Each lifted block gets the
     cone x'Q_j x <= t_j, encoded through the rank-sized factor F_j of
     ``linalg.psd_factor`` as ||F_j x||^2 <= t_j, so it has rank(Q_j) + 2 rows;
-    the eigenvalues that F_j drops lie below ``inst.psd_tol``, the cut at
-    which the certificate already treats them as zero.  Residual cones are
-    encoded the same way.  A constraint whose convex residual (its non-lifted
+    F_j drops only roundoff, so the cone is the same set as x'Q_j x <= t_j.
+    Residual cones are encoded the same way.  A constraint whose convex residual (its non-lifted
     +1 blocks) is nonzero becomes the cone epigraph of its upper side; every
     other constraint becomes up to two linear rows in (x, t).  Callers make
     sure a residual never meets a lower bound: the one-sided builder rejects

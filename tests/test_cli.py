@@ -508,12 +508,15 @@ def test_batch_mode(tmp_path, capsys, gap1d_file, exact_file):
     batch.mkdir()
     shutil.copy(gap1d_file, batch / "a.json")
     shutil.copy(exact_file, batch / "b.json")
-    code, out = run(capsys, "solve", str(batch))
+    code, out = run(capsys, "solve", str(batch), "--tol-rank", "1e-6", "--max-iter", "150")
     assert code == 0
-    lines = [ln for ln in out.out.splitlines() if ln.strip()]
-    assert len(lines) == 2 + 5  # two rows, then the tolerances block
+    lines = out.out.splitlines()
     assert lines[0].startswith("a.json")
-    assert lines[1].startswith("b.json")
+    assert lines[1].startswith("b.json") and "exact=True" in lines[1]
+    # the rows end with the tolerances block, so the run can be reproduced
+    assert lines[2:] == [
+        "tolerances:", "  tol_rank: 1e-06", "  tol_feas: 1e-08", "  gap: 1e-08", "  max_iter: 150",
+    ]
 
 
 def test_batch_goes_on_past_invalid_instance_data(tmp_path, capsys, gap1d_file, exact_file):
@@ -714,21 +717,6 @@ def test_text_batch_rows(tmp_path, capsys, gap1d_file, exact_file):
     assert c.split()[:3] == ["c.json", "uq", "Optimal"] and "certificate=True" in c
 
 
-def test_text_batch_ends_with_its_tolerances(tmp_path, capsys, exact_file):
-    import shutil
-
-    batch = tmp_path / "batch"
-    batch.mkdir()
-    shutil.copy(exact_file, batch / "a.json")
-    code, out = run(capsys, "solve", str(batch), "--tol-rank", "1e-6", "--max-iter", "150")
-    assert code == 0
-    lines = out.out.splitlines()
-    assert lines[0].startswith("a.json") and "exact=True" in lines[0]
-    assert lines[1:] == [
-        "tolerances:", "  tol_rank: 1e-06", "  tol_feas: 1e-08", "  gap: 1e-08", "  max_iter: 150",
-    ]
-
-
 def test_batch_row_carries_the_files_exact_verdict(tmp_path, capsys):
     # the near-rank instance of test_solve_tol_rank_reaches_qcqp_tightening:
     # its certificate holds but its recovered point is infeasible, so its
@@ -861,3 +849,24 @@ def test_exit_code_of_every_error_class():
     for name, cls in classes.items():
         assert cli._failure(cls("message"))[0] == _EXIT_CODES[name], name
     assert cli._failure(FileNotFoundError("missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize("small, tol_rank", [(1e-5, "1e-4"), (1e-9, "1e-8")])
+def test_convex_block_keeps_its_small_eigenvalue(tmp_path, capsys, small, tol_rank):
+    # min -x2 s.t. x1^2 + small*x2^2 <= 1, convex as written: the eigenvalue
+    # below the rank tolerance still bounds x2, so the residual cone keeps it
+    inst = QcqpInstance(
+        2,
+        [SymMatrix.from_dense(np.diag([1.0, small]))],
+        np.array([[0.0], [1.0]]),
+        np.array([[0.0, -0.5], [0.0, 0.0]]),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    path = tmp_path / "weak.json"
+    fileio.save_instance(inst, path)
+    code, out = run(capsys, "solve", str(path), "--tol-rank", tol_rank, "--report-format", "structured")
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert rep["solver"]["status"] == "Optimal" and rep["exact"] is True
+    assert rep["relaxation_value"] == pytest.approx(-1.0 / math.sqrt(small), rel=1e-6)

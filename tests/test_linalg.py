@@ -57,17 +57,24 @@ def test_psd_factor_drops_small_negatives():
 
 @pytest.mark.parametrize("tol", [linalg.DEFAULT_RANK_TOL, 1e-4])
 def test_psd_factor_squares_back(tol):
-    # F'F = M to within tol times the scale, with one row per eigenvalue that
-    # range_basis keeps: full rank, low rank, a near-zero tail and zero
+    # F'F = M to roundoff, with one row per eigenvalue above roundoff: on an
+    # exactly low-rank matrix that is the rank range_basis finds, and a small
+    # eigenvalue below the rank tolerance keeps its row whatever tol is
     rng = np.random.default_rng(1)
     for rank in (4, 2, 1, 0):
-        u = rng.normal(size=(4, rank))
-        tail = rng.normal(size=(4, 1)) * (rank > 0)  # a zero matrix has no tail
-        m = SymMatrix.from_dense(u @ u.T + 1e-6 * tol * (tail @ tail.T))
+        u = rng.normal(size=(5, rank))
+        m = SymMatrix.from_dense(u @ u.T)
         f = linalg.psd_factor(m, tol)
         scale = max(1.0, np.abs(m.dense()).max())
-        assert f.shape == (linalg.range_basis(m, tol).dim, 4) == (rank, 4)
-        assert np.abs(f.T @ f - m.dense()).max() <= tol * scale
+        assert f.shape == (linalg.range_basis(m, tol).dim, 5) == (rank, 5)
+        assert np.abs(f.T @ f - m.dense()).max() <= 1e-12 * scale
+        if rank:
+            tail = np.linalg.svd(u.T)[2][-1]  # a unit vector orthogonal to u
+            small = SymMatrix.from_dense(u @ u.T + 1e-2 * tol * np.outer(tail, tail))
+            f = linalg.psd_factor(small, tol)
+            assert linalg.range_basis(small, tol).dim == rank
+            assert f.shape == (rank + 1, 5)
+            assert np.abs(f.T @ f - small.dense()).max() <= 1e-12 * scale
 
 
 def test_numerical_rank_examples():
@@ -75,14 +82,12 @@ def test_numerical_rank_examples():
     assert linalg.numerical_rank([]) == 0
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
     assert linalg.numerical_rank([e1, e2, e1 + e2]) == 2
-
-
-def test_numerical_rank_takes_arrays_and_lists_alike():
+    # a (k, n) array and the list of its rows give the same rank
     rng = np.random.default_rng(2)
     for k, n, r in ((5, 4, 2), (3, 6, 3), (1, 3, 1), (4, 1, 1)):
         a = rng.normal(size=(k, r)) @ rng.normal(size=(r, n))
         assert linalg.numerical_rank(a) == linalg.numerical_rank(list(a)) == r
-    assert linalg.numerical_rank(np.zeros((0, 3))) == linalg.numerical_rank([]) == 0
+    assert linalg.numerical_rank(np.zeros((0, 3))) == 0
     assert linalg.numerical_rank(np.zeros((2, 3))) == 0
 
 
