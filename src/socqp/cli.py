@@ -8,17 +8,18 @@ Given a directory, ``solve`` prints one row per ``*.json`` file; a file that
 fails becomes an error row and the batch goes on.
 
 Each subcommand takes only the flags it reads.  Exit codes follow the error
-classes: 0 success, 2 parse error (malformed or invalid instance data), 3 a
-``PreconditionViolated`` (precondition/certificate failure), 4 any other
-``SocqpError`` (solver failure); a batch exits with the worst code over its
-files.  Every report embeds the tolerance flags of its command, so a run can
-be reproduced from the report alone; ``--report-format structured`` emits
-JSON.
+classes: 0 success, 2 parse error (unreadable file or invalid instance
+data), 3 a ``PreconditionViolated`` (precondition/certificate failure), 4
+any other ``SocqpError`` (solver failure); a batch exits with the worst code
+over its files.  Every report embeds the tolerance flags of its command, so a
+run can be reproduced from the report alone; ``--report-format structured``
+emits JSON.  ``--tol-rank`` becomes the ``tol_rank`` of the loaded instance.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -40,11 +41,11 @@ EXIT_SOLVER = 4
 # exception -> (exit code, message label) for `main` and for batch rows; the
 # first matching entry wins, so the SocqpError base class comes last
 _EXIT_TABLE = (
-    ((ParseError, FileNotFoundError), EXIT_PARSE, "parse error"),
+    ((ParseError, OSError), EXIT_PARSE, "parse error"),
     (PreconditionViolated, EXIT_PRECONDITION, "precondition/certificate failure"),
     (SocqpError, EXIT_SOLVER, "solver failure"),
 )
-_FAILURES = (SocqpError, FileNotFoundError)
+_FAILURES = (SocqpError, OSError)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -126,12 +127,10 @@ def _negate_qcqp(inst: QcqpInstance) -> QcqpInstance:
     b[0] *= -1.0
     c = inst.c.copy()
     c[0] *= -1.0
-    return QcqpInstance(
-        inst.n, inst.blocks, a, b, c, list(inst.bounds), sense="min", psd_tol=inst.psd_tol
-    )
+    return dataclasses.replace(inst, a=a, b=b, c=c, bounds=list(inst.bounds), sense="min")
 
 
-def _classify(obj, tol_rank: float):
+def _classify(obj):
     """Report head, program, meta, certificate and the min-sense structured
     view that recovery works on (None for positive definite Q, which
     `recover.tighten_uq` handles on the instance itself)."""
@@ -147,28 +146,27 @@ def _classify(obj, tol_rank: float):
             "lifted_blocks": list(meta.lifted),
         }
     elif isinstance(obj, UqInstance):
-        w, _ = linalg.sym_eig(obj.q)
-        scale = max(1.0, float(np.abs(w).max()))
+        pos, neg = linalg.inertia(obj.q, obj.tol_rank)
         head = {"kind": "uq", "n": obj.n, "p": obj.p}
-        if w[-1] > tol_rank * scale:
+        if pos[-1]:
             prog, meta = reformulate.build_socp_uq(obj)
-            return head, prog, meta, reformulate.check_as3(obj, tol_rank), None
-        if w[-1] < -tol_rank * scale:
+            return head, prog, meta, reformulate.check_as3(obj), None
+        if neg[-1]:
             head["shape"] = "indefinite"
-            prog, meta, cert, view = reformulate.build_socp_indefinite(obj, tol_rank)
+            prog, meta, cert, view = reformulate.build_socp_indefinite(obj)
             return head, prog, meta, cert, view
         head["shape"] = "psd_singular"
-        view = model.uq_as_qcqp(obj, psd_tol=tol_rank)
+        view = model.uq_as_qcqp(obj)
         prog, meta = reformulate.build_cr2(view)
     else:
         raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
-    return head, prog, meta, reformulate.check_condition_c(view, meta.lifted, tol_rank), view
+    return head, prog, meta, reformulate.check_condition_c(view, meta.lifted), view
 
 
 def _solve(obj, args) -> tuple[dict, int]:
     """Classify, solve once, then recover a point when the certificate holds;
     returns the report and the exit code."""
-    report, prog, meta, cert, view = _classify(obj, args.tol_rank)
+    report, prog, meta, cert, view = _classify(obj)
     report["certificate"] = _cert_block(cert)
     res = conesolver.solve(prog, _options(args))
     report["solver"] = _solver_block(res)
@@ -195,11 +193,7 @@ def _solve(obj, args) -> tuple[dict, int]:
     report["exact"] = cert.holds
     if not cert.holds:
         return report, EXIT_OK
-    x, _ = (
-        recover.tighten_uq(obj, res, tol_rank=args.tol_rank)
-        if view is None
-        else recover.tighten_qcqp(view, res, meta, tol_rank=args.tol_rank)
-    )
+    x, _ = recover.tighten_uq(obj, res) if view is None else recover.tighten_qcqp(view, res, meta)
     if uniform:
         objective, violation = model.eval_f(obj, 0, x), model.worst_violation(obj, x)
     else:
@@ -288,7 +282,7 @@ def cmd_approx(args) -> int:
         inst.d = inst.d.copy()
         inst.d[0] = 0.0
         report["translated"] = {"interior_point": shift, "margin": margin}
-    x_sh, trace, cert = recover.approx_uq(inst, opts=_options(args), tol_rank=args.tol_rank)
+    x_sh, trace, cert = recover.approx_uq(inst, opts=_options(args))
     x = x_sh + shift
     report.update(
         {

@@ -83,11 +83,11 @@ def _require(data: dict, keys: set[str], kind: str):
         raise ParseError(f"{kind} instance: unknown fields {sorted(extra)}")
 
 
-def parse_instance(text: str, psd_tol: float = DEFAULT_RANK_TOL):
+def parse_instance(text: str, tol_rank: float = DEFAULT_RANK_TOL):
     """Parse one instance document; returns a UqInstance, QcqpInstance,
     BallIntersection, or ('ilp', c, rows, rhs) tuple.  Malformed documents
-    and data that fail the instance's own checks raise ``ParseError``;
-    ``psd_tol`` is the relative tolerance at which qcqp blocks must be PSD."""
+    and data that fail the instance's own checks raise ``ParseError``.  A uq
+    or qcqp instance gets ``tol_rank``, which files do not store."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -115,6 +115,7 @@ def parse_instance(text: str, psd_tol: float = DEFAULT_RANK_TOL):
                 _matrix(data["b"], p + 1, n, "b"),
                 _vector(data["d"], p + 1, "d"),
                 bounds,
+                tol_rank=tol_rank,
             )
         if kind == "qcqp":
             _require(
@@ -137,7 +138,7 @@ def parse_instance(text: str, psd_tol: float = DEFAULT_RANK_TOL):
                 _vector(data["c"], p + 1, "c"),
                 bounds,
                 sense=data["sense"],
-                psd_tol=psd_tol,
+                tol_rank=tol_rank,
             )
         if kind == "balls":
             _require(data, {"kind", "n", "centers", "radii"}, kind)
@@ -162,9 +163,14 @@ def parse_instance(text: str, psd_tol: float = DEFAULT_RANK_TOL):
         raise ParseError(f"{kind} instance malformed: {exc}") from exc
 
 
-def load_instance(path, psd_tol: float = DEFAULT_RANK_TOL):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), psd_tol)
+def load_instance(path, tol_rank: float = DEFAULT_RANK_TOL):
+    """``parse_instance`` of a UTF-8 file; other bytes raise ``ParseError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return parse_instance(text, tol_rank)
 
 
 def dumps_instance(obj) -> str:

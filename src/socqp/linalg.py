@@ -3,7 +3,13 @@
 Eigendecomposition, rank-sized PSD factors, numerical rank, null/range bases
 and the null space of a set of rows.  Tolerances are explicit arguments with
 one shared default so that the rank-based certificates built on top of this
-module are reproducible.
+module are reproducible; above it the tolerance is the instance's ``tol_rank``.
+
+``inertia`` is the one sign test: an eigenvalue above tol*max(1, max|w|) is
+positive, one below its negative is negative.  The floor of 1 reads a matrix
+of pure roundoff (A - lam_min I with A = lam_min I) as zero, not indefinite,
+at the price of reading tiny data as zero too.  Range and null bases cut at
+tol*max|w| with no floor, so a matrix and its positive multiples share them.
 
 A PSD factor has one row per eigenvalue above roundoff, so a block of rank r
 gives an r x n factor F with x'Mx = ||Fx||^2.  It drops only roundoff, not
@@ -152,20 +158,26 @@ def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m._eig
 
 
+def inertia(m: SymMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (positive, negative) over the eigenvalues w of ``sym_eig(m)``:
+    w > tol*max(1, max|w|) and w < -tol*max(1, max|w|)."""
+    w, _ = sym_eig(m)
+    cut = tol * max(1.0, float(np.abs(w).max()))
+    return w > cut, w < -cut
+
+
 def psd_factor(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Factor F = diag(sqrt(w)) V' of the positive part of a PSD matrix, so
     F'F = M up to roundoff.
 
     F has one row per eigenvalue above the roundoff floor n*eps*max|w|, in
     descending order.  ``tol`` sets only the ``NotPsd`` test, the one that
-    ``QcqpInstance`` validation applies: raises when the least eigenvalue is
-    below -tol*max(1, largest eigenvalue); negative eigenvalues above that
-    are dropped.
+    ``QcqpInstance`` validation applies: raises when ``inertia`` at ``tol``
+    finds a negative eigenvalue; negative eigenvalues above that are dropped.
     """
     w, v = sym_eig(m)  # n >= 1, so w is never empty
-    scale = max(1.0, float(w[0]))
-    if w[-1] < -tol * scale:
-        raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} below -{tol:.1e}*{scale:.3e}")
+    if inertia(m, tol)[1].any():
+        raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} is negative at tolerance {tol:.1e}")
     r = int(np.count_nonzero(w > m.n * np.finfo(float).eps * np.abs(w).max()))
     return np.sqrt(w[:r])[:, None] * v[:, :r].T
 

@@ -12,7 +12,7 @@ convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,8 @@ class UqInstance:
     """Uniform QCQP: maximize f_0 subject to l_i <= f_i(x) <= u_i.
 
     All functions share the Hessian Q: f_i(x) = x'Qx + 2 b_i'x + d_i.
-    Index 0 is the objective; constraints are 1..p.
+    Index 0 is the objective; constraints are 1..p.  ``tol_rank`` governs
+    every rank and sign decision on it and on the instances derived from it.
     """
 
     n: int
@@ -78,6 +79,7 @@ class UqInstance:
     b: np.ndarray  # (p+1, n); row 0 is the objective linear term
     d: np.ndarray  # (p+1,)
     bounds: list[Bound]
+    tol_rank: float = linalg.DEFAULT_RANK_TOL
 
     def __post_init__(self):
         self.b = np.atleast_2d(np.asarray(self.b, dtype=float))
@@ -103,7 +105,8 @@ class QcqpInstance:
     """Structured QCQP with PSD blocks Q_j and sign coefficients in {-1,0,1}.
 
     g_i(x) = sum_j a[i,j] x'Q_j x + 2 b_i'x + c_i; row 0 of ``a`` is the
-    objective.  ``sense`` is "min" or "max" for g_0.
+    objective.  ``sense`` is "min" or "max" for g_0.  ``tol_rank`` is as in
+    ``UqInstance``; the blocks must be PSD at it.
     """
 
     n: int
@@ -113,7 +116,7 @@ class QcqpInstance:
     c: np.ndarray  # (p+1,)
     bounds: list[Bound]
     sense: str = "min"
-    psd_tol: float = linalg.DEFAULT_RANK_TOL
+    tol_rank: float = linalg.DEFAULT_RANK_TOL
 
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -133,9 +136,8 @@ class QcqpInstance:
         for j, q in enumerate(self.blocks):
             if q.n != self.n:
                 raise InvalidInput(f"block {j} has order {q.n}, expected {self.n}")
-            w, _ = linalg.sym_eig(q)
-            if w.size and w[-1] < -self.psd_tol * max(1.0, w[0]):
-                raise InvalidInput(f"block {j} is not PSD at tolerance {self.psd_tol}")
+            if linalg.inertia(q, self.tol_rank)[1].any():
+                raise InvalidInput(f"block {j} is not PSD at tolerance {self.tol_rank}")
 
     @property
     def p(self) -> int:
@@ -244,8 +246,7 @@ def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:
     qx = inst.q @ x_hat
     b = inst.b + qx[None, :]
     d = np.array([eval_f(inst, i, x_hat) for i in range(inst.p + 1)])
-    out = UqInstance(inst.n, inst.q, b, d, list(inst.bounds))
-    return out, float(d[0])
+    return replace(inst, b=b, d=d, bounds=list(inst.bounds)), float(d[0])
 
 
 def ilp_to_uq(c, a_rows, rhs) -> UqInstance:
@@ -283,10 +284,10 @@ def ilp_to_uq(c, a_rows, rhs) -> UqInstance:
     return UqInstance(n, SymMatrix.identity(n), b, d, bounds)
 
 
-def uq_as_qcqp(inst: UqInstance, psd_tol: float = linalg.DEFAULT_RANK_TOL) -> QcqpInstance:
+def uq_as_qcqp(inst: UqInstance) -> QcqpInstance:
     """View a UQ instance as the single-block structured QCQP that minimises
     -f_0 over the same rows, the sense the relaxation builders require.
-    ``psd_tol`` is the relative tolerance at which Q must be PSD.
+    Q must be PSD at the instance's ``tol_rank``, which the view keeps.
     """
     a = np.ones((inst.p + 1, 1))
     a[0, 0] = -1.0
@@ -294,4 +295,4 @@ def uq_as_qcqp(inst: UqInstance, psd_tol: float = linalg.DEFAULT_RANK_TOL) -> Qc
     b[0] *= -1.0
     cvec = inst.d.copy()
     cvec[0] *= -1.0
-    return QcqpInstance(inst.n, [inst.q], a, b, cvec, list(inst.bounds), sense="min", psd_tol=psd_tol)
+    return QcqpInstance(inst.n, [inst.q], a, b, cvec, list(inst.bounds), tol_rank=inst.tol_rank)

@@ -42,9 +42,9 @@ def infer_box(inst: UqInstance, inflate: float = 1.1):
     their bounding cubes, inflated, is returned.  Raises UnboundedBox when no
     row has a finite upper bound or Q is singular.
     """
-    w, _ = linalg.sym_eig(inst.q)
-    if w[-1] <= 1e-12 * max(1.0, abs(w[0])):
+    if not linalg.inertia(inst.q, 1e-12)[0].all():
         raise UnboundedBox("box inference needs positive definite Q; pass a box")
+    w, _ = linalg.sym_eig(inst.q)
     qd = inst.q.dense()
     best = None
     for i, bd in enumerate(inst.bounds):

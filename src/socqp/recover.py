@@ -103,11 +103,7 @@ def _cone_step(q, x, t, dx, dt, rise, rise_scale) -> float:
     return max(roots, key=lambda r: r * rise)
 
 
-def tighten_uq(
-    inst: UqInstance,
-    res: SolverResult,
-    tol_rank: float = linalg.DEFAULT_RANK_TOL,
-) -> tuple[np.ndarray, TightenTrace]:
+def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, TightenTrace]:
     """Turn a relaxation optimum of a uniform instance into a feasible point
     of the original problem with the same objective value.
 
@@ -117,12 +113,12 @@ def tighten_uq(
     value t + 2 b_i'x + d_i unchanged: dx in the null space of b_1..b_p with
     dt = 0 when their rank is at most n - 1, otherwise (p = n)
     dx = -(2B)^(-1) e with dt = 1.  One quadratic step along it closes the
-    cone x'Qx = t without lowering f_0.  ``tol_rank`` is the relative rank
-    tolerance of the certificate and of the null space.
+    cone x'Qx = t without lowering f_0.  The instance's ``tol_rank`` is the
+    relative rank tolerance of the certificate and of the null space.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
-    cert = reformulate.check_as3(inst, tol_rank)
+    cert = reformulate.check_as3(inst)
     if not cert.holds:
         raise ConditionNotMet(f"exactness condition fails: {cert.reason}")
     x = res.z[: inst.n].copy()
@@ -134,7 +130,7 @@ def tighten_uq(
     if gap > 1e-6 * (1.0 + abs(t)):
         rows = inst.b[1:]
         if cert.rank <= inst.n - 1:
-            null = linalg.null_space_of_rows(rows, inst.n, tol_rank)
+            null = linalg.null_space_of_rows(rows, inst.n, inst.tol_rank)
             dx, dt = _direction_in_null(null, inst.b[0]), 0.0
         else:
             dx, dt = np.linalg.solve(2.0 * rows, -np.ones(inst.n)), 1.0
@@ -164,7 +160,6 @@ def tighten_qcqp(
     inst: QcqpInstance,
     res: SolverResult,
     meta: reformulate.ReformulationMeta,
-    tol_rank: float = linalg.DEFAULT_RANK_TOL,
 ) -> tuple[np.ndarray, TightenTrace]:
     """Close every open lifted cone of a structured relaxation optimum.
 
@@ -172,8 +167,8 @@ def tighten_qcqp(
     span{b_1..b_p}^perp intersected with R(Q_j) and the null spaces of the
     other blocks; the exactness condition guarantees such a direction exists,
     and the move changes neither the linear rows nor the other blocks.
-    ``tol_rank`` is the relative rank tolerance of that condition: it decides
-    the block ranges and null spaces and the dimension of their union.
+    The instance's ``tol_rank`` is the relative rank tolerance of that
+    condition: it decides the block ranges, null spaces and union dimension.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
@@ -190,8 +185,8 @@ def tighten_qcqp(
         if gap <= _CLOSED_GAP * (1.0 + abs(tj)):
             continue
         if not union:
-            union = reformulate.union_rows(inst, meta.lifted, tol_rank)
-        subspace = linalg.null_space_of_rows(union[j], inst.n, tol_rank)
+            union = reformulate.union_rows(inst, meta.lifted)
+        subspace = linalg.null_space_of_rows(union[j], inst.n, inst.tol_rank)
         if subspace.shape[1] == 0:
             raise ConditionNotMet(
                 f"no tightening direction for block {j}; the exactness "
@@ -311,7 +306,8 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     g = np.ones((inst.p, nv))
     g[:, :n] = 2.0 * inst.b[1:]
     h = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:]
-    cone = reformulate.quad_epigraph(linalg.psd_factor(inst.q), nv, np.eye(nv)[n], 0.0)
+    factor = linalg.psd_factor(inst.q, inst.tol_rank)
+    cone = reformulate.quad_epigraph(factor, nv, np.eye(nv)[n], 0.0)
     res = solve(ConeProgram(c=c, g=g, h=h, soc=[cone]))
     if res.status != "Optimal":
         raise EmptyInterior(f"interior search ended with status {res.status}")
@@ -324,9 +320,7 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
 
 
 def approx_uq(
-    inst: UqInstance,
-    opts: SolveOptions | None = None,
-    tol_rank: float = linalg.DEFAULT_RANK_TOL,
+    inst: UqInstance, opts: SolveOptions | None = None
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
     """Feasible point with a certified fraction of the relaxation optimum.
 
@@ -334,8 +328,8 @@ def approx_uq(
     is returned (ratio 1).  Otherwise a companion point y carrying the
     missing cone energy is folded with x* into two candidates s_1, s_2 of
     which at least one scales into the feasible region losing at most the
-    certified factor.  ``tol_rank`` is the relative rank tolerance of the
-    exactness check that decides whether the cone can be closed exactly.
+    certified factor.  ``check_as3`` at the instance's ``tol_rank`` decides
+    whether the cone can be closed exactly.
     """
     _check_approx_shape(inst)
     qb, radicand, gamma = _gamma_terms(inst)
@@ -352,10 +346,10 @@ def approx_uq(
     scale = 1.0 + abs(t_star)
 
     gap = t_star - xqx
-    if gap > 1e-9 * scale and reformulate.check_as3(inst, tol_rank).holds:
+    if gap > 1e-9 * scale and reformulate.check_as3(inst).holds:
         # exact instance: close the cone at the optimum and take the shortcut
         try:
-            x_star, _ = tighten_uq(inst, res, tol_rank=tol_rank)
+            x_star, _ = tighten_uq(inst, res)
             xqx = float(x_star @ qd @ x_star)
             gap = t_star - xqx
         except (ConditionNotMet, TightenFailed):

@@ -131,10 +131,10 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
     return prog, meta
 
 
-def check_as3(inst: UqInstance, tol_rel: float = DEFAULT_RANK_TOL) -> CertificateReport:
+def check_as3(inst: UqInstance) -> CertificateReport:
     """Exactness condition for the uniform relaxation with positive definite
     Q: rank[b_1, ..., b_p] <= n-1, or p = n."""
-    rank = linalg.numerical_rank(inst.b[1:], tol_rel)
+    rank = linalg.numerical_rank(inst.b[1:], inst.tol_rank)
     if rank <= inst.n - 1:
         return CertificateReport(
             True, f"rank of constraint terms is {rank} <= n-1 = {inst.n - 1}", rank=rank
@@ -227,9 +227,7 @@ def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDuality
     return StrongDualityReport(holds, gap, value, dval, lam)
 
 
-def split_indefinite(
-    inst: UqInstance, tol_rel: float = DEFAULT_RANK_TOL
-) -> tuple[QcqpInstance, int, int]:
+def split_indefinite(inst: UqInstance) -> tuple[QcqpInstance, int, int]:
     """Spectral split of an indefinite uniform instance into a two-block
     structured instance minimizing -f_0.
 
@@ -238,9 +236,7 @@ def split_indefinite(
     the returned ranks (r1, r2) are minimal.
     """
     w, v = linalg.sym_eig(inst.q)
-    scale = max(1.0, float(np.abs(w).max()))
-    pos = w > tol_rel * scale
-    neg = w < -tol_rel * scale
+    pos, neg = linalg.inertia(inst.q, inst.tol_rank)
     r1, r2 = int(pos.sum()), int(neg.sum())
     if r1 == 0 or r2 == 0:
         raise WrongShape("Q is semidefinite; use build_socp_uq (possibly negated)")
@@ -253,12 +249,12 @@ def split_indefinite(
     b[0] = -b[0]
     cvec = inst.d.copy()
     cvec[0] = -cvec[0]
-    qcqp = QcqpInstance(inst.n, [q1, q2], a, b, cvec, list(inst.bounds), sense="min")
+    qcqp = QcqpInstance(inst.n, [q1, q2], a, b, cvec, list(inst.bounds), tol_rank=inst.tol_rank)
     return qcqp, r1, r2
 
 
 def build_socp_indefinite(
-    inst: UqInstance, tol_rel: float = DEFAULT_RANK_TOL
+    inst: UqInstance
 ) -> tuple[ConeProgram, ReformulationMeta, CertificateReport, QcqpInstance]:
     """Split relaxation for indefinite Q: two lifted variables t1, t2 with
     objective t1 - t2 + 2 b_0'x + d_0 and one cone per spectral part.
@@ -266,11 +262,11 @@ def build_socp_indefinite(
     The fourth element is the two-block instance of ``split_indefinite`` that
     the program relaxes; recovery (``recover.tighten_qcqp``) works on it.
     """
-    qcqp, r1, r2 = split_indefinite(inst, tol_rel)
+    qcqp, r1, r2 = split_indefinite(inst)
     prog, meta = build_cr2(qcqp)
     meta.kind = "uq_indefinite"
     meta.sense = "max"
-    rank = linalg.numerical_rank(inst.b[1:], tol_rel)
+    rank = linalg.numerical_rank(inst.b[1:], inst.tol_rank)
     thresh = min(r1, r2) - 1
     report = CertificateReport(
         rank <= thresh,
@@ -322,7 +318,7 @@ def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict):
                 acc += inst.blocks[j].dense()
             residual = SymMatrix.from_dense(acc)
         nonzero = np.abs(residual.packed).max(initial=0.0) > 0.0
-        factors[key] = linalg.psd_factor(residual, inst.psd_tol) if nonzero else None
+        factors[key] = linalg.psd_factor(residual, inst.tol_rank) if nonzero else None
     return factors[key]
 
 
@@ -358,7 +354,7 @@ def _assemble(
     c = expr[0].copy()
     unit = np.eye(nv)
     soc = [
-        quad_epigraph(linalg.psd_factor(inst.blocks[j], inst.psd_tol), nv, unit[t_index[j]], 0.0)
+        quad_epigraph(linalg.psd_factor(inst.blocks[j], inst.tol_rank), nv, unit[t_index[j]], 0.0)
         for j in lifted
     ]
     if epi is not None:
@@ -412,30 +408,26 @@ def build_cr2(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     return _assemble(inst, lift_set_twosided(inst), "cr2")
 
 
-def union_rows(
-    inst: QcqpInstance, j_set, tol_rel: float = DEFAULT_RANK_TOL
-) -> dict[int, np.ndarray]:
+def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:
     """Rows spanning span{b_1..b_p} + N(Q_j) + sum_{i != j} R(Q_i), for each
     block j in ``j_set``.
 
     Their rank is the union dimension of the exactness condition, and their
     orthogonal complement holds the directions along which recovery closes
-    block j.  Each block's range and null bases are taken once, at relative
-    eigenvalue tolerance ``tol_rel``.
+    block j.  Each block's range and null bases are taken once, at the
+    instance's relative eigenvalue tolerance ``tol_rank``.
     """
-    ranges = [linalg.range_basis(q, tol_rel).columns.T for q in inst.blocks]
+    ranges = [linalg.range_basis(q, inst.tol_rank).columns.T for q in inst.blocks]
     return {
         j: np.vstack(
-            [inst.b[1:], linalg.null_basis(inst.blocks[j], tol_rel).columns.T]
+            [inst.b[1:], linalg.null_basis(inst.blocks[j], inst.tol_rank).columns.T]
             + [ranges[i] for i in range(inst.m) if i != j]
         )
         for j in j_set
     }
 
 
-def check_condition_c(
-    inst: QcqpInstance, j_set, tol_rel: float = DEFAULT_RANK_TOL
-) -> CertificateReport:
+def check_condition_c(inst: QcqpInstance, j_set) -> CertificateReport:
     """Exactness condition of the lifted relaxations over the lifted set:
     dim(span{b_1..b_p} + N(Q_j) + sum_{i != j} R(Q_i)) <= n-1 for every
     lifted j.  The one-sided and the two-sided relaxation share this test;
@@ -444,8 +436,8 @@ def check_condition_c(
     if not j_set:
         return CertificateReport(True, "no lifted blocks; program is convex as written")
     dims = {
-        j: linalg.numerical_rank(rows, tol_rel)
-        for j, rows in union_rows(inst, j_set, tol_rel).items()
+        j: linalg.numerical_rank(rows, inst.tol_rank)
+        for j, rows in union_rows(inst, j_set).items()
     }
     worst = max(dims.values())
     holds = worst <= inst.n - 1
@@ -465,23 +457,22 @@ check_condition_cc = check_condition_c
 # ---------------------------------------------------------------------------
 
 
-def _trust_region(
-    a_mat: SymMatrix, b0, c0: float, balls, rows, tol_rel: float
-) -> QcqpInstance:
+def _trust_region(a_mat: SymMatrix, b0, c0: float, balls, rows) -> QcqpInstance:
     """min x'Ax + 2 b0'x + c0 subject to lo <= ||x - mu||^2 <= hi for each
     ball (mu, Bound(lo, hi)) and a'x <= beta for each row (a, beta), as a
     min-sense structured instance.
 
     A is split against lam_min = lam_min(A) into the blocks (A - lam_min I,
     s I) with s = |lam_min|, so x'Ax = x'(A - lam_min I)x + sign(lam_min) s x'x
-    and every sign stays in {-1, 0, 1}; when lam_min is zero at ``tol_rel``,
-    s = 1 and the identity block leaves the objective.  Each ball row is
+    and every sign stays in {-1, 0, 1}; when ``linalg.inertia`` reads lam_min
+    as zero, s = 1 and the identity block leaves the objective.  Each ball row is
     s x'x - 2s mu'x + s||mu||^2 against s lo and s hi; each row is linear.
     """
     n = a_mat.n
     w, _ = linalg.sym_eig(a_mat)
     lam_min = float(w[-1])
-    zero = abs(lam_min) <= tol_rel * max(1.0, float(np.abs(w).max()))
+    pos, neg = linalg.inertia(a_mat, DEFAULT_RANK_TOL)
+    zero = not (pos[-1] or neg[-1])
     s = 1.0 if zero else abs(lam_min)
     blocks = [
         SymMatrix.from_dense(a_mat.dense() - lam_min * np.eye(n)),
@@ -503,7 +494,7 @@ def _trust_region(
     for i, (a, beta) in enumerate(rows, start=k):
         lin[i] = 0.5 * a
         bounds.append(Bound(-math.inf, beta))
-    return QcqpInstance(n, blocks, signs, lin, cvec, bounds, sense="min", psd_tol=tol_rel)
+    return QcqpInstance(n, blocks, signs, lin, cvec, bounds, sense="min")
 
 
 def build_trs(a_mat: SymMatrix, b) -> QcqpInstance:
@@ -520,7 +511,6 @@ def build_etrs(
     x0,
     u: float,
     rows=(),
-    tol_rel: float = DEFAULT_RANK_TOL,
 ) -> QcqpInstance:
     """Ball + linear-inequality constrained quadratic: min x'Ax + a'x over
     ||x - x0||^2 <= u and b_i'x <= beta_i for each row (b_i, beta_i).
@@ -543,12 +533,11 @@ def build_etrs(
         float(x0 @ (ad @ x0) + a_vec @ x0),
         [(np.zeros(n), Bound(-math.inf, u))],
         [(bi, beta - float(bi @ x0)) for bi, beta in rows],
-        tol_rel,
     )
 
 
 def build_wd(
-    x0, r0: float, points, weights, tol_rel: float = DEFAULT_RANK_TOL
+    x0, r0: float, points, weights
 ) -> tuple[ConeProgram, ReformulationMeta, CertificateReport]:
     """Weighted max-min dispersion over a ball: maximize s subject to
     s <= w_i (r0^2 - 2(z_i - x0)'y + ||z_i - x0||^2) and ||y|| <= r0, with the
@@ -586,7 +575,7 @@ def build_wd(
         x_shift=x0.copy(),
         t_index={0: n},
     )
-    rank = linalg.numerical_rank(shifted, tol_rel)
+    rank = linalg.numerical_rank(shifted)
     report = CertificateReport(
         rank <= n - 1,
         f"rank of re-centered points {rank} vs n-1 = {n - 1}",
@@ -613,7 +602,6 @@ def build_ttrs(a_mat: SymMatrix, b, alpha: float, beta: float) -> QcqpInstance:
         0.0,
         [(np.zeros(n), Bound(alpha, beta))],
         [],
-        DEFAULT_RANK_TOL,
     )
 
 
@@ -623,7 +611,6 @@ def build_vtrs(
     balls_in=(),
     balls_out=(),
     poly_rows=(),
-    tol_rel: float = DEFAULT_RANK_TOL,
 ) -> QcqpInstance:
     """Trust-region variant with inside/outside ball constraints and a
     polytope: min x'Qx + c'x with ||x - mu_i|| <= r_i (i in I),
@@ -643,4 +630,4 @@ def build_vtrs(
         raise InvalidInput("ball radii must be positive")
     balls = [(mu, Bound(-math.inf, r**2)) for mu, r in balls_in]
     balls += [(mu, Bound(r**2, math.inf)) for mu, r in balls_out]
-    return _trust_region(q_mat, 0.5 * c_vec, 0.0, balls, poly_rows, tol_rel)
+    return _trust_region(q_mat, 0.5 * c_vec, 0.0, balls, poly_rows)

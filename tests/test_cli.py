@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socqp import cli, errors, fileio
+from socqp import cli, errors, fileio, model, reformulate
 from socqp.errors import ParseError
 from socqp.linalg import SymMatrix
 from socqp.model import BallIntersection, Bound, QcqpInstance, UqInstance
@@ -870,3 +870,62 @@ def test_convex_block_keeps_its_small_eigenvalue(tmp_path, capsys, small, tol_ra
     rep = json.loads(out.out)
     assert rep["solver"]["status"] == "Optimal" and rep["exact"] is True
     assert rep["relaxation_value"] == pytest.approx(-1.0 / math.sqrt(small), rel=1e-6)
+
+
+def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+    with pytest.raises(ParseError, match="UTF-8"):
+        fileio.load_instance(bad)
+    code, out = run(capsys, "solve", str(bad))
+    assert code == 2
+    assert "parse error" in out.err
+
+
+def test_batch_goes_on_past_unreadable_files(tmp_path, capsys, exact_file):
+    import shutil
+
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(exact_file, batch / "a.json")
+    (batch / "b.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    (batch / "c.json").mkdir()
+    code, out = run(capsys, "solve", str(batch))
+    assert code == 2
+    lines = out.out.splitlines()
+    assert lines[0].startswith("a.json") and "exact=True" in lines[0]
+    assert lines[1].startswith("b.json") and "ERROR" in lines[1]
+    assert lines[2].startswith("c.json") and "ERROR" in lines[2]
+    assert lines[3] == "tolerances:"
+
+
+def test_tol_rank_of_the_file_reaches_every_derived_instance(tmp_path):
+    # --tol-rank enters only through load_instance; the instances built from
+    # the loaded one keep it
+    tol = 1e-4
+    for q in ([2.0, 0.3, 1.0], [2.0, 0.3, -1.0]):  # positive definite, indefinite
+        doc = {
+            "kind": "uq", "n": 2, "q": q, "b": [[0.1, 0.0], [0.2, 0.1]],
+            "d": [0.0, 0.5], "bounds": [{"lo": "-inf", "hi": 1.0}],
+        }
+        path = tmp_path / "uq.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        inst = fileio.load_instance(path, tol)
+        assert inst.tol_rank == tol
+        moved, _ = model.translate_origin(inst, np.array([0.1, -0.2]))
+        assert moved.tol_rank == tol
+        derived = model.uq_as_qcqp(moved) if q[2] > 0 else reformulate.split_indefinite(moved)[0]
+        assert derived.tol_rank == tol
+    doc = {
+        "kind": "qcqp", "n": 2, "sense": "max", "blocks": [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]],
+        "signs": [[-1.0, 1.0], [0.0, 1.0]], "b": [[-0.1, 0.0], [0.0, 0.0]],
+        "c": [0.0, 0.0], "bounds": [{"lo": "-inf", "hi": 1.0}],
+    }
+    path = tmp_path / "qcqp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst = fileio.load_instance(path, tol)
+    assert inst.tol_rank == tol
+    negated = cli._negate_qcqp(inst)
+    assert negated.sense == "min" and negated.tol_rank == tol
+    # instance files do not store the tolerance
+    assert "tol" not in fileio.dumps_instance(inst)

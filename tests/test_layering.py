@@ -5,6 +5,8 @@ builds no programs, and no module hides an import cycle inside a function.
 The one exception is ``conesolver.certify_strong_duality``, which forwards to
 ``reformulate`` under the name the benchmark harness calls.  No module imports
 scipy when it is loaded: only the factorization of a large KKT system does.
+Above ``linalg`` and ``fileio`` no public function takes a rank tolerance: it
+is a field of the instance.
 """
 
 import ast
@@ -88,4 +90,18 @@ def test_no_module_imports_scipy_when_loaded():
             else:
                 continue
             found += [f"{path.stem}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_no_public_function_above_linalg_takes_a_rank_tolerance():
+    # the tolerance is the instance's tol_rank, set when the file is loaded
+    banned = {"tol_rank", "tol_rel", "psd_tol"}
+    found = []
+    for module in ("reformulate", "recover", "model", "chebyshev", "cli"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                found += [f"{module}.{node.name}({name})" for name in sorted(names & banned)]
     assert found == []

@@ -36,6 +36,20 @@ def test_sym_eig_rejects_nonfinite():
         SymMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_inertia_cuts_at_tol_times_max_of_one_and_the_spectrum(scale):
+    # the cut is tol * max(1, max|w|): absolute below unit scale, relative above
+    tol = 1e-6
+    cut = tol * max(1.0, scale)
+    inside, outside = (1.0 - 1e-3) * cut, (1.0 + 1e-3) * cut
+    m = SymMatrix.from_dense(np.diag([outside, -inside, scale, inside, -outside]))
+    w, _ = linalg.sym_eig(m)
+    assert list(w) == [scale, outside, inside, -inside, -outside]
+    pos, neg = linalg.inertia(m, tol)
+    assert pos.tolist() == [True, True, False, False, False]
+    assert neg.tolist() == [False, False, False, False, True]
+
+
 def test_psd_factor_identity_and_diagonal():
     f = linalg.psd_factor(SymMatrix.identity(3))
     assert f.shape == (3, 3) and np.allclose(f.T @ f, np.eye(3))
