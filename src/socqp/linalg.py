@@ -1,20 +1,27 @@
 """Dense symmetric linear algebra kernel.
 
-Eigendecomposition, rank-sized PSD factors, numerical rank, null/range bases
-and the null space of a set of rows.  Tolerances are explicit arguments with
-one shared default so that the rank-based certificates built on top of this
-module are reproducible; above it the tolerance is the instance's ``tol_rank``.
+Eigendecomposition, rank-sized PSD factors, numerical rank, the range and
+null space of a symmetric matrix, and the null space of a set of rows.
+Tolerances are explicit arguments with one shared default so that the
+rank-based certificates built on top of this module are reproducible; above
+it the tolerance is the instance's ``tol_rank``.
 
-``inertia`` is the one sign test: an eigenvalue above tol*max(1, max|w|) is
-positive, one below its negative is negative.  The floor of 1 reads a matrix
-of pure roundoff (A - lam_min I with A = lam_min I) as zero, not indefinite,
-at the price of reading tiny data as zero too.  Range and null bases cut at
-tol*max|w| with no floor, so a matrix and its positive multiples share them.
+Each cut, and what it is for:
 
-A PSD factor has one row per eigenvalue above roundoff, so a block of rank r
-gives an r x n factor F with x'Mx = ||Fx||^2.  It drops only roundoff, not
-the spectrum below the rank tolerance: an eigenvalue the certificates treat
-as zero can still bound x, so the factor keeps it.
+- ``inertia``, the one sign test: an eigenvalue above tol*max(1, max|w|) is
+  positive, one below its negative is negative.  The floor of 1 reads a
+  matrix of pure roundoff (A - lam_min I with A = lam_min I) as zero, not
+  indefinite, at the price of reading tiny data as zero too.
+- ``range_and_null``, the subspaces of the exactness condition: an
+  eigenvector is in the range when |w| > tol*max|w|, with no floor, so a
+  matrix and its positive multiples share them.
+- ``psd_factor``, the roundoff cut: one row per eigenvalue above
+  n*eps*max|w|, so a block of rank r gives an r x n factor F with
+  x'Mx = ||Fx||^2.  It does not drop the spectrum below the rank tolerance:
+  an eigenvalue the certificates treat as zero can still bound x.
+- ``_rank``, the one rank rule of ``numerical_rank`` and
+  ``null_space_of_rows``: a singular value counts when it exceeds tol times
+  the largest one.
 
 Every function here returns the same result for the same inputs.  The one
 piece of state is memoisation on ``SymMatrix``: its dense view and its
@@ -121,26 +128,6 @@ class SymMatrix:
         return float(x @ (self.dense() @ x))
 
 
-@dataclass
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of R^n (possibly zero-dimensional)."""
-
-    n: int
-    columns: np.ndarray  # shape (n, k), orthonormal columns
-
-    def __post_init__(self):
-        self.columns = np.asarray(self.columns, dtype=float).reshape(self.n, -1)
-        k = self.columns.shape[1]
-        if k:
-            gram = self.columns.T @ self.columns
-            if np.abs(gram - np.eye(k)).max() > 1e-10:
-                raise InvalidInput("basis columns are not orthonormal within 1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-
 def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -182,56 +169,42 @@ def psd_factor(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return np.sqrt(w[:r])[:, None] * v[:, :r].T
 
 
+def _rank(sv: np.ndarray, tol_rel: float) -> int:
+    """Number of singular values (descending, at least one) above tol_rel *
+    the largest."""
+    return int(np.count_nonzero(sv > tol_rel * sv[0]))
+
+
 def numerical_rank(vectors, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the span of the rows of a (k, n) array, or of a list of k
-    vectors of one length: singular values > tol_rel * max."""
+    vectors of one length, by ``_rank``."""
     try:
         a = np.asarray(vectors, dtype=float)
     except ValueError as exc:
         raise InvalidInput("all vectors must share the same ambient dimension") from exc
     if a.size == 0:
         return 0
-    sv = np.linalg.svd(a.reshape(a.shape[0], -1), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol_rel * sv[0]))
+    return _rank(np.linalg.svd(a.reshape(a.shape[0], -1), compute_uv=False), tol_rel)
 
 
-def _split_spectrum(m: SymMatrix, tol_rel: float):
+def range_and_null(m: SymMatrix, tol_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the range and the null space of M: the
+    eigenvectors of ``sym_eig(m)`` with |w| above tol_rel * max|w|, and the
+    rest, so the two are complementary."""
     w, v = sym_eig(m)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    thresh = tol_rel * max(scale, 1e-300)
-    keep = np.abs(w) > thresh
+    keep = np.abs(w) > tol_rel * max(float(np.abs(w).max()), 1e-300)
     return v[:, keep], v[:, ~keep]
 
 
-def null_basis(m: SymMatrix, tol_rel: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the null space at relative eigenvalue tolerance."""
-    _, kernel = _split_spectrum(m, tol_rel)
-    return SubspaceBasis(m.n, kernel)
-
-
-def range_basis(m: SymMatrix, tol_rel: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the range; complements null_basis exactly."""
-    image, _ = _split_spectrum(m, tol_rel)
-    return SubspaceBasis(m.n, image)
-
-
 def null_space_of_rows(rows, n: int, tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : r @ x = 0 for every row r}.
-
-    Rows may be an empty list, in which case the basis is the identity.
-    """
-    rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
-    rows = [r for r in rows if np.linalg.norm(r) > 0.0]
-    if not rows:
+    """Orthonormal basis (columns) of {x : r @ x = 0 for every row r} of the
+    (k, n) array ``rows``, past the rank that ``_rank`` finds.  Zero rows are
+    dropped; with none left the basis is the identity."""
+    a = np.asarray(rows, dtype=float)
+    a = a[np.linalg.norm(a, axis=1) > 0.0]
+    if not len(a):
         return np.eye(n)
-    a = np.vstack(rows)
     if a.shape[1] != n:
         raise InvalidInput("row dimension mismatch")
     _, sv, vt = np.linalg.svd(a, full_matrices=True)
-    if sv.size and sv[0] > 0:
-        rank = int(np.count_nonzero(sv > tol_rel * sv[0]))
-    else:
-        rank = 0
-    return vt[rank:].T.copy()
+    return vt[_rank(sv, tol_rel):].T.copy()

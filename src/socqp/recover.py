@@ -80,7 +80,7 @@ def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
     if nw <= 1e-12 * (1.0 + np.linalg.norm(b0)):
         return null_cols[:, 0]
     if null_cols.shape[1] >= 2:
-        comp = linalg.null_space_of_rows([w], null_cols.shape[1])
+        comp = linalg.null_space_of_rows(w[None, :], null_cols.shape[1])
         if comp.shape[1]:
             return null_cols @ comp[:, 0]
     return null_cols[:, 0]
@@ -346,8 +346,8 @@ def approx_uq(
     scale = 1.0 + abs(t_star)
 
     gap = t_star - xqx
-    if gap > 1e-9 * scale and reformulate.check_as3(inst).holds:
-        # exact instance: close the cone at the optimum and take the shortcut
+    if gap > 1e-9 * scale:
+        # exact instance (tighten_uq certifies it): close the cone, take the shortcut
         try:
             x_star, _ = tighten_uq(inst, res)
             xqx = float(x_star @ qd @ x_star)

@@ -41,7 +41,6 @@ class CertificateReport:
     reason: str
     rank: int | None = None
     dims: dict[int, int] | None = None
-    threshold: int | None = None
 
 
 @dataclass
@@ -54,7 +53,6 @@ class ReformulationMeta:
     added when mapping a solution back to original coordinates.
     """
 
-    kind: str
     n: int
     sense: str  # sense of the original problem: 'min' or 'max'
     lifted: tuple[int, ...] = ()
@@ -126,7 +124,6 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
             "Q is indefinite; use build_socp_indefinite for the split relaxation"
         ) from exc
     prog, meta = build_cr2(view)
-    meta.kind = "uq"
     meta.sense = "max"
     return prog, meta
 
@@ -264,7 +261,6 @@ def build_socp_indefinite(
     """
     qcqp, r1, r2 = split_indefinite(inst)
     prog, meta = build_cr2(qcqp)
-    meta.kind = "uq_indefinite"
     meta.sense = "max"
     rank = linalg.numerical_rank(inst.b[1:], inst.tol_rank)
     thresh = min(r1, r2) - 1
@@ -272,7 +268,6 @@ def build_socp_indefinite(
         rank <= thresh,
         f"rank of constraint terms {rank} vs min(r1, r2)-1 = {thresh}",
         rank=rank,
-        threshold=thresh,
     )
     return prog, meta, report, qcqp
 
@@ -323,7 +318,7 @@ def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict):
 
 
 def _assemble(
-    inst: QcqpInstance, lifted: tuple[int, ...], kind: str
+    inst: QcqpInstance, lifted: tuple[int, ...]
 ) -> tuple[ConeProgram, ReformulationMeta]:
     """Lifted relaxation of a min-sense structured instance over ``lifted``.
 
@@ -339,7 +334,7 @@ def _assemble(
     lower bounds, and the two-sided lifted set leaves no constraint residual.
     """
     if inst.sense != "min":
-        raise WrongShape(f"{kind} builder expects a minimization instance")
+        raise WrongShape("lifted builders expect a minimization instance")
     n, p, k = inst.n, inst.p, len(lifted)
     summed = inst.a == 1.0
     summed[:, list(lifted)] = False
@@ -383,7 +378,6 @@ def _assemble(
         offset=float(inst.c[0]),
     )
     meta = ReformulationMeta(
-        kind=kind,
         n=n,
         sense="min",
         lifted=lifted,
@@ -399,13 +393,13 @@ def build_cr(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     leftover convex quadratics stay as cone-encoded epigraphs."""
     if any(bd.has_lower for bd in inst.bounds):
         raise WrongShape("two-sided instance passed; use build_cr2")
-    return _assemble(inst, lift_set_onesided(inst), "cr")
+    return _assemble(inst, lift_set_onesided(inst))
 
 
 def build_cr2(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     """Two-sided relaxation: every block appearing in a constraint is lifted,
     so all constraint rows become linear in (x, t)."""
-    return _assemble(inst, lift_set_twosided(inst), "cr2")
+    return _assemble(inst, lift_set_twosided(inst))
 
 
 def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:
@@ -414,14 +408,13 @@ def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:
 
     Their rank is the union dimension of the exactness condition, and their
     orthogonal complement holds the directions along which recovery closes
-    block j.  Each block's range and null bases are taken once, at the
-    instance's relative eigenvalue tolerance ``tol_rank``.
+    block j.  Each block's spectrum is split once, by
+    ``linalg.range_and_null`` at the instance's ``tol_rank``.
     """
-    ranges = [linalg.range_basis(q, inst.tol_rank).columns.T for q in inst.blocks]
+    split = [linalg.range_and_null(q, inst.tol_rank) for q in inst.blocks]
     return {
         j: np.vstack(
-            [inst.b[1:], linalg.null_basis(inst.blocks[j], inst.tol_rank).columns.T]
-            + [ranges[i] for i in range(inst.m) if i != j]
+            [inst.b[1:], split[j][1].T] + [split[i][0].T for i in range(inst.m) if i != j]
         )
         for j in j_set
     }
@@ -445,7 +438,6 @@ def check_condition_c(inst: QcqpInstance, j_set) -> CertificateReport:
         holds,
         f"max union dimension {worst} vs n-1 = {inst.n - 1}",
         dims=dims,
-        threshold=inst.n - 1,
     )
 
 
@@ -568,7 +560,6 @@ def build_wd(
     soc = [SocBlock(a, np.zeros(n), np.zeros(nv), r0)]
     prog = ConeProgram(c=c, g=g, h=h, soc=soc)
     meta = ReformulationMeta(
-        kind="wd",
         n=n,
         sense="max",
         row_map=[(i, None) for i in range(p)],
@@ -580,7 +571,6 @@ def build_wd(
         rank <= n - 1,
         f"rank of re-centered points {rank} vs n-1 = {n - 1}",
         rank=rank,
-        threshold=n - 1,
     )
     return prog, meta, report
 

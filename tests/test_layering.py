@@ -6,7 +6,8 @@ The one exception is ``conesolver.certify_strong_duality``, which forwards to
 ``reformulate`` under the name the benchmark harness calls.  No module imports
 scipy when it is loaded: only the factorization of a large KKT system does.
 Above ``linalg`` and ``fileio`` no public function takes a rank tolerance: it
-is a field of the instance.
+is a field of the instance.  Only ``linalg`` decomposes a matrix to read its
+rank or spectrum, so a change to a rank or eigenvalue cut is made there.
 """
 
 import ast
@@ -104,4 +105,33 @@ def test_no_public_function_above_linalg_takes_a_rank_tolerance():
                 args = node.args
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 found += [f"{module}.{node.name}({name})" for name in sorted(names & banned)]
+    assert found == []
+
+
+SPECTRAL = {"svd", "eigh", "eig", "eigvals", "eigvalsh", "matrix_rank"}
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_only_linalg_decomposes_a_matrix():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                if name.split(".")[-1] in SPECTRAL and ".linalg." in f".{name}":
+                    found.append(f"{path.stem}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [f"{path.stem}:{node.lineno} {a.name}" for a in node.names
+                          if a.name in SPECTRAL]
     assert found == []

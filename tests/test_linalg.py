@@ -7,7 +7,7 @@ import pytest
 
 from socqp import linalg
 from socqp.errors import InvalidInput, InvalidMatrix, NotPsd
-from socqp.linalg import SymMatrix, SubspaceBasis
+from socqp.linalg import DEFAULT_RANK_TOL, SymMatrix
 
 
 def test_sym_eig_identity():
@@ -65,14 +65,14 @@ def test_psd_factor_rejects_indefinite():
 def test_psd_factor_drops_small_negatives():
     m = SymMatrix.from_dense(np.diag([1.0, 0.5, -1e-12]))
     f = linalg.psd_factor(m)
-    assert f.shape == (2, 3) == (linalg.range_basis(m).dim, m.n)
+    assert f.shape == (2, 3) == (linalg.range_and_null(m, DEFAULT_RANK_TOL)[0].shape[1], m.n)
     assert np.allclose(f.T @ f, np.diag([1.0, 0.5, 0.0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("tol", [linalg.DEFAULT_RANK_TOL, 1e-4])
 def test_psd_factor_squares_back(tol):
     # F'F = M to roundoff, with one row per eigenvalue above roundoff: on an
-    # exactly low-rank matrix that is the rank range_basis finds, and a small
+    # exactly low-rank matrix that is the rank range_and_null finds, and a small
     # eigenvalue below the rank tolerance keeps its row whatever tol is
     rng = np.random.default_rng(1)
     for rank in (4, 2, 1, 0):
@@ -80,13 +80,13 @@ def test_psd_factor_squares_back(tol):
         m = SymMatrix.from_dense(u @ u.T)
         f = linalg.psd_factor(m, tol)
         scale = max(1.0, np.abs(m.dense()).max())
-        assert f.shape == (linalg.range_basis(m, tol).dim, 5) == (rank, 5)
+        assert f.shape == (linalg.range_and_null(m, tol)[0].shape[1], 5) == (rank, 5)
         assert np.abs(f.T @ f - m.dense()).max() <= 1e-12 * scale
         if rank:
             tail = np.linalg.svd(u.T)[2][-1]  # a unit vector orthogonal to u
             small = SymMatrix.from_dense(u @ u.T + 1e-2 * tol * np.outer(tail, tail))
             f = linalg.psd_factor(small, tol)
-            assert linalg.range_basis(small, tol).dim == rank
+            assert linalg.range_and_null(small, tol)[0].shape[1] == rank
             assert f.shape == (rank + 1, 5)
             assert np.abs(f.T @ f - small.dense()).max() <= 1e-12 * scale
 
@@ -119,19 +119,27 @@ def test_numerical_rank_scaling_and_permutation_invariance():
     assert linalg.numerical_rank(vecs[::-1]) == base
 
 
+def test_null_space_of_rows_drops_zero_rows_and_checks_length():
+    assert np.array_equal(linalg.null_space_of_rows(np.zeros((2, 3)), 3), np.eye(3))
+    assert np.array_equal(linalg.null_space_of_rows(np.zeros((0, 3)), 3), np.eye(3))
+    rows = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    null = linalg.null_space_of_rows(rows, 3)
+    assert null.shape == (3, 2) and np.abs(rows @ null).max() <= 1e-15
+    with pytest.raises(InvalidInput):
+        linalg.null_space_of_rows(np.ones((1, 2)), 3)
+
+
 def test_null_range_split():
     m = SymMatrix.from_dense(np.diag([1.0, 0.0]))
-    null = linalg.null_basis(m)
-    rng_b = linalg.range_basis(m)
-    assert null.dim == 1 and rng_b.dim == 1
-    assert abs(abs(null.columns[1, 0]) - 1.0) < 1e-12
-    assert np.abs(m.dense() @ null.columns).max() < 1e-10
+    image, null = linalg.range_and_null(m, DEFAULT_RANK_TOL)
+    assert null.shape == image.shape == (2, 1)
+    assert abs(abs(null[1, 0]) - 1.0) < 1e-12
+    assert np.abs(m.dense() @ null).max() < 1e-10
 
 
 def test_identity_has_trivial_null_space():
-    m = SymMatrix.identity(4)
-    assert linalg.null_basis(m).dim == 0
-    assert linalg.range_basis(m).dim == 4
+    image, null = linalg.range_and_null(SymMatrix.identity(4), DEFAULT_RANK_TOL)
+    assert image.shape == (4, 4) and null.shape == (4, 0)
 
 
 def test_null_range_dims_sum_to_n():
@@ -139,21 +147,30 @@ def test_null_range_dims_sum_to_n():
     for _ in range(5):
         a = rng.normal(size=(5, 3))
         m = SymMatrix.from_dense(a @ a.T)  # rank <= 3
-        assert linalg.null_basis(m).dim + linalg.range_basis(m).dim == 5
+        image, null = linalg.range_and_null(m, DEFAULT_RANK_TOL)
+        assert null.shape[1] + image.shape[1] == 5
+
+
+def test_range_and_null_are_orthonormal_complements():
+    rng = np.random.default_rng(4)
+    for rank in (5, 3, 1, 0):
+        a = rng.normal(size=(5, rank))
+        m = SymMatrix.from_dense(a @ a.T)
+        image, null = linalg.range_and_null(m, DEFAULT_RANK_TOL)
+        assert (image.shape[1], null.shape[1]) == (rank, 5 - rank)
+        both = np.hstack([image, null])
+        assert np.abs(both.T @ both - np.eye(5)).max() <= 1e-10
+        scale = max(1.0, np.abs(m.dense()).max())
+        assert np.abs(m.dense() @ null).max(initial=0.0) <= 1e-10 * scale
 
 
 def test_rank_one_range_is_spanned_by_v():
     v = np.array([1.0, 2.0, -1.0])
     m = SymMatrix.from_dense(np.outer(v, v))
-    basis = linalg.range_basis(m)
-    assert basis.dim == 1
-    cos = abs(basis.columns[:, 0] @ v) / np.linalg.norm(v)
+    image, _ = linalg.range_and_null(m, DEFAULT_RANK_TOL)
+    assert image.shape[1] == 1
+    cos = abs(image[:, 0] @ v) / np.linalg.norm(v)
     assert abs(cos - 1.0) < 1e-10
-
-
-def test_subspace_basis_rejects_non_orthonormal():
-    with pytest.raises(InvalidInput):
-        SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_packed_storage_is_exactly_symmetric():
@@ -177,8 +194,7 @@ def test_sym_eig_is_computed_once_and_read_only(monkeypatch):
     w, v = linalg.sym_eig(m)
     assert linalg.sym_eig(m)[0] is w and linalg.sym_eig(m)[1] is v
     linalg.psd_factor(m)
-    linalg.null_basis(m)
-    linalg.range_basis(m)
+    linalg.range_and_null(m, DEFAULT_RANK_TOL)
     assert len(calls) == 1
     for arr in (w, v, m.packed, m.dense()):
         with pytest.raises(ValueError):

@@ -234,10 +234,10 @@ def test_condition_dims_match_stacked_rank():
         cert = reformulate.check_condition_cc(inst, k)
         for j in k:
             cols = [inst.b[1]]
-            cols += list(linalg.null_basis(inst.blocks[j]).columns.T)
+            cols += list(linalg.range_and_null(inst.blocks[j], inst.tol_rank)[1].T)
             for i in range(inst.m):
                 if i != j:
-                    cols += list(linalg.range_basis(inst.blocks[i]).columns.T)
+                    cols += list(linalg.range_and_null(inst.blocks[i], inst.tol_rank)[0].T)
             assert cert.dims[j] == np.linalg.matrix_rank(
                 np.column_stack(cols), tol=1e-8
             )
@@ -273,6 +273,31 @@ def orthogonal_blocks_instance(rng, n, m, p, two_sided):
         Bound(-0.5 if two_sided else -math.inf, 1.0) for _ in range(p - 1)
     ]
     return QcqpInstance(n, blocks, a, b, np.zeros(p + 1), bounds)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_structured_certificate_and_recovery_read_one_rank(two_sided):
+    # the union dimension that certifies and the null space that recovery
+    # moves in come from one rank rule, so they always add up to n
+    rng = np.random.default_rng(13)
+    for n, m, p in ((6, 3, 2), (9, 4, 4), (12, 6, 3), (16, 8, 5)):
+        inst = orthogonal_blocks_instance(rng, n, m, p, two_sided)
+        lift = reformulate.lift_set_twosided if two_sided else reformulate.lift_set_onesided
+        lifted = lift(inst)
+        assert lifted
+        dims = reformulate.check_condition_c(inst, lifted).dims
+        for j, rows in reformulate.union_rows(inst, lifted).items():
+            null = linalg.null_space_of_rows(rows, n, inst.tol_rank)
+            assert dims[j] == n - null.shape[1]
+
+
+def test_uniform_certificate_and_recovery_read_one_rank():
+    rng = np.random.default_rng(14)
+    for n, p, r in ((3, 2, 2), (4, 4, 4), (5, 7, 5), (6, 4, 2), (6, 9, 3)):
+        inst = random_uq(rng, n, p)
+        inst.b[1:] = rng.normal(size=(p, r)) @ rng.normal(size=(r, n))  # rank r
+        null = linalg.null_space_of_rows(inst.b[1:], n, inst.tol_rank)
+        assert reformulate.check_as3(inst).rank == n - null.shape[1] == r
 
 
 def _program_arrays(prog):
