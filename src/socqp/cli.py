@@ -19,7 +19,7 @@ emits JSON.  ``--tol-rank`` becomes the ``tol_rank`` of the loaded instance.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import math
 import sys
@@ -120,22 +120,12 @@ def _cert_block(cert: reformulate.CertificateReport) -> dict:
     return out
 
 
-def _negate_qcqp(inst: QcqpInstance) -> QcqpInstance:
-    a = inst.a.copy()
-    a[0] *= -1.0
-    b = inst.b.copy()
-    b[0] *= -1.0
-    c = inst.c.copy()
-    c[0] *= -1.0
-    return dataclasses.replace(inst, a=a, b=b, c=c, bounds=list(inst.bounds), sense="min")
-
-
 def _classify(obj):
-    """Report head, program, meta, certificate and the min-sense structured
-    view that recovery works on (None for positive definite Q, which
+    """Report head, program, meta, certificate and the structured view that
+    recovery works on (None for positive definite Q, which
     `recover.tighten_uq` handles on the instance itself)."""
     if isinstance(obj, QcqpInstance):
-        view = _negate_qcqp(obj) if obj.sense == "max" else obj
+        view = obj
         two_sided = any(bd.has_lower for bd in view.bounds)
         prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(view)
         head = {
@@ -148,16 +138,15 @@ def _classify(obj):
     elif isinstance(obj, UqInstance):
         pos, neg = linalg.inertia(obj.q, obj.tol_rank)
         head = {"kind": "uq", "n": obj.n, "p": obj.p}
-        if pos[-1]:
-            prog, meta = reformulate.build_socp_uq(obj)
-            return head, prog, meta, reformulate.check_as3(obj), None
         if neg[-1]:
             head["shape"] = "indefinite"
             prog, meta, cert, view = reformulate.build_socp_indefinite(obj)
             return head, prog, meta, cert, view
+        prog, meta = reformulate.build_socp_uq(obj)
+        if pos[-1]:
+            return head, prog, meta, reformulate.check_as3(obj), None
         head["shape"] = "psd_singular"
         view = model.uq_as_qcqp(obj)
-        prog, meta = reformulate.build_cr2(view)
     else:
         raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
     return head, prog, meta, reformulate.check_condition_c(view, meta.lifted), view
@@ -183,8 +172,7 @@ def _solve(obj, args) -> tuple[dict, int]:
         return report, EXIT_PRECONDITION
     if res.status != "Optimal":
         return report, EXIT_SOLVER
-    maximize = uniform or obj.sense == "max"  # the builders minimise
-    report["relaxation_value"] = -res.objective if maximize else res.objective
+    report["relaxation_value"] = meta.original_value(res)
     if view is None:  # positive definite Q: the dual has a closed form
         duality = reformulate.certify_strong_duality(obj, res)
         report["duality"] = {"gap": duality.gap, "holds": duality.holds}
@@ -362,14 +350,30 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, test, rule: str):
+    """An argparse ``type``: the value ``convert`` makes of the text, when it
+    passes ``test``; any other text is a usage error (exit 2)."""
+
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if test(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     defaults = SolveOptions()
+    fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+    positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+    count = _checked(int, lambda v: v >= 0, "an integer >= 0")
     flags = {
-        "--tol-rank": {"type": float, "default": linalg.DEFAULT_RANK_TOL},
-        "--tol-feas": {"type": float, "default": defaults.feastol},
-        "--gap": {"type": float, "default": defaults.gaptol},
-        "--max-iter": {"type": int, "default": defaults.max_iter},
-        "--grid-h": {"type": float, "default": 1e-3},
+        "--tol-rank": {"type": fraction, "default": linalg.DEFAULT_RANK_TOL},
+        "--tol-feas": {"type": positive, "default": defaults.feastol},
+        "--gap": {"type": positive, "default": defaults.gaptol},
+        "--max-iter": {"type": count, "default": defaults.max_iter},
+        "--grid-h": {"type": positive, "default": 1e-3},
         "--refine": {"type": int, "default": 2},
         "--report-format": {"choices": ["text", "structured"], "default": "text"},
     }

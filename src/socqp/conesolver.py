@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProgram
+from .errors import InvalidInput, InvalidProgram
 
 _STEP_SCALE = 0.99  # share of the step to the cone boundary that is taken
 _STATIC_REG = 1e-10  # KKT regularization, raised while factoring fails
@@ -126,6 +126,10 @@ class SolveOptions:
     feastol: float = 1e-8
     gaptol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise InvalidInput(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass

@@ -121,8 +121,6 @@ def parse_instance(text: str, tol_rank: float = DEFAULT_RANK_TOL):
             _require(
                 data, {"kind", "n", "sense", "blocks", "signs", "b", "c", "bounds"}, kind
             )
-            if data["sense"] not in ("min", "max"):
-                raise ParseError('"sense" must be "min" or "max"')
             bounds = [
                 _bound_in(bd, f"bounds[{i}]") for i, bd in enumerate(data["bounds"])
             ]

@@ -285,14 +285,24 @@ def ilp_to_uq(c, a_rows, rhs) -> UqInstance:
 
 
 def uq_as_qcqp(inst: UqInstance) -> QcqpInstance:
-    """View a UQ instance as the single-block structured QCQP that minimises
-    -f_0 over the same rows, the sense the relaxation builders require.
-    Q must be PSD at the instance's ``tol_rank``, which the view keeps.
+    """View a UQ instance as the single-block structured QCQP that maximises
+    g_0 = f_0 over the same rows, with g_i = f_i; it shares the instance's
+    arrays.  Q must be PSD at the instance's ``tol_rank``, which the view
+    keeps.
     """
     a = np.ones((inst.p + 1, 1))
-    a[0, 0] = -1.0
-    b = inst.b.copy()
-    b[0] *= -1.0
-    cvec = inst.d.copy()
-    cvec[0] *= -1.0
-    return QcqpInstance(inst.n, [inst.q], a, b, cvec, list(inst.bounds), tol_rank=inst.tol_rank)
+    return QcqpInstance(
+        inst.n, [inst.q], a, inst.b, inst.d, list(inst.bounds), sense="max", tol_rank=inst.tol_rank
+    )
+
+
+def as_min(inst: QcqpInstance) -> QcqpInstance:
+    """The min-sense form of a structured instance: the instance itself when
+    it minimises, else the copy minimising -g_0 over the same rows.  Every
+    builder and recovery step reads the objective row through it."""
+    if inst.sense == "min":
+        return inst
+    a, b, c = inst.a.copy(), inst.b.copy(), inst.c.copy()
+    for arr in (a, b, c):
+        arr[0] *= -1.0
+    return replace(inst, a=a, b=b, c=c, bounds=list(inst.bounds), sense="min")

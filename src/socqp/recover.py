@@ -169,9 +169,11 @@ def tighten_qcqp(
     and the move changes neither the linear rows nor the other blocks.
     The instance's ``tol_rank`` is the relative rank tolerance of that
     condition: it decides the block ranges, null spaces and union dimension.
+    The instance may have either sense; the moves read its min-sense form.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
+    inst = model.as_min(inst)
     x = meta.x_of(res.z)
     trace = TightenTrace()
     if not meta.lifted:

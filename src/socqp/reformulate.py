@@ -8,11 +8,11 @@ certificate is a separate call (``check_as3`` for uniform instances,
 The trust-region special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
 ``build_vtrs``) return a min-sense ``QcqpInstance`` that goes through the
 generic ``build_cr``/``build_cr2``, ``check_condition_c`` and
-``recover.tighten_qcqp``.  ``build_cr`` and ``build_cr2`` take min-sense
-instances only and reject a max-sense one; a caller negates it first, as
-``socqp solve`` does.  The uniform builders (``build_socp_uq``,
-``build_socp_indefinite``) minimise -f_0 and record the instance's max sense
-in the meta.
+``recover.tighten_qcqp``.  The builders, the lift sets and recovery take an
+instance of either sense and read its objective through ``model.as_min``;
+the meta records the instance's own sense.  The uniform builders
+(``build_socp_uq``, ``build_socp_indefinite``) relax the max-sense views
+``model.uq_as_qcqp`` and ``split_indefinite``.
 
 Next to ``check_as3`` sit the closed-form Lagrangian dual of a uniform
 instance (``dual_value``) and ``certify_strong_duality``, which checks a
@@ -30,7 +30,7 @@ from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
 from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, NotPositiveDefinite, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
-from .model import Bound, QcqpInstance, UqInstance, uq_as_qcqp
+from .model import Bound, QcqpInstance, UqInstance, as_min, uq_as_qcqp
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
     max t + 2 b_0'x + d_0, rows l_i <= t + 2 b_i'x + d_i <= u_i and one cone
     encoding x'Qx <= t.
 
-    This is the two-sided relaxation of the one-block view that minimises
-    -f_0 (``model.uq_as_qcqp``), relabelled with the instance's max sense.
+    This is the two-sided relaxation of the one-block view
+    ``model.uq_as_qcqp``.
     """
     try:
         view = uq_as_qcqp(inst)
@@ -123,9 +123,7 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
         raise WrongShape(
             "Q is indefinite; use build_socp_indefinite for the split relaxation"
         ) from exc
-    prog, meta = build_cr2(view)
-    meta.sense = "max"
-    return prog, meta
+    return build_cr2(view)
 
 
 def check_as3(inst: UqInstance) -> CertificateReport:
@@ -217,7 +215,7 @@ def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDuality
     sides = np.zeros(keep.size)
     sides[keep] = res.lam_lin
     lam = sides[0::2] - sides[1::2]
-    value = -res.objective  # the relaxation builder negates the max objective
+    value = -res.objective  # the relaxation minimises -f_0
     dval = dual_value(inst, lam)
     gap = dval - value
     holds = bool(abs(gap) <= _DUALITY_REL_TOL * (1.0 + abs(value)))
@@ -226,7 +224,7 @@ def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDuality
 
 def split_indefinite(inst: UqInstance) -> tuple[QcqpInstance, int, int]:
     """Spectral split of an indefinite uniform instance into a two-block
-    structured instance minimizing -f_0.
+    structured instance maximizing g_0 = f_0, with g_i = f_i.
 
     Q = Q1 - Q2 with Q1 from positive and Q2 from negated negative
     eigenpairs; eigenvalues within tolerance of zero enter neither block, so
@@ -239,15 +237,11 @@ def split_indefinite(inst: UqInstance) -> tuple[QcqpInstance, int, int]:
         raise WrongShape("Q is semidefinite; use build_socp_uq (possibly negated)")
     q1 = SymMatrix.from_dense((v[:, pos] * w[pos]) @ v[:, pos].T)
     q2 = SymMatrix.from_dense((v[:, neg] * -w[neg]) @ v[:, neg].T)
-    p = inst.p
-    a = np.tile([1.0, -1.0], (p + 1, 1))
-    a[0] = (-1.0, 1.0)  # objective negated into min sense
-    b = inst.b.copy()
-    b[0] = -b[0]
-    cvec = inst.d.copy()
-    cvec[0] = -cvec[0]
-    qcqp = QcqpInstance(inst.n, [q1, q2], a, b, cvec, list(inst.bounds), tol_rank=inst.tol_rank)
-    return qcqp, r1, r2
+    a = np.tile([1.0, -1.0], (inst.p + 1, 1))
+    view = QcqpInstance(
+        inst.n, [q1, q2], a, inst.b, inst.d, list(inst.bounds), sense="max", tol_rank=inst.tol_rank
+    )
+    return view, r1, r2
 
 
 def build_socp_indefinite(
@@ -261,7 +255,6 @@ def build_socp_indefinite(
     """
     qcqp, r1, r2 = split_indefinite(inst)
     prog, meta = build_cr2(qcqp)
-    meta.sense = "max"
     rank = linalg.numerical_rank(inst.b[1:], inst.tol_rank)
     thresh = min(r1, r2) - 1
     report = CertificateReport(
@@ -279,17 +272,19 @@ def build_socp_indefinite(
 
 def lift_set_onesided(inst: QcqpInstance) -> tuple[int, ...]:
     """Blocks that must be lifted in the one-sided relaxation: any block with
-    a -1 sign somewhere (objective included)."""
-    return tuple(j for j in range(inst.m) if np.any(inst.a[:, j] == -1.0))
+    a -1 sign somewhere (the min-sense objective included)."""
+    a = as_min(inst).a
+    return tuple(j for j in range(inst.m) if np.any(a[:, j] == -1.0))
 
 
 def lift_set_twosided(inst: QcqpInstance) -> tuple[int, ...]:
-    """Blocks lifted in the two-sided relaxation: a -1 objective sign or any
-    appearance in a constraint."""
+    """Blocks lifted in the two-sided relaxation: a -1 sign in the min-sense
+    objective or any appearance in a constraint."""
+    a = as_min(inst).a
     return tuple(
         j
         for j in range(inst.m)
-        if inst.a[0, j] == -1.0 or np.any(inst.a[1:, j] != 0.0)
+        if a[0, j] == -1.0 or np.any(a[1:, j] != 0.0)
     )
 
 
@@ -317,10 +312,9 @@ def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict):
     return factors[key]
 
 
-def _assemble(
-    inst: QcqpInstance, lifted: tuple[int, ...]
-) -> tuple[ConeProgram, ReformulationMeta]:
-    """Lifted relaxation of a min-sense structured instance over ``lifted``.
+def _assemble(inst: QcqpInstance, lift_set) -> tuple[ConeProgram, ReformulationMeta]:
+    """Lifted relaxation of a structured instance over the blocks that
+    ``lift_set`` picks from its min-sense form ``model.as_min(inst)``.
 
     Variables are (x, t_j for each lifted block j, and an epigraph variable
     when the objective keeps a convex residual).  Each lifted block gets the
@@ -333,8 +327,8 @@ def _assemble(
     sure a residual never meets a lower bound: the one-sided builder rejects
     lower bounds, and the two-sided lifted set leaves no constraint residual.
     """
-    if inst.sense != "min":
-        raise WrongShape("lifted builders expect a minimization instance")
+    sense, inst = inst.sense, as_min(inst)
+    lifted = lift_set(inst)
     n, p, k = inst.n, inst.p, len(lifted)
     summed = inst.a == 1.0
     summed[:, list(lifted)] = False
@@ -379,7 +373,7 @@ def _assemble(
     )
     meta = ReformulationMeta(
         n=n,
-        sense="min",
+        sense=sense,
         lifted=lifted,
         t_index=t_index,
         row_map=row_map,
@@ -393,13 +387,13 @@ def build_cr(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     leftover convex quadratics stay as cone-encoded epigraphs."""
     if any(bd.has_lower for bd in inst.bounds):
         raise WrongShape("two-sided instance passed; use build_cr2")
-    return _assemble(inst, lift_set_onesided(inst))
+    return _assemble(inst, lift_set_onesided)
 
 
 def build_cr2(inst: QcqpInstance) -> tuple[ConeProgram, ReformulationMeta]:
     """Two-sided relaxation: every block appearing in a constraint is lifted,
     so all constraint rows become linear in (x, t)."""
-    return _assemble(inst, lift_set_twosided(inst))
+    return _assemble(inst, lift_set_twosided)
 
 
 def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:

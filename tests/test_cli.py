@@ -791,6 +791,50 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+_BAD_FLAG_VALUES = [
+    ("solve", "--tol-rank", "nan"),
+    ("solve", "--tol-rank", "inf"),
+    ("solve", "--tol-rank", "-1"),
+    ("solve", "--max-iter", "-1"),
+    ("solve", "--tol-feas", "nan"),
+    ("solve", "--tol-feas", "-1"),
+    ("solve", "--gap", "nan"),
+    ("oracle", "--grid-h", "0"),
+    ("oracle", "--grid-h", "nan"),
+    ("oracle", "--grid-h", "inf"),
+    ("oracle", "--grid-h", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_FLAG_VALUES)
+def test_flag_values_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value):
+    # on a positive definite file each of these would misread Q, crash, or
+    # run a solve that cannot converge; argparse refuses them instead
+    path = tmp_path / "pd.json"
+    fileio.save_instance(
+        UqInstance(
+            2, SymMatrix.from_dense(np.array([[2.0, 0.3], [0.3, 1.0]])),
+            np.array([[0.1, 0.0], [0.2, 0.1]]), np.zeros(2), [Bound(-math.inf, 1.0)],
+        ),
+        path,
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(path), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: socqp {command}") and f"argument {flag}: must be" in err
+
+
+def test_flag_values_at_their_limits_are_accepted():
+    parser = cli._build_parser()
+    args = parser.parse_args(
+        ["solve", "x.json", "--tol-rank", "0.5", "--tol-feas", "1e-300", "--gap", "1e300",
+         "--max-iter", "0"]
+    )
+    assert (args.tol_rank, args.tol_feas, args.gap, args.max_iter) == (0.5, 1e-300, 1e300, 0)
+    assert parser.parse_args(["oracle", "x.json", "--grid-h", "2.5"]).grid_h == 2.5
+
+
 @pytest.mark.parametrize(
     "argv, keys",
     [
@@ -925,7 +969,7 @@ def test_tol_rank_of_the_file_reaches_every_derived_instance(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst = fileio.load_instance(path, tol)
     assert inst.tol_rank == tol
-    negated = cli._negate_qcqp(inst)
+    negated = model.as_min(inst)
     assert negated.sense == "min" and negated.tol_rank == tol
     # instance files do not store the tolerance
     assert "tol" not in fileio.dumps_instance(inst)

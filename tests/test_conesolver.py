@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from socqp import conesolver, model, reformulate
 from socqp.conesolver import ConeProgram, SocBlock, SolveOptions
-from socqp.errors import InvalidMultiplier, InvalidProgram
+from socqp.errors import InvalidInput, InvalidMultiplier, InvalidProgram
 from socqp.linalg import SymMatrix
 from socqp.model import Bound, UqInstance
 
@@ -390,5 +390,14 @@ def test_equality_only_program():
 def test_maxiter_returns_best_iterate():
     prog = norm_program()
     res = conesolver.solve(prog, SolveOptions(max_iter=1))
+    assert res.status == "MaxIter"
+    assert np.all(np.isfinite(res.z))
+
+
+def test_negative_max_iter_is_rejected():
+    # a negative cap would leave no iterate to return
+    with pytest.raises(InvalidInput):
+        SolveOptions(max_iter=-1)
+    res = conesolver.solve(norm_program(), SolveOptions(max_iter=0))
     assert res.status == "MaxIter"
     assert np.all(np.isfinite(res.z))

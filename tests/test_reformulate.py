@@ -506,12 +506,74 @@ def test_condition_invariant_under_rotation():
 # ---------------------------------------------------------------------------
 
 
-def test_build_cr_rejects_two_sided_and_max():
+def test_build_cr_rejects_two_sided():
     inst = two_block_instance(
         np.array([[1.0, 0.0], [0.0, 1.0]]), bounds=[Bound(0.0, 1.0)]
     )
     with pytest.raises(WrongShape):
         reformulate.build_cr(inst)
+
+
+def _sense_twins(bounds):
+    """A min-sense instance and its max-sense twin, which maximises -g_0
+    over the same rows (the pair of ``socqp solve``'s max-sense file test)."""
+    blocks = [SymMatrix.from_dense(np.diag([1.0, 0.0])), SymMatrix.identity(2)]
+    signs = np.array([[1.0, -1.0], [0.0, 1.0]])
+    lin = np.array([[0.1, 0.0], [0.0, 0.0]])
+    flip = np.array([[-1.0], [1.0]])
+    low = QcqpInstance(2, blocks, signs, lin, np.array([0.2, 0.0]), bounds)
+    high = QcqpInstance(
+        2, blocks, signs * flip, lin * flip, np.array([-0.2, 0.0]), bounds, sense="max"
+    )
+    return low, high
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_max_sense_twin_relaxes_as_its_min_sense_form(two_sided):
+    low, high = _sense_twins([Bound(0.25 if two_sided else -math.inf, 1.0)])
+    lift = reformulate.lift_set_twosided if two_sided else reformulate.lift_set_onesided
+    assert lift(high) == lift(low) == (1,)
+    assert reformulate.check_condition_c(high, lift(high)) == reformulate.check_condition_c(
+        low, lift(low)
+    )
+    assert reformulate.check_condition_c(high, lift(high)).holds
+    builders = [reformulate.build_cr2] if two_sided else [reformulate.build_cr, reformulate.build_cr2]
+    for build in builders:
+        (prog_lo, meta_lo), (prog_hi, meta_hi) = build(low), build(high)
+        assert all(
+            np.array_equal(u, v) for u, v in zip(_program_arrays(prog_hi), _program_arrays(prog_lo))
+        )
+        assert len(prog_hi.soc) == len(prog_lo.soc) and prog_hi.offset == prog_lo.offset
+        assert (meta_lo.sense, meta_hi.sense) == ("min", "max")
+        assert (meta_hi.lifted, meta_hi.t_index) == (meta_lo.lifted, meta_lo.t_index)
+        res = conesolver.solve(prog_lo)
+        assert res.status == "Optimal"
+        assert meta_hi.original_value(res) == -meta_lo.original_value(res)
+        x_lo, _ = recover.tighten_qcqp(low, res, meta_lo)
+        x_hi, _ = recover.tighten_qcqp(high, res, meta_hi)
+        assert np.array_equal(x_hi, x_lo)
+        assert high.eval_g(0, x_hi) == pytest.approx(meta_hi.original_value(res), abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_views_of_a_uniform_instance_evaluate_its_functions(seed):
+    # uq_as_qcqp and split_indefinite maximise g_0 = f_0, with g_i = f_i
+    rng = np.random.default_rng(seed)
+    n, p = 3, 4
+    base = random_uq(rng, n, p, two_sided_prob=0.5)
+    d = rng.normal(size=p + 1)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    indefinite = SymMatrix.from_dense((u * [1.5, -0.7, 0.4]) @ u.T)
+    pd = UqInstance(n, base.q, base.b, d, base.bounds)
+    indef = UqInstance(n, indefinite, base.b, d, base.bounds)
+    for inst, view in (
+        (pd, model.uq_as_qcqp(pd)),
+        (indef, reformulate.split_indefinite(indef)[0]),
+    ):
+        assert view.sense == "max"
+        for x in rng.normal(size=(5, n)):
+            for i in range(p + 1):
+                assert view.eval_g(i, x) == pytest.approx(model.eval_f(inst, i, x), rel=1e-12)
 
 
 def _eval_g_batch(inst, i, pts):
