@@ -14,8 +14,6 @@ from socqp import (
     build_socp_uq,
     certify_strong_duality,
     check_as3,
-    eval_f,
-    is_feasible,
     solve,
     tighten_uq,
 )
@@ -42,6 +40,6 @@ print(f"closed-form dual at solve     {duality.dual_value:.9f}  gap {duality.gap
 
 x, trace = tighten_uq(inst, res)
 print(f"recovered point               {np.round(x, 6)}")
-print(f"objective at recovered point  {eval_f(inst, 0, x):.9f}")
-print(f"feasible                      {is_feasible(inst, x)}")
+print(f"objective at recovered point  {inst.values(x)[0]:.9f}")
+print(f"feasible                      {inst.is_feasible(x)}")
 print(f"cone gap closed in            {len(trace.steps)} step(s), residual {trace.final_gap:.2e}")

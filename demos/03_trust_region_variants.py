@@ -68,4 +68,4 @@ x, _ = tighten_qcqp(inst, res, meta)
 print("trust-region variant (annulus + halfspace)")
 print(f"  exactness condition      holds={rep.holds}  ({rep.reason})")
 print(f"  optimum                  {meta.original_value(res):.9f}")
-print(f"  objective at recovered   {inst.eval_g(0, x):.9f}")
+print(f"  objective at recovered   {inst.values(x)[0]:.9f}")

@@ -12,7 +12,7 @@ rounding construction does real work.
 
 import numpy as np
 
-from socqp import Bound, SymMatrix, UqInstance, approx_uq, gamma_uq, worst_violation
+from socqp import Bound, SymMatrix, UqInstance, approx_uq, gamma_uq
 from socqp.oracle import grid_max_uq, infer_box
 
 rng = np.random.default_rng(3)
@@ -40,7 +40,7 @@ print(f"relaxation value           {cert.upper:.9f}")
 print(f"guaranteed fraction        {cert.guaranteed_ratio:.6f}")
 print(f"achieved value             {cert.lower:.9f}")
 print(f"achieved fraction          {cert.lower / cert.upper:.6f}")
-print(f"worst constraint slack     {worst_violation(inst, x):.2e}")
+print(f"worst constraint slack     {inst.worst_violation(x):.2e}")
 print()
 print(f"construction detail: candidate {trace.j_bar} selected, "
       f"alpha = {trace.alpha:.4f}, pullback tau = {trace.tau_bar:.6f}"

@@ -20,12 +20,9 @@ from .model import (
     Bound,
     QcqpInstance,
     UqInstance,
-    eval_f,
     ilp_to_uq,
-    is_feasible,
     translate_origin,
     uq_as_qcqp,
-    worst_violation,
 )
 from .recover import (
     ApproxCertificate,
@@ -96,13 +93,11 @@ __all__ = [
     "check_condition_c",
     "check_condition_cc",
     "dual_value",
-    "eval_f",
     "find_interior_point",
     "gamma_balls",
     "gamma_uq",
     "gamma_upper",
     "ilp_to_uq",
-    "is_feasible",
     "lift_set_onesided",
     "lift_set_twosided",
     "solve",
@@ -112,5 +107,4 @@ __all__ = [
     "tighten_uq",
     "translate_origin",
     "uq_as_qcqp",
-    "worst_violation",
 ]

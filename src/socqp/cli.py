@@ -1,9 +1,12 @@
 """Command-line surface: solve, approx, cheby, reduce-ilp, oracle.
 
 ``solve`` runs one pipeline for every uq and qcqp file: classify the instance
-(structured; or uniform with positive definite, singular PSD or indefinite
-Q) and build its relaxation and exactness certificate, solve once, report an
-unbounded or failed solve, and recover a point when the certificate holds.
+(structured; uniform with PSD Q, positive definite or singular; or uniform
+with indefinite Q) and build its relaxation and exactness certificate, solve
+once, report an unbounded or failed solve, and recover a point when the
+certificate holds.  A uniform instance with PSD Q goes through
+``check_as3``, the closed-form dual and ``recover.tighten_uq`` whatever its
+rank; the others through their structured view.
 Given a directory, ``solve`` prints one row per ``*.json`` file; a file that
 fails becomes an error row and the batch goes on.
 
@@ -122,34 +125,31 @@ def _cert_block(cert: reformulate.CertificateReport) -> dict:
 
 def _classify(obj):
     """Report head, program, meta, certificate and the structured view that
-    recovery works on (None for positive definite Q, which
+    recovery works on (None for a uniform instance with PSD Q, which
     `recover.tighten_uq` handles on the instance itself)."""
-    if isinstance(obj, QcqpInstance):
-        view = obj
-        two_sided = any(bd.has_lower for bd in view.bounds)
-        prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(view)
-        head = {
-            "kind": "qcqp",
-            "n": obj.n,
-            "p": obj.p,
-            "sense": obj.sense,
-            "lifted_blocks": list(meta.lifted),
-        }
-    elif isinstance(obj, UqInstance):
+    if isinstance(obj, UqInstance):
         pos, neg = linalg.inertia(obj.q, obj.tol_rank)
         head = {"kind": "uq", "n": obj.n, "p": obj.p}
         if neg[-1]:
             head["shape"] = "indefinite"
             prog, meta, cert, view = reformulate.build_socp_indefinite(obj)
             return head, prog, meta, cert, view
+        if not pos[-1]:
+            head["shape"] = "psd_singular"
         prog, meta = reformulate.build_socp_uq(obj)
-        if pos[-1]:
-            return head, prog, meta, reformulate.check_as3(obj), None
-        head["shape"] = "psd_singular"
-        view = model.uq_as_qcqp(obj)
-    else:
+        return head, prog, meta, reformulate.check_as3(obj), None
+    if not isinstance(obj, QcqpInstance):
         raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
-    return head, prog, meta, reformulate.check_condition_c(view, meta.lifted), view
+    two_sided = any(bd.has_lower for bd in obj.bounds)
+    prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(obj)
+    head = {
+        "kind": "qcqp",
+        "n": obj.n,
+        "p": obj.p,
+        "sense": obj.sense,
+        "lifted_blocks": list(meta.lifted),
+    }
+    return head, prog, meta, reformulate.check_condition_c(obj, meta.lifted), obj
 
 
 def _solve(obj, args) -> tuple[dict, int]:
@@ -159,21 +159,21 @@ def _solve(obj, args) -> tuple[dict, int]:
     report["certificate"] = _cert_block(cert)
     res = conesolver.solve(prog, _options(args))
     report["solver"] = _solver_block(res)
-    uniform = isinstance(obj, UqInstance)
     if res.status == "Unbounded":
-        if uniform:
+        if isinstance(obj, UqInstance):
             report["relaxation_value"] = math.inf
             report["note"] = "relaxation unbounded; the instance optimum is +inf"
             return report, EXIT_OK
+        side = "above" if meta.sense == "max" else "below"
         report["note"] = (
-            "relaxation is unbounded below; the exactness guarantee "
+            f"relaxation is unbounded {side}; the exactness guarantee "
             "requires a bounded relaxation"
         )
         return report, EXIT_PRECONDITION
     if res.status != "Optimal":
         return report, EXIT_SOLVER
     report["relaxation_value"] = meta.original_value(res)
-    if view is None:  # positive definite Q: the dual has a closed form
+    if view is None:  # uniform with PSD Q: the dual has a closed form
         duality = reformulate.certify_strong_duality(obj, res)
         report["duality"] = {"gap": duality.gap, "holds": duality.holds}
         if not cert.holds:
@@ -182,10 +182,7 @@ def _solve(obj, args) -> tuple[dict, int]:
     if not cert.holds:
         return report, EXIT_OK
     x, _ = recover.tighten_uq(obj, res) if view is None else recover.tighten_qcqp(view, res, meta)
-    if uniform:
-        objective, violation = model.eval_f(obj, 0, x), model.worst_violation(obj, x)
-    else:
-        objective, violation = obj.eval_g(0, x), obj.worst_violation(x)
+    objective, violation = float(obj.values(x)[0]), obj.worst_violation(x)
     feasible = bool(violation <= args.tol_feas * max(1.0, model.data_scale(obj)))
     report["recovered"] = {
         "x": x, "objective": objective, "worst_violation": violation, "feasible": feasible,
@@ -283,7 +280,7 @@ def cmd_approx(args) -> int:
             "achieved_over_relaxation": cert.lower / cert.upper if cert.upper else 1.0,
             "x": x,
             "objective_original_coordinates": cert.lower + offset,
-            "worst_violation": model.worst_violation(obj, x),
+            "worst_violation": obj.worst_violation(x),
             "tolerances": _tolerances(args),
         }
     )

@@ -128,6 +128,9 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self):
+        for name in ("feastol", "gaptol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidInput(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.max_iter < 0:
             raise InvalidInput(f"max_iter must be >= 0, got {self.max_iter}")
 

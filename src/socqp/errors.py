@@ -23,16 +23,8 @@ class NotPsd(PreconditionViolated):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
-class NotPositiveDefinite(PreconditionViolated):
-    """Matrix is not positive definite at the requested tolerance."""
-
-
 class InvalidInput(SocqpError):
     """Generic invalid argument (dimension mismatch, bad value)."""
-
-
-class InvalidIndex(SocqpError):
-    """Constraint or block index out of range."""
 
 
 class InvalidBounds(PreconditionViolated):

@@ -6,7 +6,9 @@ for the Chebyshev pipeline, and the ILP-to-uniform-QP reduction.
 
 Linear terms follow the 2b'x convention throughout: the i-th function is
 f_i(x) = x'Qx + 2 b_i'x + d_i, and instance files store the b_i of that
-convention.
+convention.  Both instance types evaluate themselves one way: ``values(x)``
+gives every function value, and ``worst_violation``/``is_feasible`` check
+them against the bounds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import InvalidBounds, InvalidIndex, InvalidInput
+from .errors import InvalidBounds, InvalidInput
 from .linalg import SymMatrix
 
 # Default absolute tolerance on constraint values when testing feasibility.
@@ -49,13 +51,6 @@ class Bound:
     def has_upper(self) -> bool:
         return self.upper < math.inf
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        if self.has_lower and value < self.lower - tol:
-            return False
-        if self.has_upper and value > self.upper + tol:
-            return False
-        return True
-
     def violation(self, value: float) -> float:
         v = 0.0
         if self.has_lower:
@@ -65,8 +60,28 @@ class Bound:
         return v
 
 
+class _Rows:
+    """Feasibility of a point for an instance whose ``values(x)`` gives the
+    objective and the p constraint values, row 0 first."""
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise InvalidInput(f"point must have length {self.n}")
+        return x
+
+    def worst_violation(self, x) -> float:
+        """Largest constraint-bound violation at x (0 when feasible)."""
+        vals = self.values(x)[1:].tolist()
+        return max((bd.violation(v) for bd, v in zip(self.bounds, vals)), default=0.0)
+
+    def is_feasible(self, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
+        """True iff every constraint value lies within its bounds +- tol."""
+        return self.worst_violation(x) <= tol
+
+
 @dataclass
-class UqInstance:
+class UqInstance(_Rows):
     """Uniform QCQP: maximize f_0 subject to l_i <= f_i(x) <= u_i.
 
     All functions share the Hessian Q: f_i(x) = x'Qx + 2 b_i'x + d_i.
@@ -99,9 +114,14 @@ class UqInstance:
     def p(self) -> int:
         return len(self.bounds)
 
+    def values(self, x) -> np.ndarray:
+        """f_0(x), ..., f_p(x): one quadratic form for all rows."""
+        x = self._point(x)
+        return self.q.quad(x) + 2.0 * (self.b @ x) + self.d
+
 
 @dataclass
-class QcqpInstance:
+class QcqpInstance(_Rows):
     """Structured QCQP with PSD blocks Q_j and sign coefficients in {-1,0,1}.
 
     g_i(x) = sum_j a[i,j] x'Q_j x + 2 b_i'x + c_i; row 0 of ``a`` is the
@@ -147,27 +167,11 @@ class QcqpInstance:
     def m(self) -> int:
         return len(self.blocks)
 
-    def eval_g(self, i: int, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if not 0 <= i <= self.p:
-            raise InvalidIndex(f"index {i} out of range 0..{self.p}")
-        val = 2.0 * float(self.b[i] @ x) + float(self.c[i])
-        for j, q in enumerate(self.blocks):
-            if self.a[i, j] != 0.0:
-                val += self.a[i, j] * q.quad(x)
-        return val
-
-    def is_feasible(self, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
-        return all(
-            bd.contains(self.eval_g(i + 1, x), tol) for i, bd in enumerate(self.bounds)
-        )
-
-    def worst_violation(self, x) -> float:
-        """Largest constraint-bound violation at x (0 when feasible)."""
-        return max(
-            (bd.violation(self.eval_g(i + 1, x)) for i, bd in enumerate(self.bounds)),
-            default=0.0,
-        )
+    def values(self, x) -> np.ndarray:
+        """g_0(x), ..., g_p(x): one quadratic form per block."""
+        x = self._point(x)
+        quads = np.array([q.quad(x) for q in self.blocks])
+        return self.a @ quads + 2.0 * (self.b @ x) + self.c
 
 
 @dataclass
@@ -200,28 +204,6 @@ class BallIntersection:
         return bool(np.all(dist <= self.radii + tol))
 
 
-def eval_f(inst: UqInstance, i: int, x) -> float:
-    """Evaluate f_i(x) = x'Qx + 2 b_i'x + d_i."""
-    if not 0 <= i <= inst.p:
-        raise InvalidIndex(f"index {i} out of range 0..{inst.p}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise InvalidInput(f"point must have length {inst.n}")
-    return inst.q.quad(x) + 2.0 * float(inst.b[i] @ x) + float(inst.d[i])
-
-
-def worst_violation(inst: UqInstance, x) -> float:
-    """Largest constraint-bound violation at x (0 when feasible)."""
-    return max(
-        bd.violation(eval_f(inst, i + 1, x)) for i, bd in enumerate(inst.bounds)
-    )
-
-
-def is_feasible(inst: UqInstance, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
-    """True iff every constraint value lies within its bounds +- tol."""
-    return worst_violation(inst, x) <= tol
-
-
 def data_scale(inst: UqInstance | QcqpInstance) -> float:
     """Largest absolute entry of a uq or qcqp instance, finite bounds included.
 
@@ -245,7 +227,7 @@ def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:
     x_hat = np.asarray(x_hat, dtype=float).reshape(inst.n)
     qx = inst.q @ x_hat
     b = inst.b + qx[None, :]
-    d = np.array([eval_f(inst, i, x_hat) for i in range(inst.p + 1)])
+    d = inst.values(x_hat)
     return replace(inst, b=b, d=d, bounds=list(inst.bounds)), float(d[0])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import linalg
 from .errors import EmptyFeasibleGrid, InvalidInput, UnboundedBox
 from .model import BallIntersection, UqInstance
 
@@ -237,7 +237,7 @@ def sample_max_uq(inst: UqInstance, count: int, seed: int, around=None) -> float
     if around is None:
         around = np.zeros(inst.n)
     around = np.asarray(around, dtype=float).reshape(inst.n)
-    if not model.is_feasible(inst, around):
+    if not inst.is_feasible(around):
         raise InvalidInput("sampling needs a feasible anchor point")
     if count <= 0:
         return -math.inf
@@ -252,7 +252,7 @@ def sample_max_uq(inst: UqInstance, count: int, seed: int, around=None) -> float
         radius * scales[np.arange(count) % scales.size][:, None]
     )
     obj, feas = _eval_chunks(inst, pts, feas_tol=0.0)
-    anchor_val = model.eval_f(inst, 0, around)
+    anchor_val = float(inst.values(around)[0])
     if not np.any(feas):
         return anchor_val
     return max(anchor_val, float(obj[feas].max()))
@@ -270,8 +270,8 @@ def binary_max_uq(inst: UqInstance, limit: int = 20):
     best = None
     for bits in range(1 << inst.n):
         x = np.array([(bits >> k) & 1 for k in range(inst.n)], dtype=float)
-        if model.worst_violation(inst, x) <= 0.0:
-            val = model.eval_f(inst, 0, x)
+        if inst.worst_violation(x) <= 0.0:
+            val = float(inst.values(x)[0])
             if best is None or val > best[0]:
                 best = (val, x)
     if best is None:

@@ -4,6 +4,8 @@ approximation for convex-constrained uniform instances.
 The tightening procedures close each open lifted cone of a relaxation
 optimum in one quadratic step along a direction that leaves every linear row
 value unchanged; the exactness conditions are what supply that direction.
+``tighten_uq`` serves every uniform instance with PSD Q, singular or not;
+``tighten_qcqp`` serves structured instances and the indefinite split.
 The approximation routine splits the relaxation optimum into two cone-tight
 candidates and scales the better one back into the feasible region,
 certifying f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).
@@ -104,17 +106,18 @@ def _cone_step(q, x, t, dx, dt, rise, rise_scale) -> float:
 
 
 def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, TightenTrace]:
-    """Turn a relaxation optimum of a uniform instance into a feasible point
-    of the original problem with the same objective value.
+    """Turn a relaxation optimum of a uniform instance with PSD Q into a
+    feasible point of the original problem with the same objective value.
 
-    Requires the exactness certificate (rank condition or p = n) to hold and
-    Q positive definite.  The certificate gives a direction (dx, dt) with
-    2 b_i'dx + dt = 0 for every row, so moving along it leaves every row
-    value t + 2 b_i'x + d_i unchanged: dx in the null space of b_1..b_p with
-    dt = 0 when their rank is at most n - 1, otherwise (p = n)
-    dx = -(2B)^(-1) e with dt = 1.  One quadratic step along it closes the
-    cone x'Qx = t without lowering f_0.  The instance's ``tol_rank`` is the
-    relative rank tolerance of the certificate and of the null space.
+    Requires the exactness certificate ``reformulate.check_as3`` to hold.
+    It gives a direction (dx, dt) with 2 b_i'dx + dt = 0 for every row, so
+    moving along it leaves every row value t + 2 b_i'x + d_i unchanged: dx in
+    the null space of the certificate's rows [b_1..b_p; N(Q)'] with dt = 0
+    when their rank is at most n - 1, otherwise (p = n, Q positive definite)
+    dx = -(2B)^(-1) e with dt = 1.  A dx with no energy in Q (dx'Q dx <= 0)
+    raises ``ConditionNotMet``; otherwise one quadratic step along it closes
+    the cone x'Qx = t without lowering f_0.  The instance's ``tol_rank`` is
+    the relative rank tolerance of the certificate and of the null space.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
@@ -128,12 +131,15 @@ def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, Tighten
     trace = TightenTrace()
     gap = t - float(x @ qd @ x)
     if gap > 1e-6 * (1.0 + abs(t)):
-        rows = inst.b[1:]
         if cert.rank <= inst.n - 1:
+            q_null = linalg.range_and_null(inst.q, inst.tol_rank)[1]
+            rows = np.vstack([inst.b[1:], q_null.T])
             null = linalg.null_space_of_rows(rows, inst.n, inst.tol_rank)
             dx, dt = _direction_in_null(null, inst.b[0]), 0.0
         else:
-            dx, dt = np.linalg.solve(2.0 * rows, -np.ones(inst.n)), 1.0
+            dx, dt = np.linalg.solve(2.0 * inst.b[1:], -np.ones(inst.n)), 1.0
+        if float(dx @ qd @ dx) <= 0.0:
+            raise ConditionNotMet("tightening direction has no energy in Q")
         rise = dt + 2.0 * float(inst.b[0] @ dx)
         rise_scale = 1.0 + dt + 2.0 * np.linalg.norm(inst.b[0]) * np.linalg.norm(dx)
         alpha = _cone_step(qd, x, t, dx, dt, rise, rise_scale)
@@ -144,14 +150,14 @@ def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, Tighten
             {"kind": "close", "alpha": alpha, "direction": dx.copy(), "dt": dt, "gap": gap}
         )
     trace.final_gap = gap
-    fx = model.eval_f(inst, 0, x)
+    fx = float(inst.values(x)[0])
     scale = 1.0 + abs(value)
     if gap > 1e-6 * (1.0 + abs(t)) or abs(fx - value) > 1e-5 * scale:
         raise TightenFailed(
             f"residual gap {gap:.2e} or objective drift {fx - value:.2e} too large",
             trace,
         )
-    if not model.is_feasible(inst, x, tol=1e-6 * max(1.0, model.data_scale(inst))):
+    if not inst.is_feasible(x, tol=1e-6 * max(1.0, model.data_scale(inst))):
         raise TightenFailed("tightened point is infeasible", trace)
     return x, trace
 
@@ -231,13 +237,10 @@ def _gamma_terms(inst: UqInstance):
     are then checked in constraint order, so the first offending constraint
     is the one reported.
     """
-    q = inst.q.dense()
-    try:
-        np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInstance("gamma needs positive definite Q") from exc
+    if not linalg.inertia(inst.q, inst.tol_rank)[0].all():
+        raise InvalidInstance("gamma needs positive definite Q")
     bt = inst.b[1:].T
-    qb = np.linalg.solve(q, bt)
+    qb = np.linalg.solve(inst.q.dense(), bt)
     nrm2 = np.vecdot(bt, qb, axis=0)
     upper = np.array([bd.upper for bd in inst.bounds])
     radicand = upper - inst.d[1:] + nrm2
@@ -365,7 +368,7 @@ def approx_uq(
             t1=1.0, t2=0.0, j_bar=1, x_bar=x_star.copy(), tau_bar=1.0,
             gamma=gamma, guaranteed_ratio=ratio, shortcut=True,
         )
-        fx = model.eval_f(inst, 0, x_star)
+        fx = float(inst.values(x_star)[0])
         return x_star, trace, ApproxCertificate(fx, value, gamma, ratio)
 
     # companion point with the missing cone energy: x*'Qx* + y'Qy = t*
@@ -428,7 +431,7 @@ def approx_uq(
         x_bar = -x_bar
     tau = tau_bar(inst, x_bar)
     x_out = tau * x_bar
-    fx = model.eval_f(inst, 0, x_out)
+    fx = float(inst.values(x_out)[0])
     cert = ApproxCertificate(fx, value, gamma, ratio)
     if fx < ratio * value - _RATIO_ABS_TOL - 1e-5 * (1.0 + abs(value)):
         raise TightenFailed(

@@ -2,8 +2,9 @@
 certifiers for the exactness conditions.
 
 The relaxation builders return a cone program and its meta; the exactness
-certificate is a separate call (``check_as3`` for uniform instances,
-``check_condition_c`` for structured ones), except that
+certificate is a separate call (``check_as3`` for uniform instances with PSD
+Q, positive definite or singular, where it is condition C of the one-block
+view; ``check_condition_c`` for structured ones), except that
 ``build_socp_indefinite`` and ``build_wd`` return theirs with the program.
 The trust-region special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
 ``build_vtrs``) return a min-sense ``QcqpInstance`` that goes through the
@@ -15,8 +16,8 @@ the meta records the instance's own sense.  The uniform builders
 ``model.uq_as_qcqp`` and ``split_indefinite``.
 
 Next to ``check_as3`` sit the closed-form Lagrangian dual of a uniform
-instance (``dual_value``) and ``certify_strong_duality``, which checks a
-relaxation solve against that dual at the solve's own multipliers.
+instance with PSD Q (``dual_value``) and ``certify_strong_duality``, which
+checks a relaxation solve against that dual at the solve's own multipliers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
-from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, NotPositiveDefinite, WrongShape
+from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
 from .model import Bound, QcqpInstance, UqInstance, as_min, uq_as_qcqp
 
@@ -127,41 +128,46 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
 
 
 def check_as3(inst: UqInstance) -> CertificateReport:
-    """Exactness condition for the uniform relaxation with positive definite
-    Q: rank[b_1, ..., b_p] <= n-1, or p = n."""
-    rank = linalg.numerical_rank(inst.b[1:], inst.tol_rank)
+    """Exactness condition for the uniform relaxation with PSD Q:
+    rank[b_1, ..., b_p; N(Q)'] <= n-1, or p = n with Q positive definite.
+
+    The rows are those of ``union_rows`` on the one-block view
+    ``model.uq_as_qcqp``, so this is that view's condition C; for positive
+    definite Q, N(Q) is empty and the rows are the b_i alone.
+    """
+    null = linalg.range_and_null(inst.q, inst.tol_rank)[1]
+    rank = linalg.numerical_rank(np.vstack([inst.b[1:], null.T]), inst.tol_rank)
     if rank <= inst.n - 1:
         return CertificateReport(
-            True, f"rank of constraint terms is {rank} <= n-1 = {inst.n - 1}", rank=rank
+            True, f"rank of [b_1..b_p; N(Q)'] is {rank} <= n-1 = {inst.n - 1}", rank=rank
         )
-    if inst.p == inst.n:
+    if inst.p != inst.n:
+        why = f"p = {inst.p} != n = {inst.n}"
+    elif linalg.inertia(inst.q, inst.tol_rank)[0].all():
         return CertificateReport(True, f"p = n = {inst.n}", rank=rank)
-    return CertificateReport(
-        False,
-        f"rank {rank} > n-1 = {inst.n - 1} and p = {inst.p} != n = {inst.n}",
-        rank=rank,
-    )
+    else:
+        why = "Q is not positive definite"
+    return CertificateReport(False, f"rank {rank} > n-1 = {inst.n - 1} and {why}", rank=rank)
 
 
 def dual_value(inst: UqInstance, lam) -> float:
-    """Evaluate the dual function d(lam) of a positive definite instance at
-    the signed multipliers lam_i = lam_i^+ - lam_i^- of its p rows.
+    """Evaluate the dual function d(lam) of a PSD instance at the signed
+    multipliers lam_i = lam_i^+ - lam_i^- of its p rows.
 
     With sigma = 1 - sum(lam), beta = b_0 - sum(lam_i b_i) and the constant
     kappa = -sum(lam_i d_i) + sum(lam_i^+ u_i - lam_i^- l_i) + d_0:
-    d(lam) = kappa - beta' Q^{-1} beta / sigma  when sigma < 0,
-    kappa when sigma = 0 and beta = 0, and +inf otherwise (the inner sup
-    over x is unbounded).
+    d(lam) = kappa - beta' Q^+ beta / sigma  when sigma < 0 and beta lies in
+    the range of Q, kappa when sigma = 0 and beta = 0, and +inf otherwise
+    (the inner sup over x is unbounded).  Q^+ and its range are read from
+    the rows F of ``linalg.psd_factor``, the spectrum that the relaxation's
+    cone encodes.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if not np.all(np.isfinite(lam)):
         raise InvalidMultiplier("multipliers must be finite")
     if lam.size != inst.p:
         raise InvalidMultiplier(f"expected {inst.p} multipliers, got {lam.size}")
-    try:
-        np.linalg.cholesky(inst.q.dense())
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("dual evaluation requires Q positive definite") from exc
+    factor = linalg.psd_factor(inst.q, inst.tol_rank)
 
     kappa = float(inst.d[0])
     for i, bd in enumerate(inst.bounds):
@@ -179,11 +185,15 @@ def dual_value(inst: UqInstance, lam) -> float:
     sigma = 1.0 - float(lam.sum())
     beta = inst.b[0] - lam @ inst.b[1:]
     sig_scale = 1.0 + float(np.abs(lam).sum())
-    beta_scale = 1.0 + float(np.abs(inst.b).max())
+    beta_zero = math.sqrt(_DUAL_ZERO_TOL) * (1.0 + float(np.abs(inst.b).max()))
     if sigma < 0.0:
-        return kappa - float(beta @ np.linalg.solve(inst.q.dense(), beta)) / sigma
-    flat = np.linalg.norm(beta) <= math.sqrt(_DUAL_ZERO_TOL) * beta_scale
-    if sigma <= _DUAL_ZERO_TOL * sig_scale and flat:
+        # F = diag(sqrt(w)) V', so y = F beta / w = V'beta / sqrt(w) has
+        # ||y||^2 = beta'Q^+ beta, and F'y is beta's projection on the range
+        y = (factor @ beta) / np.einsum("ij,ij->i", factor, factor)
+        if np.linalg.norm(beta - factor.T @ y) <= beta_zero:
+            return kappa - float(y @ y) / sigma
+        return math.inf
+    if sigma <= _DUAL_ZERO_TOL * sig_scale and np.linalg.norm(beta) <= beta_zero:
         return kappa
     return math.inf
 

@@ -80,8 +80,8 @@ def test_criterion_2_exactness_suite():
         v = meta.original_value(res)
         assert reformulate.check_as3(inst).holds
         x, trace = recover.tighten_uq(inst, res)
-        assert model.is_feasible(inst, x, 1e-6)
-        fx = model.eval_f(inst, 0, x)
+        assert inst.is_feasible(x, 1e-6)
+        fx = inst.values(x)[0]
         assert abs(fx - v) <= 1e-5 * (1.0 + abs(v))
         gap = float(res.z[n]) - inst.q.quad(x)
         assert abs(gap) <= 1e-6 * (1.0 + abs(res.z[n]))
@@ -109,7 +109,7 @@ def test_criterion_3_ratio_suite():
             # construction (not just the tight-case shortcut) is exercised
             inst = random_gap_uq(rng, min(n, 3), min(n, 3) + 2 + int(rng.integers(0, 5)))
         x, trace, cert = recover.approx_uq(inst)
-        assert model.worst_violation(inst, x) <= 1e-6
+        assert inst.worst_violation(x) <= 1e-6
         scale = 1.0 + abs(cert.upper)
         margin = cert.lower - cert.guaranteed_ratio * cert.upper
         assert margin >= -1e-5 * scale

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socqp import cli, errors, fileio, model, reformulate
-from socqp.errors import ParseError
+from socqp import cli, errors, fileio, model, recover, reformulate
+from socqp.errors import InvalidInstance, ParseError
 from socqp.linalg import SymMatrix
 from socqp.model import BallIntersection, Bound, QcqpInstance, UqInstance
 
@@ -330,6 +330,8 @@ def test_solve_psd_singular_uq(tmp_path, capsys):
     assert rep["shape"] == "psd_singular"
     assert rep["relaxation_value"] == pytest.approx(1.4, abs=1e-6)
     assert rep["certificate"]["holds"] is True
+    assert rep["certificate"]["rank"] == 1 and "dims" not in rep["certificate"]
+    assert rep["duality"]["holds"] is True
     assert rep["recovered"]["objective"] == pytest.approx(1.4, abs=1e-5)
     assert rep["recovered"]["worst_violation"] <= 1e-6
 
@@ -369,6 +371,45 @@ def test_solve_unbounded_qcqp_exits_3(tmp_path, capsys):
     assert code == 3
     rep = json.loads(out.out)
     assert rep["solver"]["status"] == "Unbounded"
+
+
+def test_solve_unbounded_max_qcqp_note_follows_the_sense(tmp_path, capsys):
+    # max x'x subject to x_1 <= 1 grows without bound along x_2
+    inst = QcqpInstance(
+        2,
+        [SymMatrix.identity(2)],
+        np.array([[1.0], [0.0]]),
+        np.array([[0.0, 0.0], [0.5, 0.0]]),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+        sense="max",
+    )
+    path = tmp_path / "unb_max.json"
+    fileio.save_instance(inst, path)
+    code, out = run(capsys, "solve", str(path), "--report-format", "structured")
+    assert code == 3
+    rep = json.loads(out.out)
+    assert rep["solver"]["status"] == "Unbounded"
+    assert "unbounded above" in rep["note"]
+
+
+def test_solve_and_gamma_read_definiteness_alike(tmp_path, capsys):
+    # diag(1, 1e-10) is singular PSD at the default tol_rank: solve says so,
+    # and gamma_uq (so approx) refuses it as not positive definite
+    inst = UqInstance(
+        2,
+        SymMatrix.from_dense(np.diag([1.0, 1e-10])),
+        np.array([[0.0, 0.0], [0.0, 0.5]]),
+        np.zeros(2),
+        [Bound(-1.0, 1.0)],
+    )
+    path = tmp_path / "tiny_eig.json"
+    fileio.save_instance(inst, path)
+    code, out = run(capsys, "solve", str(path), "--report-format", "structured")
+    assert code == 0, out.err
+    assert json.loads(out.out)["shape"] == "psd_singular"
+    with pytest.raises(InvalidInstance):
+        recover.gamma_uq(inst)
 
 
 def test_approx_command(tmp_path, capsys):
@@ -497,6 +538,7 @@ def test_tol_rank_reaches_psd_singular_uq_view(tmp_path, capsys):
     assert code == 0, out.err
     rep = json.loads(out.out)
     assert rep["shape"] == "psd_singular" and rep["exact"] is True
+    assert rep["certificate"]["rank"] == 1 and rep["duality"]["holds"] is True
     assert rep["relaxation_value"] == pytest.approx(1.2, abs=1e-6)
     assert rep["recovered"]["objective"] == pytest.approx(1.2, abs=1e-6)
 
@@ -606,7 +648,7 @@ def test_solve_max_sense_qcqp_file(tmp_path, capsys):
     assert hi["recovered"]["objective"] == pytest.approx(-lo["recovered"]["objective"], abs=1e-12)
     assert hi["recovered"]["worst_violation"] <= 1e-6
     x = np.asarray(hi["recovered"]["x"])
-    assert twins["max"].eval_g(0, x) == pytest.approx(hi["recovered"]["objective"], abs=1e-12)
+    assert twins["max"].values(x)[0] == pytest.approx(hi["recovered"]["objective"], abs=1e-12)
 
 
 def test_small_commands_run_without_scipy(tmp_path):
@@ -866,7 +908,6 @@ _EXIT_CODES = {
     "WrongShape": 3,
     "EmptyInterior": 3,
     "NotPsd": 3,
-    "NotPositiveDefinite": 3,
     "InvalidBounds": 3,
     "InvalidInstance": 3,
     "EmptyFeasibleGrid": 3,
@@ -874,7 +915,6 @@ _EXIT_CODES = {
     "TightenFailed": 3,
     "InvalidMatrix": 4,
     "InvalidInput": 4,
-    "InvalidIndex": 4,
     "InvalidProgram": 4,
     "InvalidMultiplier": 4,
     "IdentityViolated": 4,

@@ -367,8 +367,8 @@ def test_weak_duality_sampled():
         if not math.isfinite(dval):
             continue
         x = rng.normal(size=2) * 0.5
-        if model.is_feasible(inst, x, tol=0.0):
-            assert model.eval_f(inst, 0, x) <= dval + 1e-9
+        if inst.is_feasible(x, tol=0.0):
+            assert inst.values(x)[0] <= dval + 1e-9
 
 
 def test_equality_only_program():
@@ -401,3 +401,13 @@ def test_negative_max_iter_is_rejected():
     res = conesolver.solve(norm_program(), SolveOptions(max_iter=0))
     assert res.status == "MaxIter"
     assert np.all(np.isfinite(res.z))
+
+
+@pytest.mark.parametrize("field", ["feastol", "gaptol"])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+def test_tolerance_must_be_finite_and_positive(field, value):
+    # a NaN or non-positive tolerance can never be met, so the solve would
+    # run to the iteration cap
+    with pytest.raises(InvalidInput, match=field):
+        SolveOptions(**{field: value})
+    assert conesolver.solve(norm_program(), SolveOptions(**{field: 1e-6})).status == "Optimal"

@@ -7,7 +7,10 @@ The one exception is ``conesolver.certify_strong_duality``, which forwards to
 scipy when it is loaded: only the factorization of a large KKT system does.
 Above ``linalg`` and ``fileio`` no public function takes a rank tolerance: it
 is a field of the instance.  Only ``linalg`` decomposes a matrix to read its
-rank or spectrum, so a change to a rank or eigenvalue cut is made there.
+rank or spectrum, so a change to a rank or eigenvalue cut is made there;
+outside ``conesolver``, whose KKT factor needs one, no module takes a
+Cholesky factor, so definiteness is read through ``linalg.inertia`` too.
+``socqp.__all__`` lists exactly the names the package imports.
 """
 
 import ast
@@ -122,16 +125,35 @@ def _dotted(node) -> str:
 
 
 def test_only_linalg_decomposes_a_matrix():
+    # a Cholesky factor is a definiteness test too; only the KKT factor of
+    # the cone engine takes one
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "linalg":
-            continue
+        banned = {"cholesky"} if path.stem != "conesolver" else set()
+        if path.stem != "linalg":
+            banned |= SPECTRAL
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 name = _dotted(node.func)
-                if name.split(".")[-1] in SPECTRAL and ".linalg." in f".{name}":
+                if name.split(".")[-1] in banned and ".linalg." in f".{name}":
                     found.append(f"{path.stem}:{node.lineno} {name}")
             elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 found += [f"{path.stem}:{node.lineno} {a.name}" for a in node.names
-                          if a.name in SPECTRAL]
+                          if a.name in banned]
     assert found == []
+
+
+def test_package_exports_what_it_imports():
+    # __all__ names exactly the names __init__ imports, and each resolves
+    import socqp
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(socqp.__all__) == imported
+    assert len(socqp.__all__) == len(set(socqp.__all__))
+    assert [name for name in socqp.__all__ if not hasattr(socqp, name)] == []

@@ -7,7 +7,7 @@ from socqp import model, oracle, recover
 from socqp.errors import (
     EmptyInterior,
     InvalidBounds,
-    InvalidIndex,
+    InvalidInput,
 )
 from socqp.linalg import SymMatrix
 from socqp.model import BallIntersection, Bound, UqInstance
@@ -35,10 +35,10 @@ def test_bound_validation():
 
 def test_eval_f_examples():
     inst = onedim_gap_instance()
-    assert model.eval_f(inst, 1, np.array([1.0])) == pytest.approx(3.0)
-    assert model.eval_f(inst, 0, np.zeros(1)) == 0.0
-    with pytest.raises(InvalidIndex):
-        model.eval_f(inst, 5, np.zeros(1))
+    assert inst.values(np.array([1.0]))[1] == pytest.approx(3.0)
+    assert inst.values(np.zeros(1))[0] == 0.0
+    with pytest.raises(InvalidInput):
+        inst.values(np.zeros(2))
 
 
 def test_eval_f_at_origin_returns_offset():
@@ -46,7 +46,7 @@ def test_eval_f_at_origin_returns_offset():
     inst = random_uq(rng, 2, 2)
     inst.d = np.array([0.7, -0.3, 1.1])
     for i in range(3):
-        assert model.eval_f(inst, i, np.zeros(2)) == inst.d[i]
+        assert inst.values(np.zeros(2))[i] == inst.d[i]
 
 
 def test_eval_f_matches_naive_sum():
@@ -58,13 +58,13 @@ def test_eval_f_matches_naive_sum():
         naive = sum(
             qd[a, c] * x[a] * x[c] for a in range(3) for c in range(3)
         ) + 2 * inst.b[i] @ x + inst.d[i]
-        assert model.eval_f(inst, i, x) == pytest.approx(naive, rel=1e-12)
+        assert inst.values(x)[i] == pytest.approx(naive, rel=1e-12)
 
 
 def test_is_feasible_examples():
     inst = onedim_gap_instance()
-    assert model.is_feasible(inst, np.array([1.0]))
-    assert not model.is_feasible(inst, np.array([0.0]))
+    assert inst.is_feasible(np.array([1.0]))
+    assert not inst.is_feasible(np.array([0.0]))
     free = UqInstance(
         1,
         SymMatrix.identity(1),
@@ -72,7 +72,7 @@ def test_is_feasible_examples():
         np.zeros(2),
         [Bound(-math.inf, math.inf)],
     )
-    assert model.is_feasible(free, np.array([17.0]))
+    assert free.is_feasible(np.array([17.0]))
 
 
 def test_translate_origin_identity_and_1d():
@@ -96,12 +96,12 @@ def test_translate_origin_matches_evaluation():
     inst = random_uq(rng, 3, 2)
     shift = rng.normal(size=3)
     out, off = model.translate_origin(inst, shift)
-    assert off == pytest.approx(model.eval_f(inst, 0, shift))
+    assert off == pytest.approx(inst.values(shift)[0])
     for _ in range(100):
         x = rng.normal(size=3)
         for i in range(3):
-            assert model.eval_f(out, i, x) == pytest.approx(
-                model.eval_f(inst, i, x + shift), abs=1e-9
+            assert out.values(x)[i] == pytest.approx(
+                inst.values(x + shift)[i], abs=1e-9
             )
 
 
@@ -122,7 +122,7 @@ def test_translate_preserves_feasibility():
     out, _ = model.translate_origin(inst, shift)
     for _ in range(50):
         x = rng.normal(size=2)
-        assert model.is_feasible(inst, x + shift) == model.is_feasible(out, x)
+        assert inst.is_feasible(x + shift) == out.is_feasible(x)
 
 
 def test_find_interior_single_ball():
@@ -186,14 +186,14 @@ def test_ilp_reduction_feasibility_equivalence():
         for bits in range(1 << n):
             x = np.array([(bits >> k) & 1 for k in range(n)], dtype=float)
             ilp_ok = np.all(a @ x <= rhs)
-            assert model.is_feasible(inst, x, tol=0.0) == ilp_ok
+            assert inst.is_feasible(x, tol=0.0) == ilp_ok
             if ilp_ok:
-                assert model.eval_f(inst, 0, x) == pytest.approx(c @ x)
+                assert inst.values(x)[0] == pytest.approx(c @ x)
 
 
 def test_ilp_reduction_rejects_fractional():
     inst = model.ilp_to_uq(np.array([1.0, 1.0]), np.zeros((0, 2)), np.zeros(0))
-    assert not model.is_feasible(inst, np.array([0.5, 0.5]), tol=1e-9)
+    assert not inst.is_feasible(np.array([0.5, 0.5]), tol=1e-9)
     assert inst.p == 2 + 1  # one equality row plus n box rows, m = 0
 
 

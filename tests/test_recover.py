@@ -42,7 +42,7 @@ def test_tighten_identity_when_cone_tight():
     )
     res, meta = solve_uq(inst)
     x, trace = recover.tighten_uq(inst, res)
-    assert model.eval_f(inst, 0, x) == pytest.approx(2.0, abs=1e-6)
+    assert inst.values(x)[0] == pytest.approx(2.0, abs=1e-6)
     assert np.linalg.norm(x - np.array([1.0, 0.0])) < 1e-4
 
 
@@ -73,7 +73,7 @@ def test_tighten_closes_open_cone():
     assert inst.q.quad(res.z[:2]) < t - 1e-3  # cone open at the solver optimum
     x, trace = recover.tighten_uq(inst, res)
     assert inst.q.quad(x) == pytest.approx(t, abs=1e-8)
-    assert model.eval_f(inst, 0, x) == pytest.approx(1.0, abs=1e-6)
+    assert inst.values(x)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def _segment_optimum_uq(rng, n, rows, mix):
@@ -101,8 +101,8 @@ def _assert_one_row_preserving_step(inst):
     assert inst.q.quad(x) == pytest.approx(t_new, rel=1e-12)
     for i in range(1, inst.p + 1):
         before = t + 2.0 * float(inst.b[i] @ z[: inst.n]) + inst.d[i]
-        assert model.eval_f(inst, i, x) == pytest.approx(before, rel=1e-12, abs=1e-12)
-    assert model.eval_f(inst, 0, x) == pytest.approx(v, rel=1e-12, abs=1e-12)
+        assert inst.values(x)[i] == pytest.approx(before, rel=1e-12, abs=1e-12)
+    assert inst.values(x)[0] == pytest.approx(v, rel=1e-12, abs=1e-12)
     return step
 
 
@@ -146,8 +146,8 @@ def test_tighten_feasibility_is_relative_to_data_scale():
     res, meta = solve_uq(inst)
     v = meta.original_value(res)
     x, _ = recover.tighten_uq(inst, res)
-    assert model.worst_violation(inst, x) <= 1e-6 * model.data_scale(inst)
-    assert model.eval_f(inst, 0, x) == pytest.approx(v, rel=1e-6)
+    assert inst.worst_violation(x) <= 1e-6 * model.data_scale(inst)
+    assert inst.values(x)[0] == pytest.approx(v, rel=1e-6)
 
 
 def test_tighten_random_exact_suite():
@@ -159,12 +159,82 @@ def test_tighten_random_exact_suite():
         res, meta = solve_uq(inst)
         v = meta.original_value(res)
         x, trace = recover.tighten_uq(inst, res)
-        assert model.is_feasible(inst, x, 1e-6), k
-        assert model.eval_f(inst, 0, x) == pytest.approx(v, abs=1e-5 * (1 + abs(v)))
+        assert inst.is_feasible(x, 1e-6), k
+        assert inst.values(x)[0] == pytest.approx(v, abs=1e-5 * (1 + abs(v)))
         gap = res.z[n] - inst.q.quad(x)
         assert abs(gap) <= 1e-6 * (1.0 + abs(res.z[n]))
         gaps = [s["gap"] for s in trace.steps if "gap" in s]
         assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+def _singular_psd_uq(rng):
+    """Uniform instance with PSD Q of rank 1..n-1 and p up to 2n two-sided
+    rows around a random point; half the time b_1..b_p have rank below n,
+    and half the time b_0 is a convex combination of them, which leaves a
+    face of optima and an open cone."""
+    n = int(rng.integers(2, 6))
+    r = int(rng.integers(1, n))
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q = SymMatrix.from_dense((basis[:, :r] * rng.uniform(0.5, 2.0, r)) @ basis[:, :r].T)
+    p = int(rng.integers(1, 2 * n + 1))
+    if rng.random() < 0.5:
+        k = int(rng.integers(1, n))
+        rows = rng.normal(size=(p, k)) @ rng.normal(size=(k, n))
+    else:
+        rows = rng.normal(size=(p, n))
+    b0 = rng.dirichlet(np.ones(p)) @ rows if rng.random() < 0.5 else rng.normal(size=n)
+    b = np.vstack([b0, rows]) * 0.5
+    x0 = rng.normal(size=n) * 0.3
+    vals = q.quad(x0) + 2.0 * b[1:] @ x0
+    bounds = [Bound(v - rng.uniform(0.2, 1.0), v + rng.uniform(0.2, 1.0)) for v in vals]
+    return UqInstance(n, q, b, np.zeros(p + 1), bounds)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_singular_psd_takes_the_uniform_path(seed):
+    # check_as3 is condition C of the one-block view, tighten_uq recovers
+    # what tighten_qcqp recovers on it, and the closed-form dual certifies
+    # every optimal relaxation
+    rng = np.random.default_rng(seed)
+    recovered = stepped = 0
+    for k in range(150):
+        inst = _singular_psd_uq(rng)
+        view = model.uq_as_qcqp(inst)
+        cert = reformulate.check_as3(inst)
+        cond = reformulate.check_condition_c(view, (0,))
+        assert (cert.holds, cert.rank) == (cond.holds, cond.dims[0]), k
+        prog, meta = reformulate.build_socp_uq(inst)
+        res = conesolver.solve(prog)
+        if res.status != "Optimal":
+            continue
+        assert reformulate.certify_strong_duality(inst, res).holds, k
+        if not cert.holds:
+            continue
+        v = meta.original_value(res)
+        x, trace = recover.tighten_uq(inst, res)
+        assert inst.is_feasible(x, 1e-6), k
+        assert inst.values(x)[0] == pytest.approx(v, abs=1e-5 * (1 + abs(v))), k
+        x_view, _ = recover.tighten_qcqp(view, res, meta)
+        assert np.abs(x - x_view).max() <= 1e-7, k
+        recovered += 1
+        stepped += bool(trace.steps)
+    assert recovered >= 15 and stepped >= 5
+
+
+def test_tighten_direction_without_energy_is_refused():
+    # Q = diag(1e-3, -5e-9): N(Q) is empty, the certificate holds and the
+    # cone is open, but the one direction left, e2, has negative energy
+    inst = UqInstance(
+        2,
+        SymMatrix.from_dense(np.diag([1e-3, -5e-9])),
+        np.array([[0.5, 0.0], [0.5, 0.0]]),
+        np.zeros(2),
+        [Bound(-1.0, 1.0)],
+    )
+    assert reformulate.check_as3(inst).holds
+    res, _ = solve_uq(inst)
+    with pytest.raises(ConditionNotMet, match="no energy"):
+        recover.tighten_uq(inst, res)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +290,7 @@ def test_tighten_qcqp_two_block():
     v = res.objective
     x, _ = recover.tighten_qcqp(inst, res, meta)
     assert inst.is_feasible(x, 1e-6)
-    assert inst.eval_g(0, x) == pytest.approx(v, abs=1e-5 * (1 + abs(v)))
+    assert inst.values(x)[0] == pytest.approx(v, abs=1e-5 * (1 + abs(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +315,20 @@ def test_gamma_examples():
         [Bound(-math.inf, 3.0)],
     )
     assert recover.gamma_uq(inst) == pytest.approx(0.5)
+
+
+def test_gamma_reads_definiteness_at_the_rank_tolerance():
+    # diag(1, 1e-10) is singular PSD at the default tol_rank, as solve
+    # classifies it, so gamma refuses it
+    inst = UqInstance(
+        2,
+        SymMatrix.from_dense(np.diag([1.0, 1e-10])),
+        np.zeros((2, 2)),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    with pytest.raises(InvalidInstance, match="positive definite"):
+        recover.gamma_uq(inst)
 
 
 def test_gamma_matches_naive():
@@ -304,10 +388,10 @@ def test_tau_bar_maximality_bracket():
         inst = random_convex_uq(rng, 3, 4)
         x_bar = rng.normal(size=3) * 2.0
         tau = recover.tau_bar(inst, x_bar)
-        assert model.is_feasible(inst, tau * x_bar, tol=1e-9)
+        assert inst.is_feasible(tau * x_bar, tol=1e-9)
         if tau < 1.0 - 1e-3:
             bumped = min(1.0, tau + 1e-3)
-            assert model.worst_violation(inst, bumped * x_bar) > 0.0
+            assert inst.worst_violation(bumped * x_bar) > 0.0
 
 
 def test_tau_bar_needs_feasible_origin():
@@ -339,7 +423,7 @@ def test_approx_centered_ball_gamma_zero():
     assert cert.gamma == 0.0
     assert cert.guaranteed_ratio == pytest.approx(0.5)
     assert cert.lower >= 0.5 * cert.upper - 1e-9
-    assert model.is_feasible(inst, x, 1e-8)
+    assert inst.is_feasible(x, 1e-8)
 
 
 def test_approx_shape_errors():
@@ -371,7 +455,7 @@ def test_approx_random_suite_invariants():
         inst = random_convex_uq(rng, n, p, b_scale=0.5)
         x, trace, cert = recover.approx_uq(inst)
         scale = 1.0 + abs(cert.upper)
-        assert model.worst_violation(inst, x) <= 1e-6, k
+        assert inst.worst_violation(x) <= 1e-6, k
         assert cert.lower >= cert.guaranteed_ratio * cert.upper - 1e-5 * scale, k
         assert cert.upper >= cert.lower - 1e-7 * scale, k
         assert 0.0 <= trace.tau_bar <= 1.0
@@ -399,7 +483,7 @@ def test_approx_exact_instance_returns_ratio_one():
         # cross-check against independent tightening of the same relaxation
         res, meta = solve_uq(inst)
         xt, _ = recover.tighten_uq(inst, res)
-        assert model.eval_f(inst, 0, xt) == pytest.approx(cert.upper, abs=1e-5)
+        assert inst.values(xt)[0] == pytest.approx(cert.upper, abs=1e-5)
 
 
 def test_approx_construction_path_analytic():
@@ -477,7 +561,7 @@ def test_approx_construction_path_random_gaps():
                 radicand = bd.upper - inst.d[i + 1] + inst.b[i + 1] @ qb
                 bound = max(bound, num / math.sqrt(radicand))
             assert bound <= math.sqrt(2.0) * (1.0 + 1e-8)
-        assert model.worst_violation(inst, x) <= 1e-6
+        assert inst.worst_violation(x) <= 1e-6
         scale = 1.0 + abs(cert.upper)
         assert cert.lower >= cert.guaranteed_ratio * cert.upper - 1e-5 * scale
         g = oracle.grid_max_uq(inst, h=oracle_step(inst), refine=3)

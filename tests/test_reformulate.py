@@ -57,11 +57,11 @@ def test_relaxation_soundness_uq():
         inst = random_uq(rng, n, int(rng.integers(1, 4)), two_sided_prob=0.3)
         prog, meta = reformulate.build_socp_uq(inst)
         x = rng.normal(size=n) * 0.3
-        if not model.is_feasible(inst, x, tol=0.0):
+        if not inst.is_feasible(x, tol=0.0):
             continue
         z = np.concatenate([x, [inst.q.quad(x)]])
         assert prog.violation(z) <= 1e-9
-        assert -prog.value(z) == pytest.approx(model.eval_f(inst, 0, x), abs=1e-9)
+        assert -prog.value(z) == pytest.approx(inst.values(x)[0], abs=1e-9)
         assert np.array_equal(meta.x_of(z), x)
 
 
@@ -83,9 +83,64 @@ def test_check_as3_examples():
     assert cert.rank == np.linalg.matrix_rank(over.b[1:], tol=1e-8)
 
 
+def test_check_as3_p_equals_n_needs_positive_definite_q():
+    # diag(1e-3, -5e-9) has an empty N(Q) at the default tolerance, yet is
+    # not positive definite: with p = n and full-rank rows it is not exact,
+    # as condition C on the one-block view says
+    inst = UqInstance(
+        2,
+        SymMatrix.from_dense(np.diag([1e-3, -5e-9])),
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.zeros(3),
+        [Bound(-1.0, 1.0)] * 2,
+    )
+    cert = reformulate.check_as3(inst)
+    view = reformulate.check_condition_c(model.uq_as_qcqp(inst), (0,))
+    assert (cert.holds, cert.rank) == (view.holds, view.dims[0]) == (False, 2)
+    assert "not positive definite" in cert.reason
+
+
+def test_check_as3_counts_the_null_space_of_q():
+    # Q = diag(1, 0): N(Q) = span{e2} joins the rows, so one row along e2
+    # keeps the rank at 1 and one along e1 lifts it to n = 2
+    q = SymMatrix.from_dense(np.diag([1.0, 0.0]))
+    for row, holds in (([0.0, 1.0], True), ([1.0, 0.0], False)):
+        inst = UqInstance(2, q, np.array([[0.0, 0.0], row]), np.zeros(2), [Bound(-1.0, 1.0)])
+        cert = reformulate.check_as3(inst)
+        assert cert.holds is holds and cert.rank == (1 if holds else 2)
+
+
 # ---------------------------------------------------------------------------
 # strong duality of the uniform relaxation
 # ---------------------------------------------------------------------------
+
+
+def test_dual_value_singular_q():
+    # max x1^2 + x1 s.t. x1^2 <= 1 with Q = diag(1, 0): at lam = 2 the
+    # Lagrangian -x1^2 + x1 + 2 peaks at 2.25; an objective term along
+    # N(Q) = span{e2} makes the inner sup unbounded
+    q = SymMatrix.from_dense(np.diag([1.0, 0.0]))
+    inst = UqInstance(2, q, np.array([[0.5, 0.0], [0.0, 0.0]]), np.zeros(2), [Bound(-math.inf, 1.0)])
+    assert reformulate.dual_value(inst, np.array([2.0])) == pytest.approx(2.25, rel=1e-15)
+    tilted = UqInstance(2, q, np.array([[0.5, 0.1], [0.0, 0.0]]), np.zeros(2), [Bound(-math.inf, 1.0)])
+    assert reformulate.dual_value(tilted, np.array([2.0])) == math.inf
+
+
+def test_dual_value_matches_pseudo_inverse():
+    rng = np.random.default_rng(12)
+    for rank in (1, 2, 3, 4):
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        qd = (basis[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ basis[:, :rank].T
+        b_rows = rng.normal(size=(2, 4))
+        lam = np.array([0.9, 0.7])
+        beta = qd @ rng.normal(size=4)  # in the range of Q
+        b0 = beta + lam @ b_rows
+        inst = UqInstance(
+            4, SymMatrix.from_dense(qd), np.vstack([b0, b_rows]), np.zeros(3),
+            [Bound(-math.inf, 1.0)] * 2,
+        )
+        want = 1.6 + float(beta @ np.linalg.pinv(qd) @ beta) / 0.6  # kappa = sum(lam)
+        assert reformulate.dual_value(inst, lam) == pytest.approx(want, rel=1e-12)
 
 
 def _solved_uq(seed, p, two_sided_prob):
@@ -552,7 +607,7 @@ def test_max_sense_twin_relaxes_as_its_min_sense_form(two_sided):
         x_lo, _ = recover.tighten_qcqp(low, res, meta_lo)
         x_hi, _ = recover.tighten_qcqp(high, res, meta_hi)
         assert np.array_equal(x_hi, x_lo)
-        assert high.eval_g(0, x_hi) == pytest.approx(meta_hi.original_value(res), abs=1e-6)
+        assert high.values(x_hi)[0] == pytest.approx(meta_hi.original_value(res), abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -573,11 +628,11 @@ def test_views_of_a_uniform_instance_evaluate_its_functions(seed):
         assert view.sense == "max"
         for x in rng.normal(size=(5, n)):
             for i in range(p + 1):
-                assert view.eval_g(i, x) == pytest.approx(model.eval_f(inst, i, x), rel=1e-12)
+                assert view.values(x)[i] == pytest.approx(inst.values(x)[i], rel=1e-12)
 
 
 def _eval_g_batch(inst, i, pts):
-    """g_i at every row of pts at once; eval_g point by point is the reference."""
+    """g_i at every row of pts at once; values point by point is the reference."""
     val = pts @ (2.0 * inst.b[i]) + inst.c[i]
     for j, q in enumerate(inst.blocks):
         if inst.a[i, j] != 0.0:
@@ -601,11 +656,11 @@ def test_build_cr_convex_passthrough():
     assert meta.lifted == ()
     value, res = solve_value(prog, meta)
     x = meta.x_of(res.z)
-    assert inst.eval_g(0, x) == pytest.approx(value, abs=1e-6)
+    assert inst.values(x)[0] == pytest.approx(value, abs=1e-6)
     sample = rng.uniform(-1.5, 1.5, size=(300, 3))
     assert np.allclose(
         _eval_g_batch(inst, 0, sample),
-        [inst.eval_g(0, q) for q in sample],
+        [inst.values(q)[0] for q in sample],
         rtol=0.0,
         atol=1e-12,
     )
@@ -642,7 +697,7 @@ def test_build_cr_soundness_lifted_points():
             )
             z[meta.epi_index] = acc
         assert prog.violation(z) <= 1e-9
-        assert prog.value(z) == pytest.approx(inst.eval_g(0, x), abs=1e-9)
+        assert prog.value(z) == pytest.approx(inst.values(x)[0], abs=1e-9)
 
 
 def test_build_trs_examples():
@@ -986,7 +1041,7 @@ def test_trust_region_variants_recover_through_tighten_qcqp():
         value, res = solve_value(prog, meta)
         x, _ = recover.tighten_qcqp(inst, res, meta)
         assert inst.worst_violation(x) <= 1e-6, k
-        assert inst.eval_g(0, x) == pytest.approx(value, abs=1e-6 * (1 + abs(value))), k
+        assert inst.values(x)[0] == pytest.approx(value, abs=1e-6 * (1 + abs(value))), k
 
 
 def test_build_cr2_equality_row_matches_grid():
