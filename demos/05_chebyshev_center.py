@@ -1,9 +1,11 @@
 """Chebyshev center of an intersection of balls, with a quality certificate.
 
-The candidate center comes from a simplex-weighted convex QP.  Up to p = n
-balls that candidate is provably optimal; beyond that the library brackets
-the farthest distance from the returned center and guarantees a fraction of
-the relaxation value that depends only on how the balls are laid out.
+The candidate center comes from a simplex-weighted convex QP, solved through
+its dual in n + 2 variables; the simplex weights printed below are that
+dual's row multipliers.  Up to p = n balls that candidate is provably
+optimal; beyond that the library brackets the farthest distance from the
+returned center and guarantees a fraction of the relaxation value that
+depends only on how the balls are laid out.
 """
 
 import numpy as np

@@ -2,10 +2,12 @@
 interval.
 
 The candidate center comes from the simplex-weighted convex quadratic
-program; its quality is certified by bracketing the farthest squared
-distance max_{x in Omega} ||x - z||^2 between one relaxation solve (upper
-end) and the feasible point produced by the bounded-ratio approximation on
-the same inner problem (lower end).
+program, solved through its dual in the n + 2 variables (x, t, tau) with the
+weights read from the dual's row multipliers, so the program does not grow
+with the number of balls.  Its quality is certified by bracketing the
+farthest squared distance max_{x in Omega} ||x - z||^2 between one
+relaxation solve (upper end) and the feasible point produced by the
+bounded-ratio approximation on the same inner problem (lower end).
 """
 
 from __future__ import annotations
@@ -86,28 +88,31 @@ def beck_center(
     """Simplex-weighted center: minimize sum_i w_i (r_i^2 - ||a_i||^2) +
     ||sum_i w_i a_i||^2 over the simplex; returns (center, weights, value).
 
-    The cone solve is followed by an active-set polish so the center is
-    accurate to machine precision on the identified support.
+    The cone solve is the QP's dual, min tau over (x, t, tau) subject to
+    ||x||^2 <= t and t - 2 a_i'x - tau <= r_i^2 - ||a_i||^2: n + 2 variables
+    whatever p is, optimal value -value.  The weights are its row
+    multipliers, kept where they exceed the row's slack, and an active-set
+    polish makes the center accurate to machine precision on that support.
     """
-    p = balls.p
-    nv = p + 1  # weights plus the epigraph of the squared norm
+    n, p = balls.n, balls.p
+    nv = n + 2  # (x, t, tau)
+    cost = balls.radii**2 - np.sum(balls.centers**2, axis=1)
     c = np.zeros(nv)
-    c[:p] = balls.radii**2 - np.sum(balls.centers**2, axis=1)
-    c[p] = 1.0
+    c[n + 1] = 1.0
     g = np.zeros((p, nv))
-    g[:, :p] = -np.eye(p)
-    h = np.zeros(p)
-    e = np.zeros((1, nv))
-    e[0, :p] = 1.0
-    f = np.array([1.0])
-    soc = [reformulate.quad_epigraph(balls.centers.T, nv, np.eye(nv)[p], 0.0)]
-    res = solve(ConeProgram(c=c, g=g, h=h, e=e, f=f, soc=soc), opts)
+    g[:, :n] = -2.0 * balls.centers
+    g[:, n] = 1.0
+    g[:, n + 1] = -1.0
+    soc = [reformulate.quad_epigraph(np.eye(n), nv, np.eye(nv)[n], 0.0)]
+    res = solve(ConeProgram(c=c, g=g, h=cost, soc=soc), opts)
     if res.status != "Optimal":
         raise SolverFailed(f"center solve ended with status {res.status}")
-    lam = np.clip(res.z[:p], 0.0, None)
+    lam = np.where(res.lam_lin > res.s_lin, res.lam_lin, 0.0)
+    if not lam.any():
+        lam = np.clip(res.lam_lin, 0.0, None)
     lam = lam / lam.sum()
-    value = float(c[:p] @ lam + np.sum((balls.centers.T @ lam) ** 2))
-    lam, value = _polish_simplex_qp(c[:p], balls.centers.T, lam, value)
+    value = float(cost @ lam + np.sum((balls.centers.T @ lam) ** 2))
+    lam, value = _polish_simplex_qp(cost, balls.centers.T, lam, value)
     center = balls.centers.T @ lam
     return center, lam, value
 
@@ -144,27 +149,19 @@ def gamma_balls(balls: BallIntersection) -> float:
 
 def gamma_upper(balls: BallIntersection) -> float:
     """Closed-form bound sqrt(n/(2(n+1))) * d_max / r_min on gamma_balls."""
-    d_max = 0.0
-    for i in range(balls.p):
-        d = np.linalg.norm(balls.centers[i + 1 :] - balls.centers[i], axis=1)
-        if d.size:
-            d_max = max(d_max, float(d.max()))
+    sq = balls.centers[:, None, :] - balls.centers[None, :, :]
+    sq *= sq  # in place: the (p, p, n) differences are the one large temporary
+    d_max = math.sqrt(float(sq.sum(axis=2).max()))
     r_min = float(balls.radii.min())
     return math.sqrt(balls.n / (2.0 * (balls.n + 1.0))) * d_max / r_min
 
 
 def _inner_instance(balls: BallIntersection, z: np.ndarray) -> UqInstance:
     """max ||x||^2 - 2 z'x over Omega as a uniform instance (Q = I)."""
-    p, n = balls.p, balls.n
-    b = np.zeros((p + 1, n))
-    d = np.zeros(p + 1)
-    b[0] = -z
-    bounds = []
-    for i in range(p):
-        b[i + 1] = -balls.centers[i]
-        d[i + 1] = float(balls.centers[i] @ balls.centers[i])
-        bounds.append(Bound(-math.inf, balls.radii[i] ** 2))
-    return UqInstance(n, SymMatrix.identity(n), b, d, bounds)
+    b = np.vstack([-z, -balls.centers])
+    d = np.concatenate([[0.0], np.vecdot(balls.centers, balls.centers)])
+    bounds = [Bound(-math.inf, r**2) for r in balls.radii]
+    return UqInstance(balls.n, SymMatrix.identity(balls.n), b, d, bounds)
 
 
 def chebyshev_certified(

@@ -95,9 +95,10 @@ class ConeProgram:
         for k, blk in enumerate(self.soc):
             if blk.a.shape != (blk.b.size, nv) or blk.c.size != nv:
                 raise InvalidProgram(f"SOC block {k} has inconsistent dimensions")
-        data = [self.c, self.g, self.h, self.e, self.f]
-        data += [x for blk in self.soc for x in (blk.a, blk.b, blk.c, [blk.d])]
-        if not all(np.all(np.isfinite(np.asarray(x, dtype=float))) for x in data):
+        data = [self.c, self.g.ravel(), self.h, self.e.ravel(), self.f]
+        data += [x.ravel() for blk in self.soc for x in (blk.a, blk.b, blk.c)]
+        data.append([blk.d for blk in self.soc])
+        if not np.isfinite(np.concatenate(data)).all():
             raise InvalidProgram("program data must be finite")
 
     @property

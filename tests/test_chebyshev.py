@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,65 @@ def random_balls(rng, n, p, spread=0.6):
     centers = rng.normal(size=(p, n)) * spread
     radii = rng.uniform(1.0, 1.6, size=p)
     return BallIntersection(n, centers, radii)
+
+
+def shell_balls(rng, n, p):
+    # centers at distance 0.5 from the origin, radii in [1, 1.5]: gamma < 0.5
+    dirs = rng.normal(size=(p, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return BallIntersection(n, 0.5 * dirs, rng.uniform(1.0, 1.5, size=p))
+
+
+def test_beck_center_program_size_does_not_grow_with_p(monkeypatch):
+    solve = chebyshev.solve
+    sizes = []
+
+    def recording_solve(prog, opts=None):
+        sizes.append(prog.nvar)
+        return solve(prog, opts)
+
+    monkeypatch.setattr(chebyshev, "solve", recording_solve)
+    rng = np.random.default_rng(6)
+    for p in (3, 20, 200):
+        chebyshev.beck_center(shell_balls(rng, 3, p))
+    assert sizes == [3 + 2] * 3
+
+
+def test_beck_center_weights_and_strong_duality():
+    # v is the simplex QP's value and, by strong duality, the value of its
+    # dual max_x min_i (r_i^2 - ||x - a_i||^2) attained at the center
+    balls = shell_balls(np.random.default_rng(7), 3, 200)
+    center, lam, v = chebyshev.beck_center(balls)
+    assert lam.shape == (200,)
+    assert lam.min() >= 0.0
+    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+    dual = float(np.min(balls.radii**2 - np.sum((center - balls.centers) ** 2, axis=1)))
+    assert abs(v - dual) <= 1e-12 * (1.0 + abs(v))
+
+
+def test_certified_many_balls_runs_without_scipy():
+    # 130 balls in R^4: every program of the certified path has a reduced KKT
+    # order of at most 32, so numpy alone factors it
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from socqp import chebyshev\n"
+        "from socqp.model import BallIntersection\n"
+        "rng = np.random.default_rng(8)\n"
+        "dirs = rng.normal(size=(130, 4))\n"
+        "dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)\n"
+        "balls = BallIntersection(4, 0.5 * dirs, rng.uniform(1.0, 1.5, size=130))\n"
+        "r = chebyshev.chebyshev_certified(balls)\n"
+        "print(r.gamma)\n"
+    )
+    src = str(Path(chebyshev.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.strip().splitlines()[-1]) < 0.5
 
 
 def test_beck_center_single_ball():
@@ -95,6 +158,26 @@ def test_gamma_upper_examples():
         2, np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0])
     )
     assert chebyshev.gamma_upper(pair) == pytest.approx(math.sqrt(2.0 / 6.0))
+
+
+def test_ball_helpers_match_per_ball_loops():
+    rng = np.random.default_rng(9)
+    for n, p in ((2, 1), (3, 7), (5, 40)):
+        balls = random_balls(rng, n, p)
+        a = balls.centers
+        d_max = max(
+            [float(np.linalg.norm(a[i + 1 :] - a[i], axis=1).max()) for i in range(p - 1)],
+            default=0.0,
+        )
+        expect = math.sqrt(n / (2.0 * (n + 1.0))) * d_max / float(balls.radii.min())
+        assert chebyshev.gamma_upper(balls) == expect
+        z = rng.normal(size=n)
+        inner = chebyshev._inner_instance(balls, z)
+        assert np.array_equal(inner.b, np.vstack([-z, -a]))
+        sq = np.array([0.0] + [float(a[i] @ a[i]) for i in range(p)])
+        assert np.allclose(inner.d, sq, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert [bd.upper for bd in inner.bounds] == [r**2 for r in balls.radii]
+        assert all(bd.lower == -math.inf for bd in inner.bounds)
 
 
 def test_gamma_upper_dominates_gamma():

@@ -73,6 +73,29 @@ def test_invalid_program_dimensions():
         ConeProgram(c=np.array([1.0]), g=np.ones((1, 2)), h=np.ones(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field", ["c", "g", "h", "e", "f", "soc.a", "soc.b", "soc.c", "soc.d"]
+)
+def test_non_finite_program_data_is_refused(field, bad):
+    data = {
+        "c": np.array([0.0, 0.0, 1.0]),
+        "g": np.array([[1.0, 1.0, 0.0]]),
+        "h": np.array([2.0]),
+        "e": np.array([[1.0, -1.0, 0.0]]),
+        "f": np.array([0.0]),
+    }
+    blk = {"a": np.eye(3)[:2], "b": np.zeros(2), "c": np.eye(3)[2], "d": 0.0}
+    part, _, key = field.rpartition(".")
+    target = blk if part == "soc" else data
+    if key == "d":
+        target[key] = bad
+    else:
+        target[key].flat[0] = bad
+    with pytest.raises(InvalidProgram, match="program data must be finite"):
+        ConeProgram(**data, soc=[SocBlock(**blk)])
+
+
 def test_unbounded_reports_ray():
     soc = [
         SocBlock(
