@@ -128,7 +128,7 @@ def _classify(obj):
     recovery works on (None for a uniform instance with PSD Q, which
     `recover.tighten_uq` handles on the instance itself)."""
     if isinstance(obj, UqInstance):
-        pos, neg = linalg.inertia(obj.q, obj.tol_rank)
+        pos, neg = linalg.inertia(obj.q, obj.tol_rank * model.data_scale(obj))
         head = {"kind": "uq", "n": obj.n, "p": obj.p}
         if neg[-1]:
             head["shape"] = "indefinite"
@@ -173,17 +173,21 @@ def _solve(obj, args) -> tuple[dict, int]:
     if res.status != "Optimal":
         return report, EXIT_SOLVER
     report["relaxation_value"] = meta.original_value(res)
-    if view is None:  # uniform with PSD Q: the dual has a closed form
+    exact = cert.holds
+    if view is None:  # uniform with PSD Q: the dual has a closed form, and exact needs it
         duality = reformulate.certify_strong_duality(obj, res)
         report["duality"] = {"gap": duality.gap, "holds": duality.holds}
+        exact = cert.holds and duality.holds
         if not cert.holds:
             report["note"] = "no exactness claim; relaxation value is an upper bound"
-    report["exact"] = cert.holds
-    if not cert.holds:
+        elif not exact:
+            report["note"] = "no exactness claim: the dual certificate fails"
+    report["exact"] = exact
+    if not exact:
         return report, EXIT_OK
     x, _ = recover.tighten_uq(obj, res) if view is None else recover.tighten_qcqp(view, res, meta)
     objective, violation = float(obj.values(x)[0]), obj.worst_violation(x)
-    feasible = bool(violation <= args.tol_feas * max(1.0, model.data_scale(obj)))
+    feasible = bool(violation <= args.tol_feas * model.data_scale(obj))
     report["recovered"] = {
         "x": x, "objective": objective, "worst_violation": violation, "feasible": feasible,
     }

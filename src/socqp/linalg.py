@@ -2,26 +2,16 @@
 
 Eigendecomposition, rank-sized PSD factors, numerical rank, the range and
 null space of a symmetric matrix, and the null space of a set of rows.
-Tolerances are explicit arguments with one shared default so that the
-rank-based certificates built on top of this module are reproducible; above
-it the tolerance is the instance's ``tol_rank``.
 
-Each cut, and what it is for:
-
-- ``inertia``, the one sign test: an eigenvalue above tol*max(1, max|w|) is
-  positive, one below its negative is negative.  The floor of 1 reads a
-  matrix of pure roundoff (A - lam_min I with A = lam_min I) as zero, not
-  indefinite, at the price of reading tiny data as zero too.
-- ``range_and_null``, the subspaces of the exactness condition: an
-  eigenvector is in the range when |w| > tol*max|w|, with no floor, so a
-  matrix and its positive multiples share them.
-- ``psd_factor``, the roundoff cut: one row per eigenvalue above
-  n*eps*max|w|, so a block of rank r gives an r x n factor F with
-  x'Mx = ||Fx||^2.  It does not drop the spectrum below the rank tolerance:
-  an eigenvalue the certificates treat as zero can still bound x.
-- ``_rank``, the one rank rule of ``numerical_rank`` and
-  ``null_space_of_rows``: a singular value counts when it exceeds tol times
-  the largest one.
+One rule makes every rank and sign decision here: a value v of a spectrum
+counts when |v| > max(cut, len*eps*max|v|), the second term being the
+roundoff floor of the decomposition.  For the eigenvalues of an instance
+matrix (``inertia``, ``range_and_null``, the ``NotPsd`` test of
+``psd_factor``) the cut is the instance's tol_rank * ``model.data_scale``,
+so a verdict does not depend on the units of the data.  The rows of
+``psd_factor`` take a cut of 0, so an eigenvalue the certificates treat as
+zero can still bound x.  For singular values (``numerical_rank``,
+``null_space_of_rows``) the cut is tol * the largest one.
 
 Every function here returns the same result for the same inputs.  The one
 piece of state is memoisation on ``SymMatrix``: its dense view and its
@@ -145,34 +135,40 @@ def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m._eig
 
 
-def inertia(m: SymMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _counts(v: np.ndarray, cut: float) -> np.ndarray:
+    """Mask of the values that count: |v| > max(cut, len(v)*eps*max|v|)."""
+    mag = np.abs(v)
+    return mag > max(cut, v.size * np.finfo(float).eps * float(mag.max(initial=0.0)))
+
+
+def inertia(m: SymMatrix, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Masks (positive, negative) over the eigenvalues w of ``sym_eig(m)``:
-    w > tol*max(1, max|w|) and w < -tol*max(1, max|w|)."""
+    the values that count at ``cut`` (see the module docstring), by sign."""
     w, _ = sym_eig(m)
-    cut = tol * max(1.0, float(np.abs(w).max()))
-    return w > cut, w < -cut
+    counts = _counts(w, cut)
+    return counts & (w > 0.0), counts & (w < 0.0)
 
 
-def psd_factor(m: SymMatrix, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def psd_factor(m: SymMatrix, cut: float) -> np.ndarray:
     """Factor F = diag(sqrt(w)) V' of the positive part of a PSD matrix, so
     F'F = M up to roundoff.
 
-    F has one row per eigenvalue above the roundoff floor n*eps*max|w|, in
-    descending order.  ``tol`` sets only the ``NotPsd`` test, the one that
-    ``QcqpInstance`` validation applies: raises when ``inertia`` at ``tol``
+    F has one row per positive eigenvalue above the roundoff floor alone, in
+    descending order.  ``cut`` sets only the ``NotPsd`` test, the one that
+    ``QcqpInstance`` validation applies: raises when ``inertia`` at ``cut``
     finds a negative eigenvalue; negative eigenvalues above that are dropped.
     """
     w, v = sym_eig(m)  # n >= 1, so w is never empty
-    if inertia(m, tol)[1].any():
-        raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} is negative at tolerance {tol:.1e}")
-    r = int(np.count_nonzero(w > m.n * np.finfo(float).eps * np.abs(w).max()))
+    if inertia(m, cut)[1].any():
+        raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} is negative at cut {cut:.1e}")
+    r = int(np.count_nonzero(inertia(m, 0.0)[0]))
     return np.sqrt(w[:r])[:, None] * v[:, :r].T
 
 
 def _rank(sv: np.ndarray, tol_rel: float) -> int:
-    """Number of singular values (descending, at least one) above tol_rel *
-    the largest."""
-    return int(np.count_nonzero(sv > tol_rel * sv[0]))
+    """Number of singular values (descending, at least one) that count at a
+    cut of tol_rel * the largest."""
+    return int(np.count_nonzero(_counts(sv, tol_rel * float(sv[0]))))
 
 
 def numerical_rank(vectors, tol_rel: float = DEFAULT_RANK_TOL) -> int:
@@ -187,12 +183,12 @@ def numerical_rank(vectors, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     return _rank(np.linalg.svd(a.reshape(a.shape[0], -1), compute_uv=False), tol_rel)
 
 
-def range_and_null(m: SymMatrix, tol_rel: float) -> tuple[np.ndarray, np.ndarray]:
+def range_and_null(m: SymMatrix, cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (columns) of the range and the null space of M: the
-    eigenvectors of ``sym_eig(m)`` with |w| above tol_rel * max|w|, and the
-    rest, so the two are complementary."""
+    eigenvectors of ``sym_eig(m)`` whose eigenvalues count at ``cut``, and
+    the rest, so the two are complementary."""
     w, v = sym_eig(m)
-    keep = np.abs(w) > tol_rel * max(float(np.abs(w).max()), 1e-300)
+    keep = _counts(w, cut)
     return v[:, keep], v[:, ~keep]
 
 

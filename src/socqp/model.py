@@ -126,7 +126,7 @@ class QcqpInstance(_Rows):
 
     g_i(x) = sum_j a[i,j] x'Q_j x + 2 b_i'x + c_i; row 0 of ``a`` is the
     objective.  ``sense`` is "min" or "max" for g_0.  ``tol_rank`` is as in
-    ``UqInstance``; the blocks must be PSD at it.
+    ``UqInstance``; the blocks must be PSD at a cut of tol_rank * ``data_scale``.
     """
 
     n: int
@@ -153,10 +153,11 @@ class QcqpInstance(_Rows):
             raise InvalidInput("need p+1 scalar offsets")
         if not np.all(np.isin(self.a, (-1.0, 0.0, 1.0))):
             raise InvalidInput("sign coefficients must lie in {-1, 0, 1}")
+        cut = self.tol_rank * data_scale(self)
         for j, q in enumerate(self.blocks):
             if q.n != self.n:
                 raise InvalidInput(f"block {j} has order {q.n}, expected {self.n}")
-            if linalg.inertia(q, self.tol_rank)[1].any():
+            if linalg.inertia(q, cut)[1].any():
                 raise InvalidInput(f"block {j} is not PSD at tolerance {self.tol_rank}")
 
     @property
@@ -205,15 +206,15 @@ class BallIntersection:
 
 
 def data_scale(inst: UqInstance | QcqpInstance) -> float:
-    """Largest absolute entry of a uq or qcqp instance, finite bounds included.
-
-    Feasibility tolerances are taken relative to max(1, this), so a check
-    means the same on data scaled by any factor.
+    """Largest absolute entry of a uq or qcqp instance, finite bounds included
+    and a qcqp instance's unitless signs left out.  Feasibility tolerances and
+    the rank cut tol_rank * this are taken relative to it, with no floor, so a
+    check means the same on data scaled by any factor.
     """
     if isinstance(inst, UqInstance):
         parts = [inst.q.packed, inst.b, inst.d]
     else:
-        parts = [blk.packed for blk in inst.blocks] + [inst.a, inst.b, inst.c]
+        parts = [blk.packed for blk in inst.blocks] + [inst.b, inst.c]
     parts.append([v for bd in inst.bounds for v in (bd.lower, bd.upper) if math.isfinite(v)])
     return max(float(np.abs(np.asarray(x, dtype=float)).max(initial=0.0)) for x in parts)
 
@@ -269,8 +270,8 @@ def ilp_to_uq(c, a_rows, rhs) -> UqInstance:
 def uq_as_qcqp(inst: UqInstance) -> QcqpInstance:
     """View a UQ instance as the single-block structured QCQP that maximises
     g_0 = f_0 over the same rows, with g_i = f_i; it shares the instance's
-    arrays.  Q must be PSD at the instance's ``tol_rank``, which the view
-    keeps.
+    arrays and its ``data_scale``.  Q must be PSD at tol_rank * that scale,
+    and the view keeps ``tol_rank``.
     """
     a = np.ones((inst.p + 1, 1))
     return QcqpInstance(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyFeasibleGrid, InvalidInput, UnboundedBox
-from .model import BallIntersection, UqInstance
+from .model import BallIntersection, UqInstance, data_scale
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def infer_box(inst: UqInstance, inflate: float = 1.1):
     their bounding cubes, inflated, is returned.  Raises UnboundedBox when no
     row has a finite upper bound or Q is singular.
     """
-    if not linalg.inertia(inst.q, 1e-12)[0].all():
+    if not linalg.inertia(inst.q, inst.tol_rank * data_scale(inst))[0].all():
         raise UnboundedBox("box inference needs positive definite Q; pass a box")
     w, _ = linalg.sym_eig(inst.q)
     qd = inst.q.dense()
@@ -68,43 +68,37 @@ def infer_box(inst: UqInstance, inflate: float = 1.1):
     return best
 
 
-def _axes(box, h):
-    lo, hi = box
-    return [np.arange(lo[k], hi[k] + 0.5 * h, h) for k in range(len(lo))]
-
-
-def _eval_chunks(inst: UqInstance, points: np.ndarray, feas_tol: float):
-    """Objective values of the feasible points among ``points`` (rows)."""
-    qd = inst.q.dense()
-    quad = np.einsum("pi,ij,pj->p", points, qd, points)
-    feas = np.ones(points.shape[0], dtype=bool)
-    for i, bd in enumerate(inst.bounds):
-        vals = quad + 2.0 * points @ inst.b[i + 1] + inst.d[i + 1]
+def _evaluate(inst: UqInstance, quad, lin, feas_tol: float):
+    """Objective values and feasibility mask of points from x'Qx and lin(i) = 2 b_i'x."""
+    feas = np.ones(np.shape(quad), dtype=bool)
+    for i, bd in enumerate(inst.bounds, start=1):
+        vals = quad + lin(i) + inst.d[i]
         if bd.has_upper:
             feas &= vals <= bd.upper + feas_tol
         if bd.has_lower:
             feas &= vals >= bd.lower - feas_tol
-    obj = quad + 2.0 * points @ inst.b[0] + inst.d[0]
-    return obj, feas
+    return quad + lin(0) + inst.d[0], feas
 
 
-def _scan(inst, axes, feas_tol, keep):
-    """Top-``keep`` feasible grid points by objective, chunked over axis 0."""
-    sizes = [a.size for a in axes]
-    rest = int(np.prod(sizes[1:])) if len(sizes) > 1 else 1
-    group = max(1, (1 << 21) // max(rest, 1))
+def _scan(inst, box, h, feas_tol, keep):
+    """Top-``keep`` feasible points of the step-``h`` grid on ``box`` by
+    objective, chunked over axis 0.  The rows are evaluated on the grid's axes
+    by broadcasting, axis k laid along dimension k, so a point is formed only
+    for the indices kept."""
+    axes = [np.arange(lo, hi + 0.5 * h, h) for lo, hi in zip(*box)]
+    qd, n, two_b = inst.q.dense(), len(axes), 2.0 * inst.b
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    group = max(1, (1 << 21) // int(np.prod([a.size for a in axes[1:]])))
     tops: list[tuple[float, np.ndarray]] = []
-    for start in range(0, sizes[0], group):
-        first = axes[0][start : start + group]
-        mesh = np.meshgrid(first, *axes[1:], indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        obj, feas = _eval_chunks(inst, pts, feas_tol)
-        if not np.any(feas):
-            continue
+    for start in range(0, axes[0].size, group):
+        chunk = [axes[0][start : start + group]] + axes[1:]
+        xs = [a.reshape((-1,) + (1,) * (n - 1 - k)) for k, a in enumerate(chunk)]
+        quad = sum((2.0 - (j == k)) * qd[j, k] * xs[j] * xs[k] for j, k in pairs)
+        obj, feas = _evaluate(inst, quad, lambda i: sum(map(np.multiply, two_b[i], xs)), feas_tol)
         idx = np.flatnonzero(feas)
-        vals = obj[idx]
-        take = idx[np.argsort(vals)[::-1][:keep]]
-        tops.extend((float(obj[t]), pts[t].copy()) for t in take)
+        take = idx[np.argsort(obj.reshape(-1)[idx])[::-1][:keep]]
+        pts = np.column_stack([a[w] for a, w in zip(chunk, np.unravel_index(take, feas.shape))])
+        tops.extend(zip(obj.reshape(-1)[take].tolist(), pts))
     tops.sort(key=lambda t: -t[0])
     return tops[:keep]
 
@@ -131,7 +125,7 @@ def grid_max_uq(
         box = infer_box(inst)
     else:
         box = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-    tops = _scan(inst, _axes(box, h), feas_tol, top_k)
+    tops = _scan(inst, box, h, feas_tol, top_k)
     if not tops:
         raise EmptyFeasibleGrid(f"no feasible grid point at resolution {h:g}")
     step = h
@@ -141,7 +135,7 @@ def grid_max_uq(
         for _, pt in tops:
             lo = np.maximum(box[0], pt - 2.2 * step * 10.0)
             hi = np.minimum(box[1], pt + 2.2 * step * 10.0)
-            nxt.extend(_scan(inst, _axes((lo, hi), step), feas_tol, top_k))
+            nxt.extend(_scan(inst, (lo, hi), step, feas_tol, top_k))
         nxt.sort(key=lambda t: -t[0])
         tops = nxt[:top_k] or tops
     value, arg = tops[0]
@@ -251,7 +245,8 @@ def sample_max_uq(inst: UqInstance, count: int, seed: int, around=None) -> float
     pts = around[None, :] + rng.standard_normal((count, inst.n)) * (
         radius * scales[np.arange(count) % scales.size][:, None]
     )
-    obj, feas = _eval_chunks(inst, pts, feas_tol=0.0)
+    quad = np.einsum("pi,ij,pj->p", pts, inst.q.dense(), pts)
+    obj, feas = _evaluate(inst, quad, lambda i: 2.0 * pts @ inst.b[i], 0.0)
     anchor_val = float(inst.values(around)[0])
     if not np.any(feas):
         return anchor_val

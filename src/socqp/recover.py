@@ -116,8 +116,9 @@ def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, Tighten
     when their rank is at most n - 1, otherwise (p = n, Q positive definite)
     dx = -(2B)^(-1) e with dt = 1.  A dx with no energy in Q (dx'Q dx <= 0)
     raises ``ConditionNotMet``; otherwise one quadratic step along it closes
-    the cone x'Qx = t without lowering f_0.  The instance's ``tol_rank`` is
-    the relative rank tolerance of the certificate and of the null space.
+    the cone x'Qx = t without lowering f_0, to a point feasible within
+    1e-6 * ``model.data_scale``.  The instance's ``tol_rank`` is the relative
+    rank tolerance of the certificate and of the null space.
     """
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
@@ -132,8 +133,7 @@ def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, Tighten
     gap = t - float(x @ qd @ x)
     if gap > 1e-6 * (1.0 + abs(t)):
         if cert.rank <= inst.n - 1:
-            q_null = linalg.range_and_null(inst.q, inst.tol_rank)[1]
-            rows = np.vstack([inst.b[1:], q_null.T])
+            rows = reformulate.union_rows(model.uq_as_qcqp(inst), (0,))[0]
             null = linalg.null_space_of_rows(rows, inst.n, inst.tol_rank)
             dx, dt = _direction_in_null(null, inst.b[0]), 0.0
         else:
@@ -157,7 +157,7 @@ def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, Tighten
             f"residual gap {gap:.2e} or objective drift {fx - value:.2e} too large",
             trace,
         )
-    if not inst.is_feasible(x, tol=1e-6 * max(1.0, model.data_scale(inst))):
+    if not inst.is_feasible(x, tol=1e-6 * model.data_scale(inst)):
         raise TightenFailed("tightened point is infeasible", trace)
     return x, trace
 
@@ -173,8 +173,8 @@ def tighten_qcqp(
     span{b_1..b_p}^perp intersected with R(Q_j) and the null spaces of the
     other blocks; the exactness condition guarantees such a direction exists,
     and the move changes neither the linear rows nor the other blocks.
-    The instance's ``tol_rank`` is the relative rank tolerance of that
-    condition: it decides the block ranges, null spaces and union dimension.
+    The instance's ``tol_rank`` decides that condition: the block ranges and
+    null spaces at tol_rank * ``model.data_scale``, and the union dimension.
     The instance may have either sense; the moves read its min-sense form.
     """
     if res.status != "Optimal":
@@ -237,7 +237,7 @@ def _gamma_terms(inst: UqInstance):
     are then checked in constraint order, so the first offending constraint
     is the one reported.
     """
-    if not linalg.inertia(inst.q, inst.tol_rank)[0].all():
+    if not linalg.inertia(inst.q, inst.tol_rank * model.data_scale(inst))[0].all():
         raise InvalidInstance("gamma needs positive definite Q")
     bt = inst.b[1:].T
     qb = np.linalg.solve(inst.q.dense(), bt)
@@ -311,7 +311,7 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     g = np.ones((inst.p, nv))
     g[:, :n] = 2.0 * inst.b[1:]
     h = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:]
-    factor = linalg.psd_factor(inst.q, inst.tol_rank)
+    factor = linalg.psd_factor(inst.q, inst.tol_rank * model.data_scale(inst))
     cone = reformulate.quad_epigraph(factor, nv, np.eye(nv)[n], 0.0)
     res = solve(ConeProgram(c=c, g=g, h=h, soc=[cone]))
     if res.status != "Optimal":

@@ -31,7 +31,7 @@ from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
 from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
-from .model import Bound, QcqpInstance, UqInstance, as_min, uq_as_qcqp
+from .model import Bound, QcqpInstance, UqInstance, as_min, data_scale, uq_as_qcqp
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,14 @@ def check_as3(inst: UqInstance) -> CertificateReport:
     ``model.uq_as_qcqp``, so this is that view's condition C; for positive
     definite Q, N(Q) is empty and the rows are the b_i alone.
     """
-    null = linalg.range_and_null(inst.q, inst.tol_rank)[1]
-    rank = linalg.numerical_rank(np.vstack([inst.b[1:], null.T]), inst.tol_rank)
+    rank = linalg.numerical_rank(union_rows(uq_as_qcqp(inst), (0,))[0], inst.tol_rank)
     if rank <= inst.n - 1:
         return CertificateReport(
             True, f"rank of [b_1..b_p; N(Q)'] is {rank} <= n-1 = {inst.n - 1}", rank=rank
         )
     if inst.p != inst.n:
         why = f"p = {inst.p} != n = {inst.n}"
-    elif linalg.inertia(inst.q, inst.tol_rank)[0].all():
+    elif linalg.inertia(inst.q, inst.tol_rank * data_scale(inst))[0].all():
         return CertificateReport(True, f"p = n = {inst.n}", rank=rank)
     else:
         why = "Q is not positive definite"
@@ -160,14 +159,15 @@ def dual_value(inst: UqInstance, lam) -> float:
     the range of Q, kappa when sigma = 0 and beta = 0, and +inf otherwise
     (the inner sup over x is unbounded).  Q^+ and its range are read from
     the rows F of ``linalg.psd_factor``, the spectrum that the relaxation's
-    cone encodes.
+    cone encodes; beta is zero up to sqrt(1e-9) * ``model.data_scale``.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if not np.all(np.isfinite(lam)):
         raise InvalidMultiplier("multipliers must be finite")
     if lam.size != inst.p:
         raise InvalidMultiplier(f"expected {inst.p} multipliers, got {lam.size}")
-    factor = linalg.psd_factor(inst.q, inst.tol_rank)
+    ref = data_scale(inst)
+    factor = linalg.psd_factor(inst.q, inst.tol_rank * ref)
 
     kappa = float(inst.d[0])
     for i, bd in enumerate(inst.bounds):
@@ -185,7 +185,7 @@ def dual_value(inst: UqInstance, lam) -> float:
     sigma = 1.0 - float(lam.sum())
     beta = inst.b[0] - lam @ inst.b[1:]
     sig_scale = 1.0 + float(np.abs(lam).sum())
-    beta_zero = math.sqrt(_DUAL_ZERO_TOL) * (1.0 + float(np.abs(inst.b).max()))
+    beta_zero = math.sqrt(_DUAL_ZERO_TOL) * ref
     if sigma < 0.0:
         # F = diag(sqrt(w)) V', so y = F beta / w = V'beta / sqrt(w) has
         # ||y||^2 = beta'Q^+ beta, and F'y is beta's projection on the range
@@ -210,7 +210,7 @@ class StrongDualityReport:
 def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDualityReport:
     """Compare the closed-form dual value at the multipliers of a
     ``build_socp_uq`` solve of ``inst`` with the relaxation optimum; the
-    certificate holds when they agree to a relative 1e-5.
+    certificate holds when they agree to 1e-5 * (``model.data_scale`` + |value|).
 
     lam_i is the multiplier of row i's upper side minus that of its lower
     side, read through the relaxation's row layout.
@@ -228,7 +228,7 @@ def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDuality
     value = -res.objective  # the relaxation minimises -f_0
     dval = dual_value(inst, lam)
     gap = dval - value
-    holds = bool(abs(gap) <= _DUALITY_REL_TOL * (1.0 + abs(value)))
+    holds = bool(abs(gap) <= _DUALITY_REL_TOL * (data_scale(inst) + abs(value)))
     return StrongDualityReport(holds, gap, value, dval, lam)
 
 
@@ -241,7 +241,7 @@ def split_indefinite(inst: UqInstance) -> tuple[QcqpInstance, int, int]:
     the returned ranks (r1, r2) are minimal.
     """
     w, v = linalg.sym_eig(inst.q)
-    pos, neg = linalg.inertia(inst.q, inst.tol_rank)
+    pos, neg = linalg.inertia(inst.q, inst.tol_rank * data_scale(inst))
     r1, r2 = int(pos.sum()), int(neg.sum())
     if r1 == 0 or r2 == 0:
         raise WrongShape("Q is semidefinite; use build_socp_uq (possibly negated)")
@@ -298,7 +298,7 @@ def lift_set_twosided(inst: QcqpInstance) -> tuple[int, ...]:
     )
 
 
-def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict):
+def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict, cut: float):
     """Rank-sized PSD factor of a convex residual, the sum of the blocks
     flagged in ``summed`` (non-lifted, sign +1); None when that sum is zero.
 
@@ -318,7 +318,7 @@ def _residual_factor(inst: QcqpInstance, summed: np.ndarray, factors: dict):
                 acc += inst.blocks[j].dense()
             residual = SymMatrix.from_dense(acc)
         nonzero = np.abs(residual.packed).max(initial=0.0) > 0.0
-        factors[key] = linalg.psd_factor(residual, inst.tol_rank) if nonzero else None
+        factors[key] = linalg.psd_factor(residual, cut) if nonzero else None
     return factors[key]
 
 
@@ -343,7 +343,8 @@ def _assemble(inst: QcqpInstance, lift_set) -> tuple[ConeProgram, ReformulationM
     summed = inst.a == 1.0
     summed[:, list(lifted)] = False
     factors: dict = {}
-    factor0 = _residual_factor(inst, summed[0], factors)
+    cut = inst.tol_rank * data_scale(inst)
+    factor0 = _residual_factor(inst, summed[0], factors, cut)
     nv = n + k + (factor0 is not None)
     epi = n + k if factor0 is not None else None
     t_index = {j: n + pos for pos, j in enumerate(lifted)}
@@ -353,7 +354,7 @@ def _assemble(inst: QcqpInstance, lift_set) -> tuple[ConeProgram, ReformulationM
     c = expr[0].copy()
     unit = np.eye(nv)
     soc = [
-        quad_epigraph(linalg.psd_factor(inst.blocks[j], inst.tol_rank), nv, unit[t_index[j]], 0.0)
+        quad_epigraph(linalg.psd_factor(inst.blocks[j], cut), nv, unit[t_index[j]], 0.0)
         for j in lifted
     ]
     if epi is not None:
@@ -364,7 +365,7 @@ def _assemble(inst: QcqpInstance, lift_set) -> tuple[ConeProgram, ReformulationM
     lower = np.array([bd.lower for bd in inst.bounds])
     linear = np.ones(p, dtype=bool)
     for i in np.flatnonzero(summed[1:].any(axis=1) & (upper < math.inf)):
-        factor_i = _residual_factor(inst, summed[i + 1], factors)
+        factor_i = _residual_factor(inst, summed[i + 1], factors, cut)
         if factor_i is not None:
             # x'P_i x + expr'z <= limit as a cone epigraph on w = limit - expr'z
             limit = upper[i] - inst.c[i + 1]
@@ -413,13 +414,15 @@ def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:
     Their rank is the union dimension of the exactness condition, and their
     orthogonal complement holds the directions along which recovery closes
     block j.  Each block's spectrum is split once, by
-    ``linalg.range_and_null`` at the instance's ``tol_rank``.
+    ``linalg.range_and_null`` at tol_rank * ``model.data_scale``; the bases
+    have unit rows and the b_i are divided by the largest ||b_i||, so the
+    rank of the stack does not move with the data's scale.
     """
-    split = [linalg.range_and_null(q, inst.tol_rank) for q in inst.blocks]
+    cut = inst.tol_rank * data_scale(inst)
+    split = [linalg.range_and_null(q, cut) for q in inst.blocks]
+    b = inst.b[1:] / max(float(np.linalg.norm(inst.b[1:], axis=1).max()), np.finfo(float).tiny)
     return {
-        j: np.vstack(
-            [inst.b[1:], split[j][1].T] + [split[i][0].T for i in range(inst.m) if i != j]
-        )
+        j: np.vstack([b, split[j][1].T] + [split[i][0].T for i in range(inst.m) if i != j])
         for j in j_set
     }
 
@@ -460,14 +463,15 @@ def _trust_region(a_mat: SymMatrix, b0, c0: float, balls, rows) -> QcqpInstance:
 
     A is split against lam_min = lam_min(A) into the blocks (A - lam_min I,
     s I) with s = |lam_min|, so x'Ax = x'(A - lam_min I)x + sign(lam_min) s x'x
-    and every sign stays in {-1, 0, 1}; when ``linalg.inertia`` reads lam_min
-    as zero, s = 1 and the identity block leaves the objective.  Each ball row is
-    s x'x - 2s mu'x + s||mu||^2 against s lo and s hi; each row is linear.
+    and every sign stays in {-1, 0, 1}; when ``linalg.inertia`` at the default
+    tolerance times max|A_ij| reads lam_min as zero, s = 1 and the identity
+    block leaves the objective.  Each ball row is s x'x - 2s mu'x + s||mu||^2
+    against s lo and s hi; each row is linear.
     """
     n = a_mat.n
     w, _ = linalg.sym_eig(a_mat)
     lam_min = float(w[-1])
-    pos, neg = linalg.inertia(a_mat, DEFAULT_RANK_TOL)
+    pos, neg = linalg.inertia(a_mat, DEFAULT_RANK_TOL * float(np.abs(a_mat.packed).max()))
     zero = not (pos[-1] or neg[-1])
     s = 1.0 if zero else abs(lam_min)
     blocks = [

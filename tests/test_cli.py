@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -144,6 +145,23 @@ def test_solve_exact_instance_recovers(capsys, exact_file):
     assert rep["recovered"]["objective"] == pytest.approx(
         rep["relaxation_value"], abs=1e-5
     )
+
+
+def test_exact_needs_the_dual_certificate(capsys, exact_file, monkeypatch):
+    # a rank certificate that holds next to a failing dual certificate is no
+    # exactness claim, and the note names the certificate that failed
+    certify = reformulate.certify_strong_duality
+    monkeypatch.setattr(
+        reformulate,
+        "certify_strong_duality",
+        lambda inst, res: dataclasses.replace(certify(inst, res), holds=False),
+    )
+    code, out = run(capsys, "solve", str(exact_file), "--report-format", "structured")
+    assert code == 0
+    rep = json.loads(out.out)
+    assert rep["certificate"]["holds"] is True and rep["duality"]["holds"] is False
+    assert rep["exact"] is False and "recovered" not in rep
+    assert "dual certificate fails" in rep["note"]
 
 
 def test_solve_tol_rank_reaches_tightening(tmp_path, capsys):

@@ -37,34 +37,48 @@ def test_sym_eig_rejects_nonfinite():
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_inertia_cuts_at_tol_times_max_of_one_and_the_spectrum(scale):
-    # the cut is tol * max(1, max|w|): absolute below unit scale, relative above
-    tol = 1e-6
-    cut = tol * max(1.0, scale)
+def test_inertia_cuts_at_the_callers_cut_above_roundoff(scale):
+    # a value counts when |w| > max(cut, n*eps*max|w|); the cut is the
+    # caller's, taken against its data's scale, so data and cut scaled
+    # together give the same masks at every scale
+    cut = 1e-6 * scale
     inside, outside = (1.0 - 1e-3) * cut, (1.0 + 1e-3) * cut
     m = SymMatrix.from_dense(np.diag([outside, -inside, scale, inside, -outside]))
     w, _ = linalg.sym_eig(m)
     assert list(w) == [scale, outside, inside, -inside, -outside]
-    pos, neg = linalg.inertia(m, tol)
+    pos, neg = linalg.inertia(m, cut)
     assert pos.tolist() == [True, True, False, False, False]
     assert neg.tolist() == [False, False, False, False, True]
+    # at a cut of 0 the roundoff floor alone is left
+    pos, neg = linalg.inertia(SymMatrix.from_dense(np.diag([scale, 1e-17 * scale])), 0.0)
+    assert pos.tolist() == [True, False] and not neg.any()
+
+
+def test_a_zero_matrix_has_no_range_at_any_cut():
+    m = SymMatrix.from_dense(np.zeros((3, 3)))
+    for cut in (0.0, 1e-8):
+        pos, neg = linalg.inertia(m, cut)
+        image, null = linalg.range_and_null(m, cut)
+        assert not pos.any() and not neg.any()
+        assert image.shape == (3, 0) and null.shape == (3, 3)
+        assert linalg.psd_factor(m, cut).shape == (0, 3)
 
 
 def test_psd_factor_identity_and_diagonal():
-    f = linalg.psd_factor(SymMatrix.identity(3))
+    f = linalg.psd_factor(SymMatrix.identity(3), DEFAULT_RANK_TOL)
     assert f.shape == (3, 3) and np.allclose(f.T @ f, np.eye(3))
-    f = linalg.psd_factor(SymMatrix.from_dense(np.diag([4.0, 9.0])))
+    f = linalg.psd_factor(SymMatrix.from_dense(np.diag([4.0, 9.0])), DEFAULT_RANK_TOL)
     assert np.allclose(np.abs(f), [[0.0, 3.0], [2.0, 0.0]])  # descending eigenvalues
 
 
 def test_psd_factor_rejects_indefinite():
     with pytest.raises(NotPsd):
-        linalg.psd_factor(SymMatrix.from_dense(np.diag([1.0, -1.0])))
+        linalg.psd_factor(SymMatrix.from_dense(np.diag([1.0, -1.0])), DEFAULT_RANK_TOL)
 
 
 def test_psd_factor_drops_small_negatives():
     m = SymMatrix.from_dense(np.diag([1.0, 0.5, -1e-12]))
-    f = linalg.psd_factor(m)
+    f = linalg.psd_factor(m, DEFAULT_RANK_TOL)
     assert f.shape == (2, 3) == (linalg.range_and_null(m, DEFAULT_RANK_TOL)[0].shape[1], m.n)
     assert np.allclose(f.T @ f, np.diag([1.0, 0.5, 0.0]), atol=1e-15)
 
@@ -193,7 +207,7 @@ def test_sym_eig_is_computed_once_and_read_only(monkeypatch):
     m = SymMatrix.from_dense(np.diag([3.0, 1.0, 0.0]))
     w, v = linalg.sym_eig(m)
     assert linalg.sym_eig(m)[0] is w and linalg.sym_eig(m)[1] is v
-    linalg.psd_factor(m)
+    linalg.psd_factor(m, DEFAULT_RANK_TOL)
     linalg.range_and_null(m, DEFAULT_RANK_TOL)
     assert len(calls) == 1
     for arr in (w, v, m.packed, m.dense()):

@@ -76,6 +76,26 @@ def test_grid_max_empty_feasible():
         oracle.grid_max_uq(inst, h=0.1, box=box)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_max_matches_the_point_by_point_scan(n):
+    # the grid is evaluated on its axes by broadcasting; forming every grid
+    # point and evaluating the instance at each must give the same best
+    # value up to the summation order, and a best point with that value
+    rng = np.random.default_rng(20 + n)
+    for _ in range(3):
+        inst = random_uq(rng, n, int(rng.integers(1, n + 2)), two_sided_prob=0.5)
+        box = oracle.infer_box(inst)
+        h = float(np.max(box[1] - box[0])) / (60 if n < 3 else 25)
+        g = oracle.grid_max_uq(inst, h, box=box)
+        axes = [np.arange(lo, hi + 0.5 * h, h) for lo, hi in zip(*box)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        vals = np.array([inst.values(x) for x in pts])
+        ok = [inst.worst_violation(x) <= 1e-9 for x in pts]
+        best = float(vals[ok, 0].max())
+        assert abs(g.value - best) <= 1e-12 * (1.0 + abs(best))
+        assert inst.values(g.argmax)[0] == pytest.approx(g.value, abs=1e-12)
+
+
 def test_grid_max_halving_consistency():
     rng = np.random.default_rng(0)
     inst = random_uq(rng, 2, 2)

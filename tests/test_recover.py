@@ -222,8 +222,10 @@ def test_singular_psd_takes_the_uniform_path(seed):
 
 
 def test_tighten_direction_without_energy_is_refused():
-    # Q = diag(1e-3, -5e-9): N(Q) is empty, the certificate holds and the
-    # cone is open, but the one direction left, e2, has negative energy
+    # Q = diag(1e-3, -5e-9) with data of scale 1: -5e-9 lies within the
+    # instance's cut, so e2 spans N(Q) and joins the rows.  The direction
+    # left after the rows, e2, would have negative energy; the certificate
+    # no longer offers it, and tightening refuses before taking a step
     inst = UqInstance(
         2,
         SymMatrix.from_dense(np.diag([1e-3, -5e-9])),
@@ -231,9 +233,10 @@ def test_tighten_direction_without_energy_is_refused():
         np.zeros(2),
         [Bound(-1.0, 1.0)],
     )
-    assert reformulate.check_as3(inst).holds
+    cert = reformulate.check_as3(inst)
+    assert (cert.holds, cert.rank) == (False, 2)
     res, _ = solve_uq(inst)
-    with pytest.raises(ConditionNotMet, match="no energy"):
+    with pytest.raises(ConditionNotMet, match="exactness condition fails"):
         recover.tighten_uq(inst, res)
 
 

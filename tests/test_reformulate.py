@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socqp import conesolver, linalg, model, recover, reformulate
+from socqp import cli, conesolver, linalg, model, recover, reformulate
 from socqp.errors import InvalidBounds, InvalidMultiplier, WrongShape
 from socqp.linalg import SymMatrix
 from socqp.model import Bound, QcqpInstance, UqInstance
@@ -84,9 +84,9 @@ def test_check_as3_examples():
 
 
 def test_check_as3_p_equals_n_needs_positive_definite_q():
-    # diag(1e-3, -5e-9) has an empty N(Q) at the default tolerance, yet is
-    # not positive definite: with p = n and full-rank rows it is not exact,
-    # as condition C on the one-block view says
+    # diag(1e-3, -5e-9) with data of scale 1 has N(Q) = span{e2} at the
+    # default tolerance, so it is not positive definite: with p = n and
+    # full-rank rows it is not exact, as condition C on the one-block view says
     inst = UqInstance(
         2,
         SymMatrix.from_dense(np.diag([1e-3, -5e-9])),
@@ -557,6 +557,122 @@ def test_condition_invariant_under_rotation():
 
 
 # ---------------------------------------------------------------------------
+# one cut, against the instance's own scale
+# ---------------------------------------------------------------------------
+
+
+def _transformed(inst, s=1.0, u=None):
+    """The instance in coordinates x = u y with every data entry times s (the
+    signs and the sense of a structured instance kept)."""
+    u = np.eye(inst.n) if u is None else u
+
+    def mat(m):
+        return SymMatrix.from_dense(s * (u.T @ m.dense() @ u))
+
+    bounds = [Bound(s * bd.lower, s * bd.upper) for bd in inst.bounds]
+    if isinstance(inst, UqInstance):
+        return UqInstance(inst.n, mat(inst.q), s * inst.b @ u, s * inst.d, bounds)
+    blocks = [mat(q) for q in inst.blocks]
+    b, c = s * inst.b @ u, s * inst.c
+    return QcqpInstance(inst.n, blocks, inst.a, b, c, bounds, sense=inst.sense)
+
+
+def _verdict(inst):
+    """Certificate (holds, rank, dims) and the shape that `socqp solve` reads."""
+    head, _, _, cert, _ = cli._classify(inst)
+    return cert.holds, cert.rank, cert.dims, head.get("shape")
+
+
+def _found_file():
+    # Q = diag(1, 1, 0): N(Q) = span{e3} joins the rows b_1..b_3, rank 3
+    b = np.array([[0.2, 0.1, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    return UqInstance(3, SymMatrix.from_dense(np.diag([1.0, 1.0, 0.0])), b, np.zeros(4),
+                      [Bound(-1.0, 1.0)] * 3)
+
+
+def _p_equals_n_file():
+    q = SymMatrix.from_dense(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    b = np.array([[0.1, 0.2], [1.0, 0.0], [0.0, 1.0]])
+    return UqInstance(2, q, b, np.zeros(3), [Bound(-math.inf, 1.0)] * 2)
+
+
+def _rotated_trs():
+    # A = -1.5 I in rotated coordinates: A - lam_min I is pure roundoff
+    v, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+    return reformulate.build_trs(SymMatrix.from_dense(v @ (-1.5 * np.eye(2)) @ v.T), [0.3, -0.2])
+
+
+def _tiny_negative_eigenvalue():
+    # diag(1e-3, -5e-9) in data of scale 1: -5e-9 is within the cut, so it
+    # is a zero eigenvalue for every decision, sign and rank alike
+    q = SymMatrix.from_dense(np.diag([1e-3, -5e-9]))
+    return UqInstance(2, q, np.array([[0.5, 0.0], [0.5, 0.0]]), np.zeros(2), [Bound(-1.0, 1.0)])
+
+
+_SCALE_CASES = {
+    "found_file": (_found_file, (False, 3, None, "psd_singular")),
+    "p_equals_n": (_p_equals_n_file, (True, 2, None, None)),
+    "rotated_trs": (_rotated_trs, (True, None, {1: 0}, None)),
+    "tiny_negative_eigenvalue": (_tiny_negative_eigenvalue, (False, 2, None, "psd_singular")),
+}
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("case", sorted(_SCALE_CASES))
+def test_verdict_does_not_depend_on_the_data_scale(case, s):
+    make, expected = _SCALE_CASES[case]
+    inst = _transformed(make(), s)
+    assert _verdict(inst) == expected
+    if isinstance(inst, UqInstance):
+        # the NotPsd test, the factor's rows and the range agree at every scale
+        cut = inst.tol_rank * model.data_scale(inst)
+        rows = linalg.psd_factor(inst.q, cut).shape[0]
+        assert rows == linalg.range_and_null(inst.q, cut)[0].shape[1]
+
+
+def test_a_zero_b_block_and_a_zero_reference_give_defined_verdicts():
+    # the b_i are divided by their largest norm and the cut is taken against
+    # data_scale: neither may divide by zero (a RuntimeWarning fails the
+    # test) when the b block or the whole instance is zero
+    zero_b = UqInstance(2, SymMatrix.identity(2), np.zeros((2, 2)), np.zeros(2),
+                        [Bound(-math.inf, 1.0)])
+    zero = UqInstance(2, SymMatrix.from_dense(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros(2),
+                      [Bound(-math.inf, 0.0)])
+    assert model.data_scale(zero) == 0.0
+    assert _verdict(zero_b) == (True, 0, None, None)
+    assert _verdict(zero) == (False, 2, None, "psd_singular")
+    assert reformulate.check_condition_c(model.uq_as_qcqp(zero), (0,)).dims == {0: 2}
+
+
+def _random_instance(rng, kind):
+    n = int(rng.integers(2, 5))
+    if kind == "structured":
+        m = int(rng.integers(2, n + 1))
+        return orthogonal_blocks_instance(rng, n, m, int(rng.integers(2, 5)), bool(rng.integers(2)))
+    p = int(rng.integers(1, n + 3))
+    inst = random_uq(rng, n, p, two_sided_prob=0.5)
+    if kind == "psd_singular":
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = rng.uniform(0.5, 2.0, n)
+        w[: int(rng.integers(1, n))] = 0.0
+        inst.q = SymMatrix.from_dense((u * w) @ u.T)
+    return inst
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["pd", "psd_singular", "structured"]),
+    log_s=st.floats(-9.0, 9.0),
+)
+def test_verdict_is_invariant_under_scale_and_rotation(seed, kind, log_s):
+    rng = np.random.default_rng(seed)
+    inst = _random_instance(rng, kind)
+    u, _ = np.linalg.qr(rng.normal(size=(inst.n, inst.n)))
+    assert _verdict(_transformed(inst, 10.0**log_s, u)) == _verdict(inst)
+
+
+# ---------------------------------------------------------------------------
 # one- and two-sided relaxation builders
 # ---------------------------------------------------------------------------
 
@@ -961,10 +1077,12 @@ def _trust_region_data(rng, n, mult, lam_min, k_rows, in_range):
 
 
 def _reference_union_holds(a, vecs):
-    """rank[vecs; range basis of A - lam_min I] <= n-1, by numpy alone."""
+    """rank[vecs; range basis of A - lam_min I] <= n-1, by numpy alone; the
+    range is cut against A's scale, so a shift that leaves only roundoff
+    (lam_min of multiplicity n) has none."""
     n = a.shape[0]
     w, v = np.linalg.eigh(a - np.linalg.eigvalsh(a)[0] * np.eye(n))
-    rows = [v[:, np.abs(w) > 1e-6 * max(np.abs(w).max(), 1e-300)].T] + [
+    rows = [v[:, np.abs(w) > 1e-6 * np.abs(a).max()].T] + [
         np.reshape(x, (1, n)) for x in vecs
     ]
     sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
