@@ -186,10 +186,7 @@ def chebyshev_certified(
     ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
 
     inner = _inner_instance(balls, center)
-    shifted, offset = model.translate_origin(inner, interior)
-    d0 = float(shifted.d[0])
-    shifted.d = shifted.d.copy()
-    shifted.d[0] = 0.0  # re-zero the objective offset; carried separately
+    shifted, d0 = model.translate_origin(inner, interior)
 
     # approx_uq solves the inner relaxation once; its value is the upper end
     x_sh, _, cert = recover.approx_uq(shifted, opts=opts)

@@ -268,8 +268,6 @@ def cmd_approx(args) -> int:
     if needs_shift:
         shift, margin = recover.find_interior_point(inst)
         inst, offset = model.translate_origin(inst, shift)
-        inst.d = inst.d.copy()
-        inst.d[0] = 0.0
         report["translated"] = {"interior_point": shift, "margin": margin}
     x_sh, trace, cert = recover.approx_uq(inst, opts=_options(args))
     x = x_sh + shift

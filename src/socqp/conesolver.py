@@ -246,8 +246,7 @@ class _Cones:
             worst = float((-du[:, :l] / u[:l]).max())
         for ug, dg in zip(self.views(u), self.views(du)):
             u0, u1, d0, d1 = ug[:, 0], ug[:, 1:], dg[..., 0], dg[..., 1:]
-            nrm = np.sqrt(np.vecdot(u1, u1))
-            jn = np.sqrt((u0 - nrm) * (u0 + nrm))  # factored to dodge cancellation
+            jn = _jnorm(ug)
             x0 = (u0 * d0 - np.vecdot(u1, d1)) / jn
             x1 = d1 - ((x0 + d0) / (u0 + jn))[..., None] * u1
             lam_min = (x0 - np.sqrt(np.vecdot(x1, x1))) / jn
@@ -555,31 +554,31 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         mu = gap / cones.nu
         try:
             scaling = _Scaling(cones, s, lam)
+            # work in scaled coordinates: v = W lam = W^{-1} s, ds~ = W^{-1} ds and
+            # dl = W dlam; the third block of every right-hand side is then
+            # W^{-1}(-res_z - W ds~) = r3 - ds~
+            v = scaling.apply(lam)
+            rows[-1] = res_z
+            scaled = scaling.apply_inv(rows)
+            kkt.factor(scaled[:-1])
+            r3 = -scaled[-1]
+            r12 = -np.concatenate((res_x, res_y))
+
+            # predictor (affine) direction: target complementarity 0, ds~ = -v;
+            # s + a ds stays in K iff v + a ds~ does, and likewise for lam
+            _, dl_a = kkt.solve(r12, r3 + v)
+            ds_a = -v - dl_a
+            alpha_a = min(1.0, cones.max_step(v, np.array([ds_a, dl_a])))
+            gap_a = float((v + alpha_a * ds_a) @ (v + alpha_a * dl_a))
+            sigma = min(1.0, max(0.0, gap_a / gap)) ** 3
+
+            # corrector: target sigma*mu*e minus the Mehrotra second-order term
+            ds_comb = -v + cones.jsolve(v, sigma * mu * cones.identity - cones.jprod(ds_a, dl_a))
+            x, dl = kkt.solve(r12, r3 - ds_comb)
+            ds_t = ds_comb - dl
+            alpha = min(1.0, _STEP_SCALE * cones.max_step(v, np.array([ds_t, dl])))
         except _ScalingBreakdown:
             break  # boundary reached at machine precision; keep best iterate
-        # work in scaled coordinates: v = W lam = W^{-1} s, ds~ = W^{-1} ds and
-        # dl = W dlam; the third block of every right-hand side is then
-        # W^{-1}(-res_z - W ds~) = r3 - ds~
-        v = scaling.apply(lam)
-        rows[-1] = res_z
-        scaled = scaling.apply_inv(rows)
-        kkt.factor(scaled[:-1])
-        r3 = -scaled[-1]
-        r12 = -np.concatenate((res_x, res_y))
-
-        # predictor (affine) direction: target complementarity 0, ds~ = -v;
-        # s + a ds stays in K iff v + a ds~ does, and likewise for lam
-        _, dl_a = kkt.solve(r12, r3 + v)
-        ds_a = -v - dl_a
-        alpha_a = min(1.0, cones.max_step(v, np.array([ds_a, dl_a])))
-        gap_a = float((v + alpha_a * ds_a) @ (v + alpha_a * dl_a))
-        sigma = min(1.0, max(0.0, gap_a / gap)) ** 3
-
-        # corrector: target sigma*mu*e minus the Mehrotra second-order term
-        ds_comb = -v + cones.jsolve(v, sigma * mu * cones.identity - cones.jprod(ds_a, dl_a))
-        x, dl = kkt.solve(r12, r3 - ds_comb)
-        ds_t = ds_comb - dl
-        alpha = min(1.0, _STEP_SCALE * cones.max_step(v, np.array([ds_t, dl])))
         ds = scaling.apply(ds_t)
         dlam = scaling.apply_inv(dl)
 

@@ -222,14 +222,15 @@ def data_scale(inst: UqInstance | QcqpInstance) -> float:
 def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:
     """Shift coordinates so that x_hat becomes the origin.
 
-    The output instance satisfies f'_i(x) = f_i(x + x_hat) for every x; the
-    returned offset is f_0(x_hat), letting callers re-zero d'_0 when needed.
-    """
+    The output has f'_i(x) = f_i(x + x_hat) for every constraint i and
+    d'_0 = 0, as the approximation needs; the returned offset f_0(x_hat)
+    gives f_0(x + x_hat) = f'_0(x) + offset."""
     x_hat = np.asarray(x_hat, dtype=float).reshape(inst.n)
     qx = inst.q @ x_hat
     b = inst.b + qx[None, :]
     d = inst.values(x_hat)
-    return replace(inst, b=b, d=d, bounds=list(inst.bounds)), float(d[0])
+    offset, d[0] = float(d[0]), 0.0
+    return replace(inst, b=b, d=d, bounds=list(inst.bounds)), offset
 
 
 def ilp_to_uq(c, a_rows, rhs) -> UqInstance:

@@ -1,11 +1,13 @@
 """Exact-solution extraction from relaxation optima and the bounded-ratio
 approximation for convex-constrained uniform instances.
 
-The tightening procedures close each open lifted cone of a relaxation
-optimum in one quadratic step along a direction that leaves every linear row
-value unchanged; the exactness conditions are what supply that direction.
-``tighten_uq`` serves every uniform instance with PSD Q, singular or not;
-``tighten_qcqp`` serves structured instances and the indefinite split.
+One tightening routine closes each open lifted cone of a relaxation optimum
+in one quadratic step, along a direction that leaves every linear row value
+and every other block unchanged, and accepts the point by one test.  The
+direction comes from the null space of the rows whose rank the exactness
+condition counts, so recovery runs no certificate of its own.
+``tighten_qcqp`` serves structured instances and the indefinite split;
+``tighten_uq``, for every uniform instance with PSD Q, is its one-block case.
 The approximation routine splits the relaxation optimum into two cone-tight
 candidates and scales the better one back into the feasible region,
 certifying f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).
@@ -78,13 +80,9 @@ class ApproxCertificate:
 def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
     """A unit direction in the given null space, preferring b0-orthogonality."""
     w = null_cols.T @ b0
-    nw = np.linalg.norm(w)
-    if nw <= 1e-12 * (1.0 + np.linalg.norm(b0)):
-        return null_cols[:, 0]
-    if null_cols.shape[1] >= 2:
-        comp = linalg.null_space_of_rows(w[None, :], null_cols.shape[1])
-        if comp.shape[1]:
-            return null_cols @ comp[:, 0]
+    if null_cols.shape[1] >= 2 and np.linalg.norm(w) > 1e-12 * (1.0 + np.linalg.norm(b0)):
+        # one row in two or more dimensions always leaves a null space
+        return null_cols @ linalg.null_space_of_rows(w[None, :], null_cols.shape[1])[:, 0]
     return null_cols[:, 0]
 
 
@@ -105,61 +103,76 @@ def _cone_step(q, x, t, dx, dt, rise, rise_scale) -> float:
     return max(roots, key=lambda r: r * rise)
 
 
+def _direction(inst: QcqpInstance, j: int, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """A move (dx, dt) of (x, t_j) with a_ij dt + 2 b_i'dx = 0 for every row i
+    that keeps every other block: dx in the null space of block j's
+    ``reformulate.union_rows`` with dt = 0 or, when that is empty and the
+    rows are b_1..b_n alone (one definite block, p = n), 2B dx = -a[1:, j]
+    with dt = 1."""
+    null = linalg.null_space_of_rows(rows, inst.n, inst.tol_rank)
+    if null.shape[1]:
+        return _direction_in_null(null, inst.b[0]), 0.0
+    if inst.m == 1 and len(rows) == inst.p == inst.n:
+        return np.linalg.solve(2.0 * inst.b[1:], -inst.a[1:, j]), 1.0
+    raise ConditionNotMet(
+        f"exactness condition fails: no direction closes block {j} and keeps the rows"
+    )
+
+
+def _tighten(
+    inst: QcqpInstance, res: SolverResult, meta: reformulate.ReformulationMeta
+) -> tuple[np.ndarray, TightenTrace]:
+    """Close each open lifted cone in one step, then accept the point only when
+    its gaps are closed, its objective is the relaxation value and its rows
+    hold within 1e-6 * ``model.data_scale``.  Private, so that a wrapper of
+    the public names sees each tightening once."""
+    if res.status != "Optimal":
+        raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
+    inst = model.as_min(inst)
+    x = meta.x_of(res.z)
+    t = {j: float(res.z[meta.t_index[j]]) for j in meta.lifted}
+    trace = TightenTrace()
+    union = {}  # taken on the first open gap; most optima close every cone
+    for j in meta.lifted:
+        qj = inst.blocks[j].dense()
+        if t[j] - float(x @ qj @ x) <= _CLOSED_GAP * (1.0 + abs(t[j])):
+            continue
+        if not union:
+            union = reformulate.union_rows(inst, meta.lifted)
+        dx, dt = _direction(inst, j, union[j])
+        if float(dx @ qj @ dx) <= 0.0:
+            raise ConditionNotMet(f"direction has no energy in block {j}")
+        # g_0 is minimized, so the quantity kept from falling is -g_0
+        rise = -(inst.a[0, j] * dt + 2.0 * float(inst.b[0] @ dx))
+        rise_scale = 1.0 + dt + 2.0 * np.linalg.norm(inst.b[0]) * np.linalg.norm(dx)
+        alpha = _cone_step(qj, x, t[j], dx, dt, rise, rise_scale)
+        x = x + alpha * dx
+        t[j] += alpha * dt
+        trace.steps.append({"kind": "close", "block": j, "alpha": alpha, "direction": dx,
+                            "dt": dt, "gap": t[j] - float(x @ qj @ x)})
+    gaps = [t[j] - float(x @ inst.blocks[j].dense() @ x) for j in meta.lifted]
+    trace.final_gap = max(gaps, default=0.0)
+    drift = float(inst.values(x)[0]) - res.objective
+    t_scale = 1.0 + max(map(abs, t.values()), default=0.0)
+    if trace.final_gap > 1e-6 * t_scale or abs(drift) > 1e-5 * (1.0 + abs(res.objective)):
+        raise TightenFailed(f"residual gap {trace.final_gap:.2e} or objective drift "
+                            f"{drift:.2e} too large", trace)
+    if not inst.is_feasible(x, tol=1e-6 * model.data_scale(inst)):
+        raise TightenFailed("tightened point is infeasible", trace)
+    return x, trace
+
+
 def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, TightenTrace]:
     """Turn a relaxation optimum of a uniform instance with PSD Q into a
     feasible point of the original problem with the same objective value.
 
-    Requires the exactness certificate ``reformulate.check_as3`` to hold.
-    It gives a direction (dx, dt) with 2 b_i'dx + dt = 0 for every row, so
-    moving along it leaves every row value t + 2 b_i'x + d_i unchanged: dx in
-    the null space of the certificate's rows [b_1..b_p; N(Q)'] with dt = 0
-    when their rank is at most n - 1, otherwise (p = n, Q positive definite)
-    dx = -(2B)^(-1) e with dt = 1.  A dx with no energy in Q (dx'Q dx <= 0)
-    raises ``ConditionNotMet``; otherwise one quadratic step along it closes
-    the cone x'Qx = t without lowering f_0, to a point feasible within
-    1e-6 * ``model.data_scale``.  The instance's ``tol_rank`` is the relative
-    rank tolerance of the certificate and of the null space.
+    The one-block case of ``tighten_qcqp``, on ``model.uq_as_qcqp`` with the
+    layout of ``reformulate.build_socp_uq`` (x, then t): it moves in the null
+    space of the rows [b_1..b_p; N(Q)'] that ``check_as3`` ranks, or, for
+    p = n and Q positive definite, along the line that moves t with x.
     """
-    if res.status != "Optimal":
-        raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
-    cert = reformulate.check_as3(inst)
-    if not cert.holds:
-        raise ConditionNotMet(f"exactness condition fails: {cert.reason}")
-    x = res.z[: inst.n].copy()
-    t = float(res.z[inst.n])
-    value = -res.objective
-    qd = inst.q.dense()
-    trace = TightenTrace()
-    gap = t - float(x @ qd @ x)
-    if gap > 1e-6 * (1.0 + abs(t)):
-        if cert.rank <= inst.n - 1:
-            rows = reformulate.union_rows(model.uq_as_qcqp(inst), (0,))[0]
-            null = linalg.null_space_of_rows(rows, inst.n, inst.tol_rank)
-            dx, dt = _direction_in_null(null, inst.b[0]), 0.0
-        else:
-            dx, dt = np.linalg.solve(2.0 * inst.b[1:], -np.ones(inst.n)), 1.0
-        if float(dx @ qd @ dx) <= 0.0:
-            raise ConditionNotMet("tightening direction has no energy in Q")
-        rise = dt + 2.0 * float(inst.b[0] @ dx)
-        rise_scale = 1.0 + dt + 2.0 * np.linalg.norm(inst.b[0]) * np.linalg.norm(dx)
-        alpha = _cone_step(qd, x, t, dx, dt, rise, rise_scale)
-        x = x + alpha * dx
-        t = t + alpha * dt
-        gap = t - float(x @ qd @ x)
-        trace.steps.append(
-            {"kind": "close", "alpha": alpha, "direction": dx.copy(), "dt": dt, "gap": gap}
-        )
-    trace.final_gap = gap
-    fx = float(inst.values(x)[0])
-    scale = 1.0 + abs(value)
-    if gap > 1e-6 * (1.0 + abs(t)) or abs(fx - value) > 1e-5 * scale:
-        raise TightenFailed(
-            f"residual gap {gap:.2e} or objective drift {fx - value:.2e} too large",
-            trace,
-        )
-    if not inst.is_feasible(x, tol=1e-6 * model.data_scale(inst)):
-        raise TightenFailed("tightened point is infeasible", trace)
-    return x, trace
+    layout = reformulate.ReformulationMeta(inst.n, "max", lifted=(0,), t_index={0: inst.n})
+    return _tighten(model.uq_as_qcqp(inst), res, layout)
 
 
 def tighten_qcqp(
@@ -171,52 +184,16 @@ def tighten_qcqp(
 
     For each lifted block j with x'Q_j x < t_j, moves x along a direction in
     span{b_1..b_p}^perp intersected with R(Q_j) and the null spaces of the
-    other blocks; the exactness condition guarantees such a direction exists,
-    and the move changes neither the linear rows nor the other blocks.
+    other blocks, so that neither the linear rows nor the other blocks move;
+    the exactness condition guarantees that direction, and a one-block
+    instance with p = n and definite Q, which lacks it, slides t_j with x.
     The instance's ``tol_rank`` decides that condition: the block ranges and
     null spaces at tol_rank * ``model.data_scale``, and the union dimension.
     The instance may have either sense; the moves read its min-sense form.
+    A point whose gaps, objective or rows miss their tolerances raises
+    ``TightenFailed``.
     """
-    if res.status != "Optimal":
-        raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
-    inst = model.as_min(inst)
-    x = meta.x_of(res.z)
-    trace = TightenTrace()
-    if not meta.lifted:
-        trace.final_gap = 0.0
-        return x, trace
-    union = {}  # taken on the first open gap; most optima close every cone
-    for j in meta.lifted:
-        qj = inst.blocks[j].dense()
-        tj = float(res.z[meta.t_index[j]])
-        gap = tj - float(x @ qj @ x)
-        if gap <= _CLOSED_GAP * (1.0 + abs(tj)):
-            continue
-        if not union:
-            union = reformulate.union_rows(inst, meta.lifted)
-        subspace = linalg.null_space_of_rows(union[j], inst.n, inst.tol_rank)
-        if subspace.shape[1] == 0:
-            raise ConditionNotMet(
-                f"no tightening direction for block {j}; the exactness "
-                "condition does not hold numerically"
-            )
-        direction = _direction_in_null(subspace, inst.b[0])
-        if float(direction @ qj @ direction) <= 0.0:
-            raise ConditionNotMet(f"direction has no energy in block {j}")
-        # g_0 is minimized, so the quantity kept from falling is -g_0
-        rise = -float(inst.b[0] @ direction)
-        alpha = _cone_step(qj, x, tj, direction, 0.0, rise, 1.0 + np.linalg.norm(inst.b[0]))
-        x = x + alpha * direction
-        trace.steps.append(
-            {"kind": "block_close", "block": j, "alpha": alpha, "direction": direction.copy()}
-        )
-    gaps = [
-        float(res.z[meta.t_index[j]]) - inst.blocks[j].quad(x) for j in meta.lifted
-    ]
-    trace.final_gap = max(gaps, default=0.0)
-    if trace.final_gap > 1e-6 * (1.0 + max(abs(float(res.z[meta.t_index[j]])) for j in meta.lifted)):
-        raise TightenFailed("a lifted gap stayed open", trace)
-    return x, trace
+    return _tighten(inst, res, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +210,19 @@ def gamma_uq(inst: UqInstance) -> float:
 def _gamma_terms(inst: UqInstance):
     """(Q^(-1) b_i as columns, radicands u_i - d_i + b_i'Q^(-1)b_i, gamma).
 
-    One solve over all p right-hand sides; the bounds and radicands
-    are then checked in constraint order, so the first offending constraint
-    is the one reported.
+    One solve over all p right-hand sides; the first constraint with a
+    nonpositive radicand is the one reported.
     """
     if not linalg.inertia(inst.q, inst.tol_rank * model.data_scale(inst))[0].all():
         raise InvalidInstance("gamma needs positive definite Q")
+    _check_one_sided(inst, "gamma")
     bt = inst.b[1:].T
     qb = np.linalg.solve(inst.q.dense(), bt)
     nrm2 = np.vecdot(bt, qb, axis=0)
-    upper = np.array([bd.upper for bd in inst.bounds])
-    radicand = upper - inst.d[1:] + nrm2
-    for i, bd in enumerate(inst.bounds):
-        if not bd.has_upper:
-            raise WrongShape("gamma is defined for finite upper bounds only")
-        if radicand[i] <= 0.0:
-            raise InvalidInstance(f"constraint {i + 1} has nonpositive radicand")
+    radicand = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:] + nrm2
+    bad = np.flatnonzero(radicand <= 0.0)
+    if bad.size:
+        raise InvalidInstance(f"constraint {bad[0] + 1} has nonpositive radicand")
     gamma = float(np.max(np.sqrt(nrm2) / np.sqrt(radicand)))
     return qb, radicand, gamma
 
@@ -279,11 +253,15 @@ def tau_bar(inst: UqInstance, x_bar) -> float:
     return best
 
 
+def _check_one_sided(inst: UqInstance, what: str):
+    """Raise ``WrongShape`` unless every l_i = -inf and every u_i is finite,
+    the convex one-sided shape that ``what`` needs."""
+    if any(bd.has_lower or not bd.has_upper for bd in inst.bounds):
+        raise WrongShape(f"{what} needs every lower bound -inf and every upper bound finite")
+
+
 def _check_approx_shape(inst: UqInstance):
-    if any(bd.has_lower for bd in inst.bounds):
-        raise WrongShape("approximation needs all lower bounds = -inf")
-    if not all(bd.has_upper for bd in inst.bounds):
-        raise WrongShape("approximation needs every upper bound finite")
+    _check_one_sided(inst, "approximation")
     if abs(float(inst.d[0])) > 0.0:
         raise PreconditionViolated("approximation requires d_0 = 0; translate first")
     for i, bd in enumerate(inst.bounds):
@@ -300,10 +278,7 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     the cone solver.  Requires the one-sided convex shape (every l_i = -inf,
     every u_i finite).
     """
-    if any(bd.has_lower for bd in inst.bounds):
-        raise WrongShape("interior-point search expects all lower bounds = -inf")
-    if not all(bd.has_upper for bd in inst.bounds):
-        raise WrongShape("interior-point search expects every upper bound finite")
+    _check_one_sided(inst, "interior-point search")
     n = inst.n
     nv = n + 2  # variables (x, t, s)
     c = np.zeros(nv)
@@ -333,8 +308,8 @@ def approx_uq(
     is returned (ratio 1).  Otherwise a companion point y carrying the
     missing cone energy is folded with x* into two candidates s_1, s_2 of
     which at least one scales into the feasible region losing at most the
-    certified factor.  ``check_as3`` at the instance's ``tol_rank`` decides
-    whether the cone can be closed exactly.
+    certified factor.  An open cone is first closed by ``tighten_uq`` when
+    the null space of the instance's rows at its ``tol_rank`` allows it.
     """
     _check_approx_shape(inst)
     qb, radicand, gamma = _gamma_terms(inst)
@@ -352,7 +327,7 @@ def approx_uq(
 
     gap = t_star - xqx
     if gap > 1e-9 * scale:
-        # exact instance (tighten_uq certifies it): close the cone, take the shortcut
+        # close the cone where tighten_uq finds a direction, and take the shortcut
         try:
             x_star, _ = tighten_uq(inst, res)
             xqx = float(x_star @ qd @ x_star)

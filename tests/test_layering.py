@@ -157,3 +157,16 @@ def test_package_exports_what_it_imports():
     assert set(socqp.__all__) == imported
     assert len(socqp.__all__) == len(set(socqp.__all__))
     assert [name for name in socqp.__all__ if not hasattr(socqp, name)] == []
+
+
+def test_recovery_takes_no_certificate():
+    # tightening finds its direction in the null space of the certificate's
+    # rows, so it never runs the certificate itself
+    banned = {"check_as3", "check_condition_c", "check_condition_cc"}
+    tree = ast.parse((SRC / "recover.py").read_text(encoding="utf-8"))
+    found = [
+        f"recover:{node.lineno} {_dotted(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] in banned
+    ]
+    assert found == []

@@ -97,10 +97,11 @@ def test_translate_origin_matches_evaluation():
     shift = rng.normal(size=3)
     out, off = model.translate_origin(inst, shift)
     assert off == pytest.approx(inst.values(shift)[0])
+    assert out.d[0] == 0.0  # the objective's value at the shift travels in off
     for _ in range(100):
         x = rng.normal(size=3)
         for i in range(3):
-            assert out.values(x)[i] == pytest.approx(
+            assert out.values(x)[i] + (off if i == 0 else 0.0) == pytest.approx(
                 inst.values(x + shift)[i], abs=1e-9
             )
 

@@ -76,6 +76,42 @@ def test_tighten_closes_open_cone():
     assert inst.values(x)[0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_tighten_uq_takes_no_second_certificate(monkeypatch):
+    # the null space that closes the cone is the certificate: a closed cone
+    # costs no SVD, an open one at most the SVD of that null space (none
+    # when every row is zero, as for the pure-norm objective)
+    closed = UqInstance(
+        2,
+        SymMatrix.identity(2),
+        np.array([[0.5, 0.0], [0.0, 0.0]]),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    pure_norm = UqInstance(
+        2, SymMatrix.identity(2), np.zeros((2, 2)), np.zeros(2), [Bound(-math.inf, 1.0)]
+    )
+    rng = np.random.default_rng(2)
+    rows = rng.normal(size=(3, 1)) @ rng.normal(size=(1, 2)) * 0.3
+    segment = _segment_optimum_uq(rng, 2, rows, rng.dirichlet(np.ones(2)))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for inst, expected in ((closed, 0), (pure_norm, 0), (segment, 1)):
+        res, _ = solve_uq(inst)
+        calls.clear()
+        recover.tighten_uq(inst, res)
+        assert len(calls) == expected
+
+
+def test_tighten_uq_reads_the_layout_of_build_socp_uq(monkeypatch):
+    seen = []
+    monkeypatch.setattr(recover, "_tighten", lambda view, res, meta: seen.append(meta))
+    inst = random_uq(np.random.default_rng(7), 3, 2)
+    res, meta = solve_uq(inst)
+    recover.tighten_uq(inst, res)
+    assert (seen[0].lifted, seen[0].t_index) == (meta.lifted, meta.t_index)
+
+
 def _segment_optimum_uq(rng, n, rows, mix):
     """Instance whose objective is the convex combination ``mix`` of the
     first rows, all of them <= 1 and the rest <= 1.5: the point (x, t) =
@@ -89,12 +125,18 @@ def _segment_optimum_uq(rng, n, rows, mix):
     return UqInstance(n, q, b, np.zeros(len(rows) + 1), bounds)
 
 
-def _assert_one_row_preserving_step(inst):
+def _assert_one_row_preserving_step(inst, structured=False):
+    """Tighten an open-cone optimum in one step that keeps every row value;
+    ``structured`` runs it through ``tighten_qcqp`` on the min-sense
+    one-block view of inst, whose relaxation is the same program."""
     res, meta = solve_uq(inst)
     z, v = res.z, meta.original_value(res)
     t = float(z[inst.n])
     assert t - inst.q.quad(z[: inst.n]) > 1e-3 * t  # the solver left the cone open
-    x, trace = recover.tighten_uq(inst, res)
+    if structured:
+        x, trace = recover.tighten_qcqp(model.as_min(model.uq_as_qcqp(inst)), res, meta)
+    else:
+        x, trace = recover.tighten_uq(inst, res)
     assert len(trace.steps) == 1
     step = trace.steps[0]
     t_new = t + step["alpha"] * step["dt"]
@@ -116,6 +158,8 @@ def test_tighten_p_equals_n_slide():
         inst = _segment_optimum_uq(rng, n, rows, mix)
         assert reformulate.check_as3(inst).rank == n
         assert _assert_one_row_preserving_step(inst)["dt"] == 1.0
+        # a one-block structured instance takes the same slide
+        assert _assert_one_row_preserving_step(inst, structured=True)["dt"] == 1.0
 
 
 def test_tighten_rank_deficient_one_step():

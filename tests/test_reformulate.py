@@ -630,6 +630,16 @@ def test_verdict_does_not_depend_on_the_data_scale(case, s):
         assert rows == linalg.range_and_null(inst.q, cut)[0].shape[1]
 
 
+def test_the_found_file_at_large_scale_solves_without_nan_arithmetic():
+    # at s = 1e6 an iterate reaches the cone boundary to machine precision;
+    # the step length reads the J-norm through the scaling's guard, so the
+    # solve stops there instead of computing on NaN (a RuntimeWarning fails
+    # the test).  The status is left alone: the solver's stopping tests are
+    # absolute, and at this scale they do not reach Optimal.
+    prog, _ = reformulate.build_socp_uq(_transformed(_found_file(), 1e6))
+    conesolver.solve(prog)
+
+
 def test_a_zero_b_block_and_a_zero_reference_give_defined_verdicts():
     # the b_i are divided by their largest norm and the cut is taken against
     # data_scale: neither may divide by zero (a RuntimeWarning fails the
