@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, recover, reformulate
+from . import recover, reformulate
 from .conesolver import ConeProgram, SocBlock, SolveOptions, solve
 from .errors import PreconditionViolated, SocqpError, SolverFailed
 from .linalg import SymMatrix
@@ -34,7 +34,8 @@ class ChebyshevResult:
 
     ``attained`` brackets max_{x in Omega} ||x - center||^2; the chain
     guaranteed_ratio * v_dcc - tol <= attained[0] <= attained[1] <= v_dcc + tol
-    holds on every certified run.
+    holds on every certified run.  ``gamma`` and ``guaranteed_ratio`` are
+    the ones the approximation certified, at the interiority solve's point.
     """
 
     center: np.ndarray
@@ -183,17 +184,15 @@ def chebyshev_certified(
         raise PreconditionViolated(
             f"intersection is {kind}: min-max scaled distance gamma = {gamma:.9f}"
         )
-    ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
 
+    # approx_uq, centred at the interiority solve's point, solves the inner
+    # relaxation once; its value is the upper end
     inner = _inner_instance(balls, center)
-    shifted, d0 = model.translate_origin(inner, interior)
-
-    # approx_uq solves the inner relaxation once; its value is the upper end
-    x_sh, _, cert = recover.approx_uq(shifted, opts=opts)
+    far_point, _, cert = recover.approx_uq(inner, opts=opts, origin=interior)
+    ratio = cert.guaranteed_ratio
     znorm = float(center @ center)
-    upper = cert.upper + d0 + znorm
-    far_point = x_sh + interior
-    lower = cert.lower + d0 + znorm
+    upper = cert.upper + cert.offset + znorm
+    lower = cert.lower + cert.offset + znorm
 
     scale = 1.0 + abs(v_dcc)
     chain_tol = _CHAIN_TOL * scale
@@ -212,7 +211,7 @@ def chebyshev_certified(
         center=center,
         weights=lam,
         v_dcc=v_dcc,
-        gamma=gamma,
+        gamma=cert.gamma,
         gamma_upper=g_up,
         attained=(lower, upper),
         guaranteed_ratio=ratio,

@@ -128,7 +128,7 @@ def _classify(obj):
     recovery works on (None for a uniform instance with PSD Q, which
     `recover.tighten_uq` handles on the instance itself)."""
     if isinstance(obj, UqInstance):
-        pos, neg = linalg.inertia(obj.q, obj.tol_rank * model.data_scale(obj))
+        pos, neg = linalg.inertia(obj.q, model.rank_cut(obj))
         head = {"kind": "uq", "n": obj.n, "p": obj.p}
         if neg[-1]:
             head["shape"] = "indefinite"
@@ -255,22 +255,17 @@ def _cmd_batch(path: Path, args) -> int:
 
 
 def cmd_approx(args) -> int:
-    obj = fileio.load_instance(args.instance, args.tol_rank)
-    if not isinstance(obj, UqInstance):
+    inst = fileio.load_instance(args.instance, args.tol_rank)
+    if not isinstance(inst, UqInstance):
         raise WrongShape("approx expects a uq instance")
-    inst = obj
     report: dict = {"kind": "approx", "n": inst.n, "p": inst.p}
-    shift = np.zeros(inst.n)
-    offset = 0.0
-    needs_shift = abs(float(inst.d[0])) > 0.0 or any(
+    origin = None
+    if abs(float(inst.d[0])) > 0.0 or any(
         inst.d[i + 1] >= bd.upper for i, bd in enumerate(inst.bounds) if bd.has_upper
-    )
-    if needs_shift:
-        shift, margin = recover.find_interior_point(inst)
-        inst, offset = model.translate_origin(inst, shift)
-        report["translated"] = {"interior_point": shift, "margin": margin}
-    x_sh, trace, cert = recover.approx_uq(inst, opts=_options(args))
-    x = x_sh + shift
+    ):
+        origin, margin = recover.find_interior_point(inst)
+        report["translated"] = {"interior_point": origin, "margin": margin}
+    x, trace, cert = recover.approx_uq(inst, opts=_options(args), origin=origin)
     report.update(
         {
             "gamma": cert.gamma,
@@ -281,8 +276,8 @@ def cmd_approx(args) -> int:
             "achieved_value": cert.lower,
             "achieved_over_relaxation": cert.lower / cert.upper if cert.upper else 1.0,
             "x": x,
-            "objective_original_coordinates": cert.lower + offset,
-            "worst_violation": obj.worst_violation(x),
+            "objective_original_coordinates": cert.lower + cert.offset,
+            "worst_violation": inst.worst_violation(x),
             "tolerances": _tolerances(args),
         }
     )
@@ -373,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--gap": {"type": positive, "default": defaults.gaptol},
         "--max-iter": {"type": count, "default": defaults.max_iter},
         "--grid-h": {"type": positive, "default": 1e-3},
-        "--refine": {"type": int, "default": 2},
+        "--refine": {"type": count, "default": 2},
         "--report-format": {"choices": ["text", "structured"], "default": "text"},
     }
     solver = ("--tol-feas", "--gap", "--max-iter", "--report-format")

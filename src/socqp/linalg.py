@@ -80,15 +80,14 @@ class SymMatrix:
 
     @classmethod
     def from_dense(cls, a) -> "SymMatrix":
-        """Symmetric part of a square matrix that is symmetric to within a
-        relative 1e-10."""
+        """Symmetric part of a square matrix whose asymmetry is within 1e-10
+        of its largest entry, at any scale."""
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrix("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > _SYM_TOL * scale:
+        if np.abs(a - a.T).max() > _SYM_TOL * np.abs(a).max():
             raise InvalidMatrix("matrix is not symmetric within tolerance")
         n = a.shape[0]
         sym = 0.5 * (a + a.T)

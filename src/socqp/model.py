@@ -153,7 +153,7 @@ class QcqpInstance(_Rows):
             raise InvalidInput("need p+1 scalar offsets")
         if not np.all(np.isin(self.a, (-1.0, 0.0, 1.0))):
             raise InvalidInput("sign coefficients must lie in {-1, 0, 1}")
-        cut = self.tol_rank * data_scale(self)
+        cut = rank_cut(self)
         for j, q in enumerate(self.blocks):
             if q.n != self.n:
                 raise InvalidInput(f"block {j} has order {q.n}, expected {self.n}")
@@ -217,6 +217,12 @@ def data_scale(inst: UqInstance | QcqpInstance) -> float:
         parts = [blk.packed for blk in inst.blocks] + [inst.b, inst.c]
     parts.append([v for bd in inst.bounds for v in (bd.lower, bd.upper) if math.isfinite(v)])
     return max(float(np.abs(np.asarray(x, dtype=float)).max(initial=0.0)) for x in parts)
+
+
+def rank_cut(inst: UqInstance | QcqpInstance) -> float:
+    """tol_rank * ``data_scale``: the cut of every rank and sign decision on
+    the instance and on the instances derived from it."""
+    return inst.tol_rank * data_scale(inst)
 
 
 def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:

@@ -15,7 +15,12 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyFeasibleGrid, InvalidInput, UnboundedBox
-from .model import BallIntersection, UqInstance, data_scale
+from .model import BallIntersection, UqInstance, rank_cut
+
+_BOX_INFLATE = 1.1  # the inferred box's margin around the tightest row's cube
+_GRID_FEAS_TOL = 1e-9  # slack on the rows for a grid point to count as feasible
+_GRID_TOP_K = 8  # grid points kept, and refined around, per scan
+_Z_LEVELS = 3  # refinements of the Chebyshev oracle's z grid
 
 
 @dataclass(frozen=True)
@@ -35,14 +40,14 @@ class GridMinMax:
     error_bound: float
 
 
-def infer_box(inst: UqInstance, inflate: float = 1.1):
+def infer_box(inst: UqInstance):
     """Bounding box from the ellipsoid rows (finite upper bounds).
 
     Each row with finite u_i bounds x inside an ellipsoid; the tightest of
     their bounding cubes, inflated, is returned.  Raises UnboundedBox when no
     row has a finite upper bound or Q is singular.
     """
-    if not linalg.inertia(inst.q, inst.tol_rank * data_scale(inst))[0].all():
+    if not linalg.inertia(inst.q, rank_cut(inst))[0].all():
         raise UnboundedBox("box inference needs positive definite Q; pass a box")
     w, _ = linalg.sym_eig(inst.q)
     qd = inst.q.dense()
@@ -57,8 +62,8 @@ def infer_box(inst: UqInstance, inflate: float = 1.1):
             raise EmptyFeasibleGrid(f"constraint {i + 1} is infeasible on its own")
         radius = (math.sqrt(rhs) + math.sqrt(max(0.0, float(bi @ qinv_b)))) / math.sqrt(w[-1])
         center = -qinv_b
-        lo = center - inflate * radius
-        hi = center + inflate * radius
+        lo = center - _BOX_INFLATE * radius
+        hi = center + _BOX_INFLATE * radius
         if best is None:
             best = (lo, hi)
         else:
@@ -80,8 +85,8 @@ def _evaluate(inst: UqInstance, quad, lin, feas_tol: float):
     return quad + lin(0) + inst.d[0], feas
 
 
-def _scan(inst, box, h, feas_tol, keep):
-    """Top-``keep`` feasible points of the step-``h`` grid on ``box`` by
+def _scan(inst, box, h):
+    """Top ``_GRID_TOP_K`` feasible points of the step-``h`` grid on ``box`` by
     objective, chunked over axis 0.  The rows are evaluated on the grid's axes
     by broadcasting, axis k laid along dimension k, so a point is formed only
     for the indices kept."""
@@ -94,23 +99,17 @@ def _scan(inst, box, h, feas_tol, keep):
         chunk = [axes[0][start : start + group]] + axes[1:]
         xs = [a.reshape((-1,) + (1,) * (n - 1 - k)) for k, a in enumerate(chunk)]
         quad = sum((2.0 - (j == k)) * qd[j, k] * xs[j] * xs[k] for j, k in pairs)
-        obj, feas = _evaluate(inst, quad, lambda i: sum(map(np.multiply, two_b[i], xs)), feas_tol)
+        obj, feas = _evaluate(inst, quad, lambda i: sum(map(np.multiply, two_b[i], xs)),
+                              _GRID_FEAS_TOL)
         idx = np.flatnonzero(feas)
-        take = idx[np.argsort(obj.reshape(-1)[idx])[::-1][:keep]]
+        take = idx[np.argsort(obj.reshape(-1)[idx])[::-1][:_GRID_TOP_K]]
         pts = np.column_stack([a[w] for a, w in zip(chunk, np.unravel_index(take, feas.shape))])
         tops.extend(zip(obj.reshape(-1)[take].tolist(), pts))
     tops.sort(key=lambda t: -t[0])
-    return tops[:keep]
+    return tops[:_GRID_TOP_K]
 
 
-def grid_max_uq(
-    inst: UqInstance,
-    h: float,
-    box=None,
-    refine: int = 0,
-    feas_tol: float = 1e-9,
-    top_k: int = 8,
-) -> GridMax:
+def grid_max_uq(inst: UqInstance, h: float, box=None, refine: int = 0) -> GridMax:
     """Exhaustive feasible-grid maximization of f_0 for n <= 3.
 
     ``refine`` hierarchical passes shrink the step tenfold around the best
@@ -125,7 +124,7 @@ def grid_max_uq(
         box = infer_box(inst)
     else:
         box = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-    tops = _scan(inst, box, h, feas_tol, top_k)
+    tops = _scan(inst, box, h)
     if not tops:
         raise EmptyFeasibleGrid(f"no feasible grid point at resolution {h:g}")
     step = h
@@ -135,9 +134,9 @@ def grid_max_uq(
         for _, pt in tops:
             lo = np.maximum(box[0], pt - 2.2 * step * 10.0)
             hi = np.minimum(box[1], pt + 2.2 * step * 10.0)
-            nxt.extend(_scan(inst, (lo, hi), step, feas_tol, top_k))
+            nxt.extend(_scan(inst, (lo, hi), step))
         nxt.sort(key=lambda t: -t[0])
-        tops = nxt[:top_k] or tops
+        tops = nxt[:_GRID_TOP_K] or tops
     value, arg = tops[0]
     corner = np.maximum(np.abs(box[0]), np.abs(box[1]))
     lip = 2.0 * float(np.linalg.norm(inst.q.dense(), 2)) * float(
@@ -179,13 +178,13 @@ def _omega_boundary(balls: BallIntersection, h: float):
     return pts[boundary.ravel()], pts[feas], (lo, hi)
 
 
-def grid_minmax_cc(balls: BallIntersection, h: float, z_levels: int = 3) -> GridMinMax:
+def grid_minmax_cc(balls: BallIntersection, h: float) -> GridMinMax:
     """Double-grid value of min over z of max over the intersection of
     ||x - z||^2, for n <= 2.
 
     The inner max over the feasible grid is taken over its boundary points
     (exact for the grid set, since the objective is convex); the z grid is
-    refined ``z_levels`` times around the incumbent.
+    refined up to ``_Z_LEVELS`` times around the incumbent.
     """
     if balls.n > 2:
         raise InvalidInput("Chebyshev grid oracle supports n <= 2")
@@ -208,7 +207,7 @@ def grid_minmax_cc(balls: BallIntersection, h: float, z_levels: int = 3) -> Grid
     hz = max(span / 64.0, h)
     zlo, zhi = lo.copy(), hi.copy()
     incumbent = None
-    for _ in range(max(1, z_levels)):
+    for _ in range(_Z_LEVELS):
         axes = [np.arange(zlo[k], zhi[k] + 0.5 * hz, hz) for k in range(balls.n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         zs = np.stack([m.ravel() for m in mesh], axis=1)

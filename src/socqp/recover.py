@@ -10,13 +10,15 @@ condition counts, so recovery runs no certificate of its own.
 ``tighten_uq``, for every uniform instance with PSD Q, is its one-block case.
 The approximation routine splits the relaxation optimum into two cone-tight
 candidates and scales the better one back into the feasible region,
-certifying f_0(x) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v(relaxation).
-Instances whose origin is not interior are moved onto a strictly interior
-point found by ``find_interior_point`` first.
+certifying f_0(x) - f_0(x_hat) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v, with v
+the relaxation value of f_0 - f_0(x_hat) and gamma measured at the strictly
+interior point x_hat where it centres itself (``find_interior_point`` finds
+one); its point is returned in the instance's own coordinates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -53,7 +55,7 @@ class TightenTrace:
 
 @dataclass
 class ApproxTrace:
-    """All intermediate quantities of one approximation run."""
+    """All intermediate quantities of one approximation run, centred at x_hat."""
 
     y: np.ndarray
     alpha: float
@@ -64,17 +66,16 @@ class ApproxTrace:
     j_bar: int
     x_bar: np.ndarray
     tau_bar: float
-    gamma: float
-    guaranteed_ratio: float
     shortcut: bool = False
 
 
 @dataclass(frozen=True)
 class ApproxCertificate:
-    lower: float  # f_0 at the returned point
-    upper: float  # relaxation value
+    lower: float  # f_0 - offset at the returned point
+    upper: float  # relaxation value of f_0 - offset
     gamma: float
     guaranteed_ratio: float
+    offset: float  # f_0 at the centring point
 
 
 def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
@@ -208,12 +209,12 @@ def gamma_uq(inst: UqInstance) -> float:
 
 
 def _gamma_terms(inst: UqInstance):
-    """(Q^(-1) b_i as columns, radicands u_i - d_i + b_i'Q^(-1)b_i, gamma).
+    """(b_i'Q^(-1)b_i, radicands u_i - d_i + b_i'Q^(-1)b_i, gamma).
 
     One solve over all p right-hand sides; the first constraint with a
     nonpositive radicand is the one reported.
     """
-    if not linalg.inertia(inst.q, inst.tol_rank * model.data_scale(inst))[0].all():
+    if not linalg.inertia(inst.q, model.rank_cut(inst))[0].all():
         raise InvalidInstance("gamma needs positive definite Q")
     _check_one_sided(inst, "gamma")
     bt = inst.b[1:].T
@@ -224,7 +225,7 @@ def _gamma_terms(inst: UqInstance):
     if bad.size:
         raise InvalidInstance(f"constraint {bad[0] + 1} has nonpositive radicand")
     gamma = float(np.max(np.sqrt(nrm2) / np.sqrt(radicand)))
-    return qb, radicand, gamma
+    return nrm2, radicand, gamma
 
 
 def tau_bar(inst: UqInstance, x_bar) -> float:
@@ -260,17 +261,6 @@ def _check_one_sided(inst: UqInstance, what: str):
         raise WrongShape(f"{what} needs every lower bound -inf and every upper bound finite")
 
 
-def _check_approx_shape(inst: UqInstance):
-    _check_one_sided(inst, "approximation")
-    if abs(float(inst.d[0])) > 0.0:
-        raise PreconditionViolated("approximation requires d_0 = 0; translate first")
-    for i, bd in enumerate(inst.bounds):
-        if inst.d[i + 1] >= bd.upper:
-            raise PreconditionViolated(
-                f"origin is not strictly interior: d_{i + 1} >= u_{i + 1}"
-            )
-
-
 def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     """Point with strictly positive slack in every upper bound, plus its margin.
 
@@ -286,7 +276,7 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     g = np.ones((inst.p, nv))
     g[:, :n] = 2.0 * inst.b[1:]
     h = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:]
-    factor = linalg.psd_factor(inst.q, inst.tol_rank * model.data_scale(inst))
+    factor = linalg.psd_factor(inst.q, model.rank_cut(inst))
     cone = reformulate.quad_epigraph(factor, nv, np.eye(nv)[n], 0.0)
     res = solve(ConeProgram(c=c, g=g, h=h, soc=[cone]))
     if res.status != "Optimal":
@@ -300,9 +290,14 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
 
 
 def approx_uq(
-    inst: UqInstance, opts: SolveOptions | None = None
+    inst: UqInstance, opts: SolveOptions | None = None, origin=None
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
     """Feasible point with a certified fraction of the relaxation optimum.
+
+    Centred at x_hat = ``origin`` (default 0), which must be strictly
+    interior (f_i(x_hat) < u_i, else ``PreconditionViolated``); the point is
+    returned in the instance's own coordinates, and the certificate bounds
+    f_0 - offset, with offset = f_0(x_hat), so any d_0 is allowed.
 
     Solves the relaxation; when the cone is already tight the optimum itself
     is returned (ratio 1).  Otherwise a companion point y carrying the
@@ -311,8 +306,15 @@ def approx_uq(
     certified factor.  An open cone is first closed by ``tighten_uq`` when
     the null space of the instance's rows at its ``tol_rank`` allows it.
     """
-    _check_approx_shape(inst)
-    qb, radicand, gamma = _gamma_terms(inst)
+    _check_one_sided(inst, "approximation")
+    x_hat = np.zeros(inst.n) if origin is None else np.asarray(origin, dtype=float).reshape(inst.n)
+    inst, offset = model.translate_origin(inst, x_hat)
+    for i, bd in enumerate(inst.bounds):
+        if inst.d[i + 1] >= bd.upper:
+            raise PreconditionViolated(
+                f"centring point is not strictly interior: f_{i + 1} >= u_{i + 1}"
+            )
+    nrm2, radicand, gamma = _gamma_terms(inst)
     ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
     prog, meta = reformulate.build_socp_uq(inst)
     res = solve(prog, opts)
@@ -322,29 +324,22 @@ def approx_uq(
     x_star = meta.x_of(res.z)
     t_star = float(res.z[inst.n])
     qd = inst.q.dense()
-    xqx = float(x_star @ qd @ x_star)
     scale = 1.0 + abs(t_star)
-
+    # close an open cone where tighten_uq finds a direction, and take the shortcut
+    with contextlib.suppress(ConditionNotMet, TightenFailed):
+        x_star, _ = tighten_uq(inst, res)
+    xqx = float(x_star @ qd @ x_star)
     gap = t_star - xqx
-    if gap > 1e-9 * scale:
-        # close the cone where tighten_uq finds a direction, and take the shortcut
-        try:
-            x_star, _ = tighten_uq(inst, res)
-            xqx = float(x_star @ qd @ x_star)
-            gap = t_star - xqx
-        except (ConditionNotMet, TightenFailed):
-            pass
     # a nonnegative cone gap only slackens one-sided rows, so x* is feasible
     # whenever the gap is small; its value is the optimum minus the gap
     f_star = xqx + 2.0 * float(inst.b[0] @ x_star)
     if gap <= 1e-6 * scale or value - f_star <= 1e-6 * (1.0 + abs(value)):
         trace = ApproxTrace(
             y=np.zeros(inst.n), alpha=0.0, s1=x_star.copy(), s2=np.zeros(inst.n),
-            t1=1.0, t2=0.0, j_bar=1, x_bar=x_star.copy(), tau_bar=1.0,
-            gamma=gamma, guaranteed_ratio=ratio, shortcut=True,
+            t1=1.0, t2=0.0, j_bar=1, x_bar=x_star.copy(), tau_bar=1.0, shortcut=True,
         )
         fx = float(inst.values(x_star)[0])
-        return x_star, trace, ApproxCertificate(fx, value, gamma, ratio)
+        return x_star + x_hat, trace, ApproxCertificate(fx, value, gamma, ratio, offset)
 
     # companion point with the missing cone energy: x*'Qx* + y'Qy = t*
     w, v = linalg.sym_eig(inst.q)
@@ -379,14 +374,12 @@ def approx_uq(
             f"split candidates do not share the optimum: {lhs:.12g} != {value:.12g}"
         )
 
-    root = (v * np.sqrt(w)) @ v.T
-    root_qb = root @ qb
-    den = np.sqrt(radicand)
-
     def selection_bound(s, tj):
-        """max_i ||Q^(1/2) (s/tj + Q^(-1) b_i)|| / sqrt(radicand_i)."""
-        num = np.linalg.norm((root @ (s / tj))[:, None] + root_qb, axis=0)
-        return float(np.max(num / den))
+        """max_i ||Q^(1/2) (x + Q^(-1) b_i)|| / sqrt(radicand_i) at x = s/tj,
+        read from the rows: the squared norm is f_i(x) - d_i + b_i'Q^(-1)b_i."""
+        x = s / tj
+        num2 = inst.q.quad(x) + 2.0 * (inst.b[1:] @ x) + nrm2
+        return float(np.max(np.sqrt(np.maximum(num2, 0.0) / radicand)))
 
     candidates = []
     if t1 > 1e-10:
@@ -407,7 +400,7 @@ def approx_uq(
     tau = tau_bar(inst, x_bar)
     x_out = tau * x_bar
     fx = float(inst.values(x_out)[0])
-    cert = ApproxCertificate(fx, value, gamma, ratio)
+    cert = ApproxCertificate(fx, value, gamma, ratio, offset)
     if fx < ratio * value - _RATIO_ABS_TOL - 1e-5 * (1.0 + abs(value)):
         raise TightenFailed(
             f"certified ratio violated: f_0 = {fx:.6e} < {ratio:.4f} * {value:.6e}",
@@ -415,6 +408,6 @@ def approx_uq(
         )
     trace = ApproxTrace(
         y=y, alpha=alpha, s1=s1, s2=s2, t1=t1, t2=t2, j_bar=j_bar,
-        x_bar=x_bar, tau_bar=tau, gamma=gamma, guaranteed_ratio=ratio,
+        x_bar=x_bar, tau_bar=tau,
     )
-    return x_out, trace, cert
+    return x_out + x_hat, trace, cert

@@ -31,7 +31,7 @@ from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
 from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
-from .model import Bound, QcqpInstance, UqInstance, as_min, data_scale, uq_as_qcqp
+from .model import Bound, QcqpInstance, UqInstance, as_min, data_scale, rank_cut, uq_as_qcqp
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def check_as3(inst: UqInstance) -> CertificateReport:
         )
     if inst.p != inst.n:
         why = f"p = {inst.p} != n = {inst.n}"
-    elif linalg.inertia(inst.q, inst.tol_rank * data_scale(inst))[0].all():
+    elif linalg.inertia(inst.q, rank_cut(inst))[0].all():
         return CertificateReport(True, f"p = n = {inst.n}", rank=rank)
     else:
         why = "Q is not positive definite"
@@ -166,8 +166,7 @@ def dual_value(inst: UqInstance, lam) -> float:
         raise InvalidMultiplier("multipliers must be finite")
     if lam.size != inst.p:
         raise InvalidMultiplier(f"expected {inst.p} multipliers, got {lam.size}")
-    ref = data_scale(inst)
-    factor = linalg.psd_factor(inst.q, inst.tol_rank * ref)
+    factor = linalg.psd_factor(inst.q, rank_cut(inst))
 
     kappa = float(inst.d[0])
     for i, bd in enumerate(inst.bounds):
@@ -185,7 +184,7 @@ def dual_value(inst: UqInstance, lam) -> float:
     sigma = 1.0 - float(lam.sum())
     beta = inst.b[0] - lam @ inst.b[1:]
     sig_scale = 1.0 + float(np.abs(lam).sum())
-    beta_zero = math.sqrt(_DUAL_ZERO_TOL) * ref
+    beta_zero = math.sqrt(_DUAL_ZERO_TOL) * data_scale(inst)
     if sigma < 0.0:
         # F = diag(sqrt(w)) V', so y = F beta / w = V'beta / sqrt(w) has
         # ||y||^2 = beta'Q^+ beta, and F'y is beta's projection on the range
@@ -241,7 +240,7 @@ def split_indefinite(inst: UqInstance) -> tuple[QcqpInstance, int, int]:
     the returned ranks (r1, r2) are minimal.
     """
     w, v = linalg.sym_eig(inst.q)
-    pos, neg = linalg.inertia(inst.q, inst.tol_rank * data_scale(inst))
+    pos, neg = linalg.inertia(inst.q, rank_cut(inst))
     r1, r2 = int(pos.sum()), int(neg.sum())
     if r1 == 0 or r2 == 0:
         raise WrongShape("Q is semidefinite; use build_socp_uq (possibly negated)")
@@ -343,7 +342,7 @@ def _assemble(inst: QcqpInstance, lift_set) -> tuple[ConeProgram, ReformulationM
     summed = inst.a == 1.0
     summed[:, list(lifted)] = False
     factors: dict = {}
-    cut = inst.tol_rank * data_scale(inst)
+    cut = rank_cut(inst)
     factor0 = _residual_factor(inst, summed[0], factors, cut)
     nv = n + k + (factor0 is not None)
     epi = n + k if factor0 is not None else None
@@ -418,7 +417,7 @@ def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:
     have unit rows and the b_i are divided by the largest ||b_i||, so the
     rank of the stack does not move with the data's scale.
     """
-    cut = inst.tol_rank * data_scale(inst)
+    cut = rank_cut(inst)
     split = [linalg.range_and_null(q, cut) for q in inst.blocks]
     b = inst.b[1:] / max(float(np.linalg.norm(inst.b[1:], axis=1).max()), np.finfo(float).tiny)
     return {

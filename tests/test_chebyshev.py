@@ -266,3 +266,26 @@ def test_certified_many_balls_in_twenty_dimensions():
     assert r.guaranteed_ratio * r.v_dcc - 1e-4 * scale <= lo <= hi + 1e-4 * scale
     assert hi <= r.v_dcc + 1e-4 * scale
     assert balls.contains(r.far_point, tol=1e-6)
+
+
+def test_certified_reports_the_gamma_its_rounding_certified(monkeypatch):
+    # gamma is max_i ||x_hat - a_i|| / r_i at the interiority solve's point
+    # x_hat, where the approximation is centred, not that solve's objective
+    points = []
+    gamma_minmax = chebyshev._gamma_minmax
+
+    def recording(balls, opts=None):
+        value, point = gamma_minmax(balls, opts)
+        points.append(point)
+        return value, point
+
+    monkeypatch.setattr(chebyshev, "_gamma_minmax", recording)
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        balls = shell_balls(rng, int(rng.integers(2, 6)), int(rng.integers(20, 60)))
+        r = chebyshev.chebyshev_certified(balls)
+        dist = np.linalg.norm(balls.centers - points[-1], axis=1) / balls.radii
+        gamma = float(dist.max())
+        assert r.gamma == pytest.approx(gamma, rel=0.0, abs=1e-12), trial
+        ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
+        assert r.guaranteed_ratio == pytest.approx(ratio, rel=0.0, abs=1e-12), trial

@@ -863,6 +863,7 @@ _BAD_FLAG_VALUES = [
     ("oracle", "--grid-h", "nan"),
     ("oracle", "--grid-h", "inf"),
     ("oracle", "--grid-h", "-1"),
+    ("oracle", "--refine", "-1"),
 ]
 
 

@@ -10,6 +10,8 @@ is a field of the instance.  Only ``linalg`` decomposes a matrix to read its
 rank or spectrum, so a change to a rank or eigenvalue cut is made there;
 outside ``conesolver``, whose KKT factor needs one, no module takes a
 Cholesky factor, so definiteness is read through ``linalg.inertia`` too.
+Only ``model`` forms the rank cut tol_rank * ``data_scale``, and only
+``recover`` moves an instance's origin.
 ``socqp.__all__`` lists exactly the names the package imports.
 """
 
@@ -168,5 +170,32 @@ def test_recovery_takes_no_certificate():
         f"recover:{node.lineno} {_dotted(node.func)}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] in banned
+    ]
+    assert found == []
+
+
+def test_only_model_forms_the_rank_cut():
+    # every rank and sign decision takes model.rank_cut, so only model
+    # multiplies by tol_rank
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                names = {_dotted(side).split(".")[-1] for side in (node.left, node.right)}
+                if "tol_rank" in names:
+                    found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
+def test_only_the_approximation_translates():
+    # approx_uq centres itself at the point its caller passes
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "recover"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _dotted(node.func).endswith("translate_origin")
     ]
     assert found == []

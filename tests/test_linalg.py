@@ -187,6 +187,14 @@ def test_rank_one_range_is_spanned_by_v():
     assert abs(cos - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11])
+def test_symmetry_is_judged_at_the_matrix_scale(scale):
+    with pytest.raises(InvalidMatrix, match="not symmetric"):
+        SymMatrix.from_dense(np.array([[1.0, 5.0], [1.0, 1.0]]) * scale)
+    near = SymMatrix.from_dense(np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]]) * scale)
+    assert near.dense()[0, 1] == pytest.approx(scale)
+
+
 def test_packed_storage_is_exactly_symmetric():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -483,15 +484,63 @@ def test_approx_shape_errors():
     )
     with pytest.raises(WrongShape):
         recover.approx_uq(two_sided)
-    shifted = UqInstance(
-        1,
-        SymMatrix.identity(1),
-        np.zeros((2, 1)),
-        np.array([1.0, 0.0]),
-        [Bound(-math.inf, 1.0)],
+    # d_0 is carried in the offset, and the point is that of the d_0 = 0 run
+    plain = UqInstance(
+        1, SymMatrix.identity(1), np.array([[0.3], [0.1]]), np.zeros(2), [Bound(-math.inf, 1.0)]
     )
-    with pytest.raises(PreconditionViolated):
-        recover.approx_uq(shifted)
+    lifted = dataclasses.replace(plain, d=np.array([1.0, 0.0]))
+    x0, _, cert0 = recover.approx_uq(plain)
+    x1, _, cert1 = recover.approx_uq(lifted)
+    assert np.array_equal(x1, x0)
+    assert (cert0.offset, cert1.offset) == (0.0, 1.0)
+    assert (cert1.lower, cert1.upper) == (cert0.lower, cert0.upper)
+
+
+def test_approx_centres_at_the_origin_it_is_given():
+    from helpers import random_gap_uq
+
+    rng = np.random.default_rng(12)
+    ran_construction = 0
+    for k in range(12):
+        n = int(rng.integers(2, 4))
+        inst = random_gap_uq(rng, n, n + 2) if k % 2 else random_convex_uq(rng, n, n + 2)
+        inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(inst.p)])
+        x_hat = 0.05 * rng.normal(size=n)
+        moved, offset = model.translate_origin(inst, x_hat)
+        x, trace, cert = recover.approx_uq(inst, origin=x_hat)
+        x_moved, trace_moved, cert_moved = recover.approx_uq(moved)
+        ran_construction += not trace.shortcut
+        assert np.array_equal(x, x_moved + x_hat), k
+        assert (trace.shortcut, trace.tau_bar) == (trace_moved.shortcut, trace_moved.tau_bar)
+        assert cert == dataclasses.replace(cert_moved, offset=offset), k
+        assert cert.offset == float(inst.values(x_hat)[0]), k
+    assert ran_construction >= 3
+
+
+def test_approx_refuses_a_centre_that_is_not_strictly_interior():
+    inst = UqInstance(
+        1, SymMatrix.identity(1), np.zeros((2, 1)), np.zeros(2), [Bound(-math.inf, 1.0)]
+    )
+    for x_hat in ([1.0], [-2.0]):  # on the boundary, and outside
+        with pytest.raises(PreconditionViolated, match="f_1"):
+            recover.approx_uq(inst, origin=np.array(x_hat))
+
+
+def test_selection_bound_reads_the_rows():
+    # ||Q^(1/2)(x + Q^(-1) b_i)||^2 = f_i(x) - d_i + b_i'Q^(-1)b_i
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        inst = random_convex_uq(rng, n, n + 3)
+        nrm2, _, _ = recover._gamma_terms(inst)
+        x = rng.normal(size=n)
+        w, v = np.linalg.eigh(inst.q.dense())
+        root = (v * np.sqrt(w)) @ v.T
+        explicit = np.linalg.norm(
+            root @ (x[:, None] + np.linalg.solve(inst.q.dense(), inst.b[1:].T)), axis=0
+        ) ** 2
+        rows = inst.values(x)[1:] - inst.d[1:] + nrm2
+        np.testing.assert_allclose(rows, explicit, rtol=1e-10)
 
 
 def test_approx_random_suite_invariants():
