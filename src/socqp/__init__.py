@@ -24,6 +24,7 @@ from .model import (
     translate_origin,
     uq_as_qcqp,
 )
+from .pipeline import solve_instance
 from .recover import (
     ApproxCertificate,
     ApproxTrace,
@@ -101,6 +102,7 @@ __all__ = [
     "lift_set_onesided",
     "lift_set_twosided",
     "solve",
+    "solve_instance",
     "split_indefinite",
     "tau_bar",
     "tighten_qcqp",

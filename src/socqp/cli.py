@@ -1,12 +1,7 @@
 """Command-line surface: solve, approx, cheby, reduce-ilp, oracle.
 
-``solve`` runs one pipeline for every uq and qcqp file: classify the instance
-(structured; uniform with PSD Q, positive definite or singular; or uniform
-with indefinite Q) and build its relaxation and exactness certificate, solve
-once, report an unbounded or failed solve, and recover a point when the
-certificate holds.  A uniform instance with PSD Q goes through
-``check_as3``, the closed-form dual and ``recover.tighten_uq`` whatever its
-rank; the others through their structured view.
+``solve`` renders the report of ``pipeline.solve_instance`` and maps its
+solver status to an exit code.
 Given a directory, ``solve`` prints one row per ``*.json`` file; a file that
 fails becomes an error row and the batch goes on.
 
@@ -31,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chebyshev, conesolver, fileio, linalg, model, oracle, recover, reformulate
+from . import chebyshev, fileio, linalg, model, oracle, pipeline, recover
 from .conesolver import SolveOptions
 from .errors import ParseError, PreconditionViolated, SocqpError, WrongShape
-from .model import BallIntersection, QcqpInstance, UqInstance
+from .model import BallIntersection, UqInstance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -104,110 +99,22 @@ def _options(args) -> SolveOptions:
     return SolveOptions(feastol=args.tol_feas, gaptol=args.gap, max_iter=args.max_iter)
 
 
-def _solver_block(res) -> dict:
-    return {
-        "status": res.status,
-        "iterations": res.iterations,
-        "primal_residual": res.pres,
-        "dual_residual": res.dres,
-        "complementarity_gap": res.gap,
-    }
-
-
-def _cert_block(cert: reformulate.CertificateReport) -> dict:
-    out = {"holds": cert.holds, "reason": cert.reason}
-    if cert.rank is not None:
-        out["rank"] = cert.rank
-    if cert.dims is not None:
-        out["dims"] = {str(k): v for k, v in cert.dims.items()}
-    return out
-
-
-def _classify(obj):
-    """Report head, program, meta, certificate and the structured view that
-    recovery works on (None for a uniform instance with PSD Q, which
-    `recover.tighten_uq` handles on the instance itself)."""
-    if isinstance(obj, UqInstance):
-        pos, neg = linalg.inertia(obj.q, model.rank_cut(obj))
-        head = {"kind": "uq", "n": obj.n, "p": obj.p}
-        if neg[-1]:
-            head["shape"] = "indefinite"
-            prog, meta, cert, view = reformulate.build_socp_indefinite(obj)
-            return head, prog, meta, cert, view
-        if not pos[-1]:
-            head["shape"] = "psd_singular"
-        prog, meta = reformulate.build_socp_uq(obj)
-        return head, prog, meta, reformulate.check_as3(obj), None
-    if not isinstance(obj, QcqpInstance):
-        raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
-    two_sided = any(bd.has_lower for bd in obj.bounds)
-    prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(obj)
-    head = {
-        "kind": "qcqp",
-        "n": obj.n,
-        "p": obj.p,
-        "sense": obj.sense,
-        "lifted_blocks": list(meta.lifted),
-    }
-    return head, prog, meta, reformulate.check_condition_c(obj, meta.lifted), obj
-
-
-def _solve(obj, args) -> tuple[dict, int]:
-    """Classify, solve once, then recover a point when the certificate holds;
-    returns the report and the exit code."""
-    report, prog, meta, cert, view = _classify(obj)
-    report["certificate"] = _cert_block(cert)
-    res = conesolver.solve(prog, _options(args))
-    report["solver"] = _solver_block(res)
-    if res.status == "Unbounded":
-        if isinstance(obj, UqInstance):
-            report["relaxation_value"] = math.inf
-            report["note"] = "relaxation unbounded; the instance optimum is +inf"
-            return report, EXIT_OK
-        side = "above" if meta.sense == "max" else "below"
-        report["note"] = (
-            f"relaxation is unbounded {side}; the exactness guarantee "
-            "requires a bounded relaxation"
-        )
-        return report, EXIT_PRECONDITION
-    if res.status != "Optimal":
-        return report, EXIT_SOLVER
-    report["relaxation_value"] = meta.original_value(res)
-    exact = cert.holds
-    if view is None:  # uniform with PSD Q: the dual has a closed form, and exact needs it
-        duality = reformulate.certify_strong_duality(obj, res)
-        report["duality"] = {"gap": duality.gap, "holds": duality.holds}
-        exact = cert.holds and duality.holds
-        if not cert.holds:
-            report["note"] = "no exactness claim; relaxation value is an upper bound"
-        elif not exact:
-            report["note"] = "no exactness claim: the dual certificate fails"
-    report["exact"] = exact
-    if not exact:
-        return report, EXIT_OK
-    x, _ = recover.tighten_uq(obj, res) if view is None else recover.tighten_qcqp(view, res, meta)
-    objective, violation = float(obj.values(x)[0]), obj.worst_violation(x)
-    feasible = bool(violation <= args.tol_feas * model.data_scale(obj))
-    report["recovered"] = {
-        "x": x, "objective": objective, "worst_violation": violation, "feasible": feasible,
-    }
-    report["exact"] = feasible  # the certificate holds; exact also needs a feasible point
-    if not feasible:
-        report["note"] = (
-            f"not exact: the recovered point violates a constraint by {violation:.3g}, "
-            "beyond --tol-feas relative to the largest instance entry"
-        )
-    return report, EXIT_OK
+def _exit_code(report: dict) -> int:
+    """0 for an Optimal solve or an unbounded uq relaxation (the optimum is
+    +inf), 3 for an unbounded qcqp relaxation, 4 for any other status."""
+    status = report["solver"]["status"]
+    if status == "Optimal" or (status == "Unbounded" and report["kind"] == "uq"):
+        return EXIT_OK
+    return EXIT_PRECONDITION if status == "Unbounded" else EXIT_SOLVER
 
 
 def cmd_solve(args) -> int:
     path = Path(args.instance)
     if path.is_dir():
         return _cmd_batch(path, args)
-    report, code = _solve(fileio.load_instance(path, args.tol_rank), args)
-    report["tolerances"] = _tolerances(args)
-    _emit(report, args.report_format)
-    return code
+    report = pipeline.solve_instance(fileio.load_instance(path, args.tol_rank), _options(args))
+    _emit({**report, "tolerances": _tolerances(args)}, args.report_format)
+    return _exit_code(report)
 
 
 def _cmd_batch(path: Path, args) -> int:
@@ -220,11 +127,14 @@ def _cmd_batch(path: Path, args) -> int:
     for name in sorted(path.glob("*.json")):
         started = time.perf_counter()
         try:
-            report, code = _solve(fileio.load_instance(name, args.tol_rank), args)
+            report = pipeline.solve_instance(
+                fileio.load_instance(name, args.tol_rank), _options(args)
+            )
         except _FAILURES as exc:
             code, _ = _failure(exc)
             rows.append({"file": name.name, "error": str(exc)})
         else:
+            code = _exit_code(report)
             rows.append(
                 {
                     "file": name.name,

@@ -6,6 +6,7 @@ certificate is a separate call (``check_as3`` for uniform instances with PSD
 Q, positive definite or singular, where it is condition C of the one-block
 view; ``check_condition_c`` for structured ones), except that
 ``build_socp_indefinite`` and ``build_wd`` return theirs with the program.
+``pipeline.solve_instance`` makes these pairs for ``socqp solve``.
 The trust-region special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
 ``build_vtrs``) return a min-sense ``QcqpInstance`` that goes through the
 generic ``build_cr``/``build_cr2``, ``check_condition_c`` and
@@ -419,7 +420,7 @@ def union_rows(inst: QcqpInstance, j_set) -> dict[int, np.ndarray]:
     """
     cut = rank_cut(inst)
     split = [linalg.range_and_null(q, cut) for q in inst.blocks]
-    b = inst.b[1:] / max(float(np.linalg.norm(inst.b[1:], axis=1).max()), np.finfo(float).tiny)
+    b = inst.b[1:] / max(float(np.linalg.norm(inst.b[1:], axis=1).max(initial=0.0)), np.finfo(float).tiny)
     return {
         j: np.vstack([b, split[j][1].T] + [split[i][0].T for i in range(inst.m) if i != j])
         for j in j_set

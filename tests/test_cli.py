@@ -411,6 +411,22 @@ def test_solve_unbounded_max_qcqp_note_follows_the_sense(tmp_path, capsys):
     assert "unbounded above" in rep["note"]
 
 
+def test_solve_qcqp_with_no_constraints_reports_unbounded(tmp_path, capsys):
+    # max x'x + 2 b_0'x with no rows: the lifted t has no row to stop it
+    path = tmp_path / "p0.json"
+    path.write_text(
+        '{"kind": "qcqp", "n": 2, "sense": "max", "blocks": [[1.0, 0.0, 1.0]], '
+        '"signs": [[1.0]], "b": [[0.1, 0.2]], "c": [0.0], "bounds": []}',
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "solve", str(path), "--report-format", "structured")
+    assert code == 3, out.err
+    rep = json.loads(out.out)
+    assert rep["p"] == 0 and rep["certificate"]["dims"] == {"0": 0}
+    assert rep["solver"]["status"] == "Unbounded"
+    assert "unbounded above" in rep["note"]
+
+
 def test_solve_and_gamma_read_definiteness_alike(tmp_path, capsys):
     # diag(1, 1e-10) is singular PSD at the default tol_rank: solve says so,
     # and gamma_uq (so approx) refuses it as not positive definite

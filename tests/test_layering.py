@@ -11,7 +11,10 @@ rank or spectrum, so a change to a rank or eigenvalue cut is made there;
 outside ``conesolver``, whose KKT factor needs one, no module takes a
 Cholesky factor, so definiteness is read through ``linalg.inertia`` too.
 Only ``model`` forms the rank cut tol_rank * ``data_scale``, and only
-``recover`` moves an instance's origin.
+``recover`` moves an instance's origin.  ``cli`` renders the report of
+``pipeline.solve_instance``: it builds, certifies, tightens and solves
+nothing itself, though ``approx`` and ``cheby`` still call ``recover`` and
+``chebyshev``.
 ``socqp.__all__`` lists exactly the names the package imports.
 """
 
@@ -198,4 +201,15 @@ def test_only_the_approximation_translates():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and _dotted(node.func).endswith("translate_origin")
     ]
+    assert found == []
+
+
+def test_the_cli_builds_certifies_and_solves_nothing():
+    # socqp solve renders the report of pipeline.solve_instance
+    prefixes = ("build_", "check_", "certify_", "tighten_")
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [(node.lineno, _dotted(node.func)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = [f"cli:{line} {name}" for line, name in calls
+             if name.split(".")[-1].startswith(prefixes) or name in ("conesolver.solve", "solve")]
     assert found == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socqp import cli, conesolver, linalg, model, recover, reformulate
+from socqp import conesolver, linalg, model, pipeline, recover, reformulate
 from socqp.errors import InvalidBounds, InvalidMultiplier, WrongShape
 from socqp.linalg import SymMatrix
 from socqp.model import Bound, QcqpInstance, UqInstance
@@ -266,6 +266,15 @@ def test_condition_c_fails_when_span_fills():
     cert = reformulate.check_condition_c(inst, reformulate.lift_set_onesided(inst))
     assert not cert.holds
     assert cert.dims[0] == n
+
+
+def test_condition_c_with_no_constraints():
+    # p = 0: the rows b_1..b_p are empty, and so is the union of one
+    # definite block
+    inst = QcqpInstance(2, [SymMatrix.identity(2)], np.array([[1.0]]), np.array([[0.1, 0.2]]),
+                        np.zeros(1), [], sense="max")
+    cert = reformulate.check_condition_c(inst, (0,))
+    assert cert.holds and cert.dims == {0: 0}
 
 
 def test_condition_dims_match_stacked_rank():
@@ -578,9 +587,11 @@ def _transformed(inst, s=1.0, u=None):
 
 
 def _verdict(inst):
-    """Certificate (holds, rank, dims) and the shape that `socqp solve` reads."""
-    head, _, _, cert, _ = cli._classify(inst)
-    return cert.holds, cert.rank, cert.dims, head.get("shape")
+    """Certificate (holds, rank, dims) and shape of the `solve_instance`
+    report; the certificate is decided before the solve, so none is run."""
+    report = pipeline.solve_instance(inst, conesolver.SolveOptions(max_iter=0))
+    cert = report["certificate"]
+    return cert["holds"], cert.get("rank"), cert.get("dims"), report.get("shape")
 
 
 def _found_file():
