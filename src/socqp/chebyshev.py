@@ -21,11 +21,10 @@ from . import recover, reformulate
 from .conesolver import ConeProgram, SocBlock, SolveOptions, solve
 from .errors import PreconditionViolated, SocqpError, SolverFailed
 from .linalg import SymMatrix
-from .model import BallIntersection, Bound, UqInstance
+from .model import BallIntersection, Bound, UqInstance, tolerance
 
 # interiority margin below which no ratio certificate is claimed
 DEGENERATE_GAMMA = 1e-6
-_CHAIN_TOL = 1e-6  # slack of the certificate chain, relative to 1 + |v_dcc|
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,9 @@ class ChebyshevResult:
 
     ``attained`` brackets max_{x in Omega} ||x - center||^2; the chain
     guaranteed_ratio * v_dcc - tol <= attained[0] <= attained[1] <= v_dcc + tol
-    holds on every certified run.  ``gamma`` and ``guaranteed_ratio`` are
-    the ones the approximation certified, at the interiority solve's point.
+    holds on every certified run, with tol the ``model.tolerance`` at v_dcc of
+    the farthest-point instance.  ``gamma`` and ``guaranteed_ratio`` are the
+    ones the approximation certified, at the interiority solve's point.
     """
 
     center: np.ndarray
@@ -51,12 +51,12 @@ class ChebyshevResult:
 def _polish_simplex_qp(cost, amat, lam, objective):
     """Refine a simplex-constrained QP solution on its identified active set.
 
-    Solves the equality-constrained KKT system over the support of ``lam``;
-    accepted only when the polished weights stay in the simplex and do not
-    worsen the objective.
+    Solves the equality-constrained KKT system over the support of ``lam``
+    (simplex weights above 1e-7); accepted only when the polished weights
+    stay in the simplex and do not worsen the objective beyond roundoff.
     """
     p = lam.size
-    support = np.flatnonzero(lam > 1e-7 * max(1.0, float(lam.max())))
+    support = np.flatnonzero(lam > 1e-7)
     if support.size == 0:
         return lam, objective
     a_s = amat[:, support]
@@ -78,7 +78,7 @@ def _polish_simplex_qp(cost, amat, lam, objective):
     full = np.zeros(p)
     full[support] = cand
     value = float(cost @ full + np.sum((amat @ full) ** 2))
-    if value <= objective + 1e-9 * (1.0 + abs(objective)):
+    if value <= objective + 1e-9 * abs(objective):
         return full, value
     return lam, objective
 
@@ -175,6 +175,7 @@ def chebyshev_certified(
     from the returned center is bracketed by one relaxation solve from above
     and an approximation-produced feasible point from below; the lower end is
     guaranteed to reach ((1-gamma)/(sqrt(2)+gamma))^2 of the center value.
+    A chain of ``ChebyshevResult`` that fails raises ``SocqpError``.
     """
     center, lam, v_dcc = beck_center(balls, opts)
     gamma, interior = _gamma_minmax(balls, opts)
@@ -194,8 +195,7 @@ def chebyshev_certified(
     upper = cert.upper + cert.offset + znorm
     lower = cert.lower + cert.offset + znorm
 
-    scale = 1.0 + abs(v_dcc)
-    chain_tol = _CHAIN_TOL * scale
+    chain_tol = tolerance(inner, v_dcc)
     if not (
         lower <= upper + chain_tol
         and upper <= v_dcc + chain_tol

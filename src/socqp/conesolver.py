@@ -27,6 +27,7 @@ process that solves only small programs never loads scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,11 +130,11 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        for name in ("feastol", "gaptol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InvalidInput(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.max_iter < 0:
-            raise InvalidInput(f"max_iter must be >= 0, got {self.max_iter}")
+        for name, value in (("feastol", self.feastol), ("gaptol", self.gaptol)):
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise InvalidInput(f"{name} must be a finite real > 0, got {value!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+            raise InvalidInput(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .linalg import SymMatrix
 
 # Default absolute tolerance on constraint values when testing feasibility.
 DEFAULT_FEAS_TOL = 1e-6
+ACCEPT_TOL = 1e-6  # default relative slack of the acceptance tests (``tolerance``)
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,10 @@ class BallIntersection:
 
 def data_scale(inst: UqInstance | QcqpInstance) -> float:
     """Largest absolute entry of a uq or qcqp instance, finite bounds included
-    and a qcqp instance's unitless signs left out.  Feasibility tolerances and
-    the rank cut tol_rank * this are taken relative to it, with no floor, so a
-    check means the same on data scaled by any factor.
+    and a qcqp instance's unitless signs left out.  The rank cut
+    (``rank_cut``) and the slack of every acceptance test (``tolerance``) are
+    taken relative to it, with no floor, so a check means the same on data
+    scaled by any factor.
     """
     if isinstance(inst, UqInstance):
         parts = [inst.q.packed, inst.b, inst.d]
@@ -223,6 +225,15 @@ def rank_cut(inst: UqInstance | QcqpInstance) -> float:
     """tol_rank * ``data_scale``: the cut of every rank and sign decision on
     the instance and on the instances derived from it."""
     return inst.tol_rank * data_scale(inst)
+
+
+def tolerance(inst: UqInstance | QcqpInstance, ref=0.0, tol: float | None = None):
+    """tol * (``data_scale`` + |ref|), the slack of every acceptance test after
+    a solve, for a quantity of size ref (a float or an array).  tol defaults to
+    max(``ACCEPT_TOL``, tol_rank): the rank decisions admit errors that large."""
+    if tol is None:
+        tol = max(ACCEPT_TOL, inst.tol_rank)
+    return tol * (data_scale(inst) + abs(ref))
 
 
 def translate_origin(inst: UqInstance, x_hat) -> tuple[UqInstance, float]:

@@ -27,8 +27,8 @@ def solve_instance(inst: UqInstance | QcqpInstance, opts: SolveOptions | None = 
     solver summary, and for an Optimal solve the relaxation value, the
     ``exact`` verdict and, when the certificate holds, the recovered point
     with its worst violation.  ``exact`` needs a feasible recovered point:
-    its rows hold to ``opts.feastol`` times ``model.data_scale``.  A note
-    says why a report makes no exactness claim.
+    its rows hold to ``model.tolerance`` at ``opts.feastol``, the one test
+    of those rows.  A note says why a report makes no exactness claim.
     """
     opts = opts or SolveOptions()
     if isinstance(inst, UqInstance):
@@ -83,7 +83,7 @@ def solve_instance(inst: UqInstance | QcqpInstance, opts: SolveOptions | None = 
         return report
     x, _ = recover.tighten_qcqp(view, res, meta)
     objective, violation = float(inst.values(x)[0]), inst.worst_violation(x)
-    feasible = bool(violation <= opts.feastol * model.data_scale(inst))
+    feasible = bool(violation <= model.tolerance(inst, 0.0, opts.feastol))
     report["recovered"] = {"x": x, "objective": objective, "worst_violation": violation,
                            "feasible": feasible}
     report["exact"] = feasible  # the certificate holds; exact also needs a feasible point

@@ -39,9 +39,10 @@ from .errors import (
 )
 from .model import QcqpInstance, UqInstance
 
-_CLOSED_GAP = 1e-8  # a lifted gap below this, relative to 1 + |t_j|, is closed
-_RATIO_ABS_TOL = 1e-8  # absolute slack on the certified approximation ratio
-_INTERIOR_MARGIN = 1e-8  # margin that an interior point must exceed
+_CLOSED_GAP = 1e-8  # model.tolerance's tol below which a lifted gap is closed
+_IDENTITY_TOL = 1e-8  # its tol for the approximation's identities, exact up to roundoff
+_INTERIOR_MARGIN = 1e-8  # its tol for the margin that an interior point must exceed
+_TIE = 1e-12  # relative size below which a roundoff tie-break counts a value as zero
 
 
 @dataclass
@@ -81,7 +82,7 @@ class ApproxCertificate:
 def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
     """A unit direction in the given null space, preferring b0-orthogonality."""
     w = null_cols.T @ b0
-    if null_cols.shape[1] >= 2 and np.linalg.norm(w) > 1e-12 * (1.0 + np.linalg.norm(b0)):
+    if null_cols.shape[1] >= 2 and np.linalg.norm(w) > _TIE * np.linalg.norm(b0):
         # one row in two or more dimensions always leaves a null space
         return null_cols @ linalg.null_space_of_rows(w[None, :], null_cols.shape[1])[:, 0]
     return null_cols[:, 0]
@@ -92,14 +93,14 @@ def _cone_step(q, x, t, dx, dt, rise, rise_scale) -> float:
 
     ``rise`` is the rate at which the objective being kept grows along
     (dx, dt).  The root taken does not lower it; when |rise| is within
-    1e-12 * ``rise_scale`` of zero, the root nearer zero is taken.
+    ``_TIE`` * ``rise_scale`` of zero, the root nearer zero is taken.
     """
     a2 = float(dx @ q @ dx)
     half = float(dx @ q @ x) - 0.5 * dt
     a0 = float(x @ q @ x) - t
     rt = math.sqrt(max(half * half - a2 * a0, 0.0))
     roots = ((-half + rt) / a2, (-half - rt) / a2)
-    if abs(rise) <= 1e-12 * rise_scale:
+    if abs(rise) <= _TIE * rise_scale:
         return min(roots, key=abs)
     return max(roots, key=lambda r: r * rise)
 
@@ -124,19 +125,20 @@ def _tighten(
     inst: QcqpInstance, res: SolverResult, meta: reformulate.ReformulationMeta
 ) -> tuple[np.ndarray, TightenTrace]:
     """Close each open lifted cone in one step, then accept the point only when
-    its gaps are closed, its objective is the relaxation value and its rows
-    hold within 1e-6 * ``model.data_scale``.  Private, so that a wrapper of
-    the public names sees each tightening once."""
+    its gaps are closed and its objective is the relaxation value, each to
+    ``model.tolerance``; its rows are the caller's to judge.  Private, so
+    that a wrapper of the public names sees each tightening once."""
     if res.status != "Optimal":
         raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
     inst = model.as_min(inst)
     x = meta.x_of(res.z)
     t = {j: float(res.z[meta.t_index[j]]) for j in meta.lifted}
+    closed = model.tolerance(inst, np.array(list(t.values())), _CLOSED_GAP)
     trace = TightenTrace()
     union = {}  # taken on the first open gap; most optima close every cone
-    for j in meta.lifted:
+    for j, closed_j in zip(meta.lifted, closed):
         qj = inst.blocks[j].dense()
-        if t[j] - float(x @ qj @ x) <= _CLOSED_GAP * (1.0 + abs(t[j])):
+        if t[j] - float(x @ qj @ x) <= closed_j:
             continue
         if not union:
             union = reformulate.union_rows(inst, meta.lifted)
@@ -145,7 +147,7 @@ def _tighten(
             raise ConditionNotMet(f"direction has no energy in block {j}")
         # g_0 is minimized, so the quantity kept from falling is -g_0
         rise = -(inst.a[0, j] * dt + 2.0 * float(inst.b[0] @ dx))
-        rise_scale = 1.0 + dt + 2.0 * np.linalg.norm(inst.b[0]) * np.linalg.norm(dx)
+        rise_scale = dt + 2.0 * np.linalg.norm(inst.b[0]) * np.linalg.norm(dx)
         alpha = _cone_step(qj, x, t[j], dx, dt, rise, rise_scale)
         x = x + alpha * dx
         t[j] += alpha * dt
@@ -154,18 +156,17 @@ def _tighten(
     gaps = [t[j] - float(x @ inst.blocks[j].dense() @ x) for j in meta.lifted]
     trace.final_gap = max(gaps, default=0.0)
     drift = float(inst.values(x)[0]) - res.objective
-    t_scale = 1.0 + max(map(abs, t.values()), default=0.0)
-    if trace.final_gap > 1e-6 * t_scale or abs(drift) > 1e-5 * (1.0 + abs(res.objective)):
+    t_max = max(map(abs, t.values()), default=0.0)
+    gap_tol, drift_tol = model.tolerance(inst, np.array([t_max, res.objective]))
+    if trace.final_gap > gap_tol or abs(drift) > drift_tol:
         raise TightenFailed(f"residual gap {trace.final_gap:.2e} or objective drift "
                             f"{drift:.2e} too large", trace)
-    if not inst.is_feasible(x, tol=1e-6 * model.data_scale(inst)):
-        raise TightenFailed("tightened point is infeasible", trace)
     return x, trace
 
 
 def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, TightenTrace]:
     """Turn a relaxation optimum of a uniform instance with PSD Q into a
-    feasible point of the original problem with the same objective value.
+    point with the same objective value; its rows are the caller's to judge.
 
     The one-block case of ``tighten_qcqp``, on ``model.uq_as_qcqp`` with the
     layout of ``reformulate.build_socp_uq`` (x, then t): it moves in the null
@@ -191,8 +192,9 @@ def tighten_qcqp(
     The instance's ``tol_rank`` decides that condition: the block ranges and
     null spaces at tol_rank * ``model.data_scale``, and the union dimension.
     The instance may have either sense; the moves read its min-sense form.
-    A point whose gaps, objective or rows miss their tolerances raises
-    ``TightenFailed``.
+    A point whose gaps or objective miss ``model.tolerance`` raises
+    ``TightenFailed``; its rows are the caller's to judge (``socqp solve``
+    judges them at ``--tol-feas``).
     """
     return _tighten(inst, res, meta)
 
@@ -265,8 +267,8 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     """Point with strictly positive slack in every upper bound, plus its margin.
 
     Solves max s subject to t + 2 b_i'x + d_i + s <= u_i and x'Qx <= t with
-    the cone solver.  Requires the one-sided convex shape (every l_i = -inf,
-    every u_i finite).
+    the cone solver; a margin within ``model.tolerance`` at tol 1e-8 raises
+    ``EmptyInterior``.  Needs every l_i = -inf and every u_i finite.
     """
     _check_one_sided(inst, "interior-point search")
     n = inst.n
@@ -282,10 +284,9 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     if res.status != "Optimal":
         raise EmptyInterior(f"interior search ended with status {res.status}")
     margin = -res.objective
-    if margin <= _INTERIOR_MARGIN:
-        raise EmptyInterior(
-            f"best margin {margin:.3e} is within tolerance {_INTERIOR_MARGIN:g}"
-        )
+    least = model.tolerance(inst, 0.0, _INTERIOR_MARGIN)
+    if margin <= least:
+        raise EmptyInterior(f"best margin {margin:.3e} is within tolerance {least:.3g}")
     return res.z[:n].copy(), float(margin)
 
 
@@ -324,7 +325,6 @@ def approx_uq(
     x_star = meta.x_of(res.z)
     t_star = float(res.z[inst.n])
     qd = inst.q.dense()
-    scale = 1.0 + abs(t_star)
     # close an open cone where tighten_uq finds a direction, and take the shortcut
     with contextlib.suppress(ConditionNotMet, TightenFailed):
         x_star, _ = tighten_uq(inst, res)
@@ -333,7 +333,8 @@ def approx_uq(
     # a nonnegative cone gap only slackens one-sided rows, so x* is feasible
     # whenever the gap is small; its value is the optimum minus the gap
     f_star = xqx + 2.0 * float(inst.b[0] @ x_star)
-    if gap <= 1e-6 * scale or value - f_star <= 1e-6 * (1.0 + abs(value)):
+    gap_tol, value_tol = model.tolerance(inst, np.array([t_star, value]))
+    if gap <= gap_tol or value - f_star <= value_tol:
         trace = ApproxTrace(
             y=np.zeros(inst.n), alpha=0.0, s1=x_star.copy(), s2=np.zeros(inst.n),
             t1=1.0, t2=0.0, j_bar=1, x_bar=x_star.copy(), tau_bar=1.0, shortcut=True,
@@ -345,7 +346,8 @@ def approx_uq(
     w, v = linalg.sym_eig(inst.q)
     rho = math.sqrt(gap)
     y = rho * (v[:, 0] / math.sqrt(w[0]))
-    if abs(xqx + float(y @ qd @ y) - t_star) > 1e-8 * scale:
+    cone_tol, split_tol = model.tolerance(inst, np.array([t_star, value]), _IDENTITY_TOL)
+    if abs(xqx + float(y @ qd @ y) - t_star) > cone_tol:
         raise IdentityViolated("companion point does not close the cone: x'Qx + y'Qy != t")
 
     # alpha > 0 with f_0(x* + alpha y) = value
@@ -353,23 +355,19 @@ def approx_uq(
     a1 = 2.0 * float(x_star @ qd @ y) + 2.0 * float(inst.b[0] @ y)
     a0 = f_star - value
     disc = a1 * a1 - 4.0 * a2 * a0
-    alpha = (-a1 + math.sqrt(max(disc, 0.0))) / (2.0 * a2)
-    if alpha < 1e-10:
-        alpha = max(alpha, 0.0)
+    alpha = max((-a1 + math.sqrt(max(disc, 0.0))) / (2.0 * a2), 0.0)
     denom = math.sqrt(1.0 + alpha * alpha)
     s1 = (x_star + alpha * y) / denom
     s2 = (alpha * x_star - y) / denom
     t1 = 1.0 / denom
     t2 = alpha / denom
-    if abs(t1 * t1 + t2 * t2 - 1.0) > 1e-12:
-        raise IdentityViolated("split weights are not normalized: t1^2 + t2^2 != 1")
 
     # split identity: the two cone-tight candidates share the optimum
     lhs = (
         float(s1 @ qd @ s1) + 2.0 * t1 * float(inst.b[0] @ s1)
         + float(s2 @ qd @ s2) + 2.0 * t2 * float(inst.b[0] @ s2)
     )
-    if abs(lhs - value) > 1e-8 * (1.0 + abs(value)):
+    if abs(lhs - value) > split_tol:
         raise IdentityViolated(
             f"split candidates do not share the optimum: {lhs:.12g} != {value:.12g}"
         )
@@ -386,7 +384,7 @@ def approx_uq(
         candidates.append((1, s1, t1, selection_bound(s1, t1)))
     if t2 > 1e-10:
         candidates.append((2, s2, t2, selection_bound(s2, t2)))
-    limit = math.sqrt(2.0) * (1.0 + 1e-9) + 1e-12
+    limit = math.sqrt(2.0) * (1.0 + 1e-9) + _TIE
     admissible = [c for c in candidates if c[3] <= limit]
     if not admissible:
         raise SelectionBoundViolated("no candidate satisfies the sqrt(2) selection bound")
@@ -401,7 +399,7 @@ def approx_uq(
     x_out = tau * x_bar
     fx = float(inst.values(x_out)[0])
     cert = ApproxCertificate(fx, value, gamma, ratio, offset)
-    if fx < ratio * value - _RATIO_ABS_TOL - 1e-5 * (1.0 + abs(value)):
+    if fx < ratio * value - value_tol:
         raise TightenFailed(
             f"certified ratio violated: f_0 = {fx:.6e} < {ratio:.4f} * {value:.6e}",
             None,

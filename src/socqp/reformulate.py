@@ -32,7 +32,7 @@ from . import linalg
 from .conesolver import ConeProgram, SocBlock, SolverResult
 from .errors import InvalidBounds, InvalidInput, InvalidMultiplier, WrongShape
 from .linalg import DEFAULT_RANK_TOL, SymMatrix
-from .model import Bound, QcqpInstance, UqInstance, as_min, data_scale, rank_cut, uq_as_qcqp
+from .model import Bound, QcqpInstance, UqInstance, as_min, rank_cut, tolerance, uq_as_qcqp
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class ReformulationMeta:
         return res.objective if self.sense == "min" else -res.objective
 
 
-_DUALITY_REL_TOL = 1e-5  # largest relative dual-relaxation gap that certifies
 _DUAL_ZERO_TOL = 1e-9  # relative sigma (sqrt of it for beta) that counts as zero
 
 
@@ -160,7 +159,7 @@ def dual_value(inst: UqInstance, lam) -> float:
     the range of Q, kappa when sigma = 0 and beta = 0, and +inf otherwise
     (the inner sup over x is unbounded).  Q^+ and its range are read from
     the rows F of ``linalg.psd_factor``, the spectrum that the relaxation's
-    cone encodes; beta is zero up to sqrt(1e-9) * ``model.data_scale``.
+    cone encodes; beta is zero up to ``model.tolerance`` at tol sqrt(1e-9).
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if not np.all(np.isfinite(lam)):
@@ -185,7 +184,7 @@ def dual_value(inst: UqInstance, lam) -> float:
     sigma = 1.0 - float(lam.sum())
     beta = inst.b[0] - lam @ inst.b[1:]
     sig_scale = 1.0 + float(np.abs(lam).sum())
-    beta_zero = math.sqrt(_DUAL_ZERO_TOL) * data_scale(inst)
+    beta_zero = tolerance(inst, 0.0, math.sqrt(_DUAL_ZERO_TOL))
     if sigma < 0.0:
         # F = diag(sqrt(w)) V', so y = F beta / w = V'beta / sqrt(w) has
         # ||y||^2 = beta'Q^+ beta, and F'y is beta's projection on the range
@@ -210,7 +209,7 @@ class StrongDualityReport:
 def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDualityReport:
     """Compare the closed-form dual value at the multipliers of a
     ``build_socp_uq`` solve of ``inst`` with the relaxation optimum; the
-    certificate holds when they agree to 1e-5 * (``model.data_scale`` + |value|).
+    certificate holds when they agree to ``model.tolerance(inst, value)``.
 
     lam_i is the multiplier of row i's upper side minus that of its lower
     side, read through the relaxation's row layout.
@@ -228,7 +227,7 @@ def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDuality
     value = -res.objective  # the relaxation minimises -f_0
     dval = dual_value(inst, lam)
     gap = dval - value
-    holds = bool(abs(gap) <= _DUALITY_REL_TOL * (data_scale(inst) + abs(value)))
+    holds = bool(abs(gap) <= tolerance(inst, value))
     return StrongDualityReport(holds, gap, value, dval, lam)
 
 

@@ -248,16 +248,28 @@ def test_solve_tol_rank_reaches_qcqp_tightening(tmp_path, capsys):
     assert rep["recovered"]["worst_violation"] <= 1e-5
 
 
-@pytest.mark.parametrize("tol_feas, feasible", [("1e-8", False), ("1e-5", True)])
-def test_recovered_point_reports_feasibility_at_tol_feas(tmp_path, capsys, tol_feas, feasible):
-    # the near-rank instance above recovers a point that violates block 0's
-    # row by about 1e-6: the certificate holds, yet the point is not feasible
-    # to 1e-8, so it is called exact only at the looser --tol-feas
+@pytest.mark.parametrize(
+    "entry, tol_rank, tol_feas, feasible",
+    [
+        pytest.param(1e-6, "1e-4", "1e-8", False, id="1e-8-False"),
+        pytest.param(1e-6, "1e-4", "1e-5", True, id="1e-5-True"),
+        pytest.param(1e-5, "1e-3", "1e-8", False, id="entry-1e-5-1e-8-False"),
+        pytest.param(1e-5, "1e-3", "1e-4", True, id="entry-1e-5-1e-4-True"),
+    ],
+)
+def test_recovered_point_reports_feasibility_at_tol_feas(
+    tmp_path, capsys, entry, tol_rank, tol_feas, feasible
+):
+    # the near-rank instance above, with block 1's small entry below
+    # --tol-rank, recovers a point that violates block 0's row by about that
+    # entry: the certificate holds, yet the point is not feasible to 1e-8, so
+    # it is called exact only at the looser --tol-feas.  That is the one
+    # verdict on the rows: tightening does not judge them, so the run exits 0
     inst = QcqpInstance(
         2,
         [
             SymMatrix.from_dense(np.diag([1.0, 0.0])),
-            SymMatrix.from_dense(np.diag([1e-6, 1.0])),
+            SymMatrix.from_dense(np.diag([entry, 1.0])),
         ],
         np.array([[-1.0, 1.0], [1.0, 1.0]]),
         np.zeros((2, 2)),
@@ -267,7 +279,7 @@ def test_recovered_point_reports_feasibility_at_tol_feas(tmp_path, capsys, tol_f
     path = tmp_path / "near_rank_blocks.json"
     fileio.save_instance(inst, path)
     code, out = run(
-        capsys, "solve", str(path), "--tol-rank", "1e-4", "--tol-feas", tol_feas,
+        capsys, "solve", str(path), "--tol-rank", tol_rank, "--tol-feas", tol_feas,
         "--report-format", "structured",
     )
     assert code == 0, out.err
@@ -275,6 +287,7 @@ def test_recovered_point_reports_feasibility_at_tol_feas(tmp_path, capsys, tol_f
     assert rep["certificate"]["holds"] is True
     assert rep["exact"] is feasible
     assert rep["recovered"]["feasible"] is feasible
+    assert rep["recovered"]["worst_violation"] == pytest.approx(entry, rel=1e-3)
     assert ("note" in rep) is not feasible
     if not feasible:
         assert "--tol-feas" in rep["note"]

@@ -10,8 +10,11 @@ is a field of the instance.  Only ``linalg`` decomposes a matrix to read its
 rank or spectrum, so a change to a rank or eigenvalue cut is made there;
 outside ``conesolver``, whose KKT factor needs one, no module takes a
 Cholesky factor, so definiteness is read through ``linalg.inertia`` too.
-Only ``model`` forms the rank cut tol_rank * ``data_scale``, and only
-``recover`` moves an instance's origin.  ``cli`` renders the report of
+Only ``model`` reads ``data_scale``: it forms the rank cut
+tol_rank * ``data_scale`` and ``tolerance``, the slack of every acceptance
+test after a solve, and no such test in ``recover``, ``reformulate``,
+``chebyshev`` or ``pipeline`` floors its scale at 1.  Only ``recover``
+moves an instance's origin.  ``cli`` renders the report of
 ``pipeline.solve_instance``: it builds, certifies, tightens and solves
 nothing itself, though ``approx`` and ``cheby`` still call ``recover`` and
 ``chebyshev``.
@@ -189,6 +192,43 @@ def test_only_model_forms_the_rank_cut():
                 names = {_dotted(side).split(".")[-1] for side in (node.left, node.right)}
                 if "tol_rank" in names:
                     found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
+def test_only_model_reads_the_data_scale():
+    # the rank cut and the acceptance slack are model.rank_cut and
+    # model.tolerance, so no other module scales a check by hand
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "model"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] == "data_scale"
+    ]
+    assert found == []
+
+
+def _is_one(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 1
+
+
+def test_no_acceptance_test_floors_at_one():
+    # a floor of 1 makes a check absolute on small data and relative on
+    # large: 1.0 + abs(...) and max(1.0, ...) give way to model.tolerance
+    found = []
+    for module in ("recover", "reformulate", "chebyshev", "pipeline"):
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                sides = (node.left, node.right)
+                floored = any(map(_is_one, sides)) and any(
+                    isinstance(side, ast.Call) and _dotted(side.func).split(".")[-1] == "abs"
+                    for side in sides
+                )
+            else:
+                floored = (isinstance(node, ast.Call) and _dotted(node.func) == "max"
+                           and any(map(_is_one, node.args)))
+            if floored:
+                found.append(f"{module}:{node.lineno}")
     assert found == []
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from socqp.errors import (
     InvalidInput,
 )
 from socqp.linalg import SymMatrix
-from socqp.model import BallIntersection, Bound, UqInstance
+from socqp.model import BallIntersection, Bound, QcqpInstance, UqInstance
 
 from helpers import random_uq
 
@@ -202,3 +203,46 @@ def test_ball_intersection_contains():
     balls = BallIntersection(2, np.array([[0.0, 0.0]]), np.array([1.0]))
     assert balls.contains(np.array([0.5, 0.0]))
     assert not balls.contains(np.array([2.0, 0.0]))
+
+
+def _tolerance_instances():
+    uq = random_uq(np.random.default_rng(3), 3, 4, two_sided_prob=0.5)
+    qcqp = QcqpInstance(
+        2,
+        [SymMatrix.from_dense(np.diag([2.0, 0.0])), SymMatrix.from_dense(np.diag([0.0, 0.5]))],
+        np.array([[1.0, -1.0], [1.0, 1.0]]),
+        np.array([[0.3, -0.1], [0.0, 0.2]]),
+        np.array([0.4, 0.0]),
+        [Bound(-1.0, 3.0)],
+    )
+    return {"uq": uq, "qcqp": qcqp}
+
+
+def _scaled(inst, s):
+    """Every data entry times s; a qcqp instance keeps its signs."""
+    bounds = [Bound(s * bd.lower, s * bd.upper) for bd in inst.bounds]
+    if isinstance(inst, UqInstance):
+        q = SymMatrix.from_dense(s * inst.q.dense())
+        return replace(inst, q=q, b=s * inst.b, d=s * inst.d, bounds=bounds)
+    blocks = [SymMatrix.from_dense(s * q.dense()) for q in inst.blocks]
+    return replace(inst, blocks=blocks, b=s * inst.b, c=s * inst.c, bounds=bounds)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("kind", ["uq", "qcqp"])
+def test_acceptance_tolerance_scales_with_the_data(kind, s):
+    # every acceptance test after a solve reads model.tolerance, so a check
+    # means the same on data scaled by any factor
+    inst = _tolerance_instances()[kind]
+    ref = np.array([0.0, -2.5, 40.0])
+    base = model.tolerance(inst, ref)
+    assert np.allclose(model.tolerance(_scaled(inst, s), s * ref), s * base, rtol=1e-14, atol=0)
+    assert model.tolerance(_scaled(inst, s), -s) == pytest.approx(
+        s * model.tolerance(inst, 1.0), rel=1e-14
+    )
+    # the default tol is the larger of ACCEPT_TOL and the instance's tol_rank
+    expected = model.ACCEPT_TOL * (model.data_scale(inst) + np.abs(ref))
+    assert np.array_equal(base, expected)
+    loose = replace(inst, tol_rank=1e-3)
+    assert model.tolerance(loose, 2.0) == 1e-3 * (model.data_scale(inst) + 2.0)
+    assert model.tolerance(loose, 2.0, 1e-8) == 1e-8 * (model.data_scale(inst) + 2.0)
