@@ -2,11 +2,12 @@
 
 Covers the classic ball-constrained case (including hard-case geometry,
 where the minimizer must be pushed onto the sphere along a ground
-eigenvector), the two-sided ball band, and the variant with inside/outside
-balls plus a polytope row.  Each builder returns a plain structured
-instance: A is split as (A - lam_min I) + lam_min I, the ball rows carry the
-identity block, and the generic relaxation (build_cr / build_cr2), exactness
-certificate (check_condition_c) and recovery (tighten_qcqp) do the rest.
+eigenvector), the two-sided ball band, the variant with inside/outside
+balls plus a polytope row, and weighted max-min dispersion in a ball.  Each
+builder returns a plain structured instance: A is split as
+(A - lam_min I) + lam_min I, the ball rows carry the identity block, and the
+generic relaxation (build_cr / build_cr2), exactness certificate
+(check_condition_c) and recovery (tighten_qcqp) do the rest.
 """
 
 import numpy as np
@@ -18,10 +19,12 @@ from socqp import (
     build_trs,
     build_ttrs,
     build_vtrs,
+    build_wd,
     check_condition_c,
     lift_set_onesided,
     solve,
     tighten_qcqp,
+    wd_units,
 )
 
 # --- hard-case trust region: A = diag(-1, -1, 0), tiny linear term ---------
@@ -69,3 +72,22 @@ print("trust-region variant (annulus + halfspace)")
 print(f"  exactness condition      holds={rep.holds}  ({rep.reason})")
 print(f"  optimum                  {meta.original_value(res):.9f}")
 print(f"  objective at recovered   {inst.values(x)[0]:.9f}")
+print()
+
+# --- weighted max-min dispersion: two points at +-0.4 e_1 in the unit disc --
+# the instance is in (u, sigma), x = x0 + R u and dispersion S sigma
+x0 = np.zeros(2)
+points = np.array([[0.4, 0.0], [-0.4, 0.0]])
+weights = np.array([1.0, 2.0])
+inst = build_wd(x0, 1.0, points, weights)
+prog, meta = build_cr(inst)
+rep = check_condition_c(inst, meta.lifted)
+res = solve(prog)
+u, _ = tighten_qcqp(inst, res, meta)
+length, unit = wd_units(x0, 1.0, points, weights)
+x = x0 + length * u[:-1]
+dispersion = min(w * np.sum((x - z) ** 2) for z, w in zip(points, weights))
+print("weighted max-min dispersion, points +-0.4 e_1, weights (1, 2)")
+print(f"  exactness condition      holds={rep.holds}  ({rep.reason})")
+print(f"  relaxation value         {unit * meta.original_value(res):.9f}")
+print(f"  dispersion at recovered  {dispersion:.9f}  at x = {np.round(x, 6)}")

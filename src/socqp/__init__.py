@@ -42,7 +42,6 @@ from .reformulate import (
     build_cr,
     build_cr2,
     build_etrs,
-    build_socp_indefinite,
     build_socp_uq,
     build_trs,
     build_ttrs,
@@ -52,10 +51,12 @@ from .reformulate import (
     check_as3,
     check_condition_c,
     check_condition_cc,
+    check_indefinite,
     dual_value,
     lift_set_onesided,
     lift_set_twosided,
     split_indefinite,
+    wd_units,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +83,6 @@ __all__ = [
     "build_cr",
     "build_cr2",
     "build_etrs",
-    "build_socp_indefinite",
     "build_socp_uq",
     "build_trs",
     "build_ttrs",
@@ -93,6 +93,7 @@ __all__ = [
     "check_as3",
     "check_condition_c",
     "check_condition_cc",
+    "check_indefinite",
     "dual_value",
     "find_interior_point",
     "gamma_balls",
@@ -109,4 +110,5 @@ __all__ = [
     "tighten_uq",
     "translate_origin",
     "uq_as_qcqp",
+    "wd_units",
 ]

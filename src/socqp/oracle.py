@@ -21,6 +21,7 @@ _BOX_INFLATE = 1.1  # the inferred box's margin around the tightest row's cube
 _GRID_FEAS_TOL = 1e-9  # slack on the rows for a grid point to count as feasible
 _GRID_TOP_K = 8  # grid points kept, and refined around, per scan
 _Z_LEVELS = 3  # refinements of the Chebyshev oracle's z grid
+_BINARY_LIMIT = 20  # largest n that the binary enumeration accepts
 
 
 @dataclass(frozen=True)
@@ -252,15 +253,15 @@ def sample_max_uq(inst: UqInstance, count: int, seed: int, around=None) -> float
     return max(anchor_val, float(obj[feas].max()))
 
 
-def binary_max_uq(inst: UqInstance, limit: int = 20):
+def binary_max_uq(inst: UqInstance):
     """Exact maximum of f_0 over the binary points feasible for ``inst``.
 
     Exhaustive over {0,1}^n; intended for reduced ILP instances where the
     feasible set is exactly a set of binary points and the arithmetic is
     integral, hence exact.
     """
-    if inst.n > limit:
-        raise InvalidInput(f"binary enumeration limited to n <= {limit}")
+    if inst.n > _BINARY_LIMIT:
+        raise InvalidInput(f"binary enumeration limited to n <= {_BINARY_LIMIT}")
     best = None
     for bits in range(1 << inst.n):
         x = np.array([(bits >> k) & 1 for k in range(inst.n)], dtype=float)

@@ -4,10 +4,15 @@
 relaxation of the structured instance it lifts (the view), certify, solve
 once, report an unbounded or failed solve, and recover a point through
 ``recover.tighten_qcqp`` on the view when the certificate holds.  The shape
-picks only the view and its certificate: for uniform Q PSD, positive definite
-or singular, ``model.uq_as_qcqp`` and ``check_as3``, with the closed-form dual
-of ``certify_strong_duality`` on top; for indefinite Q, the split of
-``build_socp_indefinite``; for a qcqp, the instance and ``check_condition_c``.
+picks the view: for uniform Q PSD, positive definite or singular,
+``model.uq_as_qcqp``, certified by ``check_as3`` with the closed-form dual of
+``certify_strong_duality`` on top; for indefinite Q,
+``reformulate.split_indefinite``, certified by ``check_indefinite``; for a
+qcqp, the instance itself.  One build call serves every view: ``build_cr2``
+when a row has a finite lower bound, else ``build_cr``, which on a one-sided
+uniform view makes the same program.  A qcqp's certificate,
+``check_condition_c``, follows the build, since it reads the lifted set that
+the build picks.
 """
 
 from __future__ import annotations
@@ -36,21 +41,21 @@ def solve_instance(inst: UqInstance | QcqpInstance, opts: SolveOptions | None = 
         pos, neg = linalg.inertia(inst.q, model.rank_cut(inst))
         if neg[-1]:
             report["shape"] = "indefinite"
-            prog, meta, cert, view = reformulate.build_socp_indefinite(inst)
+            view, cert = reformulate.split_indefinite(inst), reformulate.check_indefinite(inst)
         else:
             if not pos[-1]:
                 report["shape"] = "psd_singular"
-            view = model.uq_as_qcqp(inst)
-            (prog, meta), cert = reformulate.build_cr2(view), reformulate.check_as3(inst)
+            view, cert = model.uq_as_qcqp(inst), reformulate.check_as3(inst)
     elif isinstance(inst, QcqpInstance):
-        two_sided = any(bd.has_lower for bd in inst.bounds)
+        report = {"kind": "qcqp", "n": inst.n, "p": inst.p, "sense": inst.sense}
         view = inst
-        prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(inst)
-        report = {"kind": "qcqp", "n": inst.n, "p": inst.p, "sense": inst.sense,
-                  "lifted_blocks": list(meta.lifted)}
-        cert = reformulate.check_condition_c(inst, meta.lifted)
     else:
         raise WrongShape("solve expects a uq or qcqp instance (use cheby/reduce-ilp)")
+    two_sided = any(bd.has_lower for bd in view.bounds)
+    prog, meta = (reformulate.build_cr2 if two_sided else reformulate.build_cr)(view)
+    if isinstance(inst, QcqpInstance):
+        report["lifted_blocks"] = list(meta.lifted)
+        cert = reformulate.check_condition_c(inst, meta.lifted)
     report["certificate"] = {k: v for k, v in vars(cert).items() if v is not None}
     res = conesolver.solve(prog, opts)
     report["solver"] = {"status": res.status, "iterations": res.iterations,

@@ -1,20 +1,19 @@
 """Builders mapping each problem class to a cone program, plus executable
 certifiers for the exactness conditions.
 
-The relaxation builders return a cone program and its meta; the exactness
-certificate is a separate call (``check_as3`` for uniform instances with PSD
-Q, positive definite or singular, where it is condition C of the one-block
-view; ``check_condition_c`` for structured ones), except that
-``build_socp_indefinite`` and ``build_wd`` return theirs with the program.
-``pipeline.solve_instance`` makes these pairs for ``socqp solve``.
-The trust-region special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
-``build_vtrs``) return a min-sense ``QcqpInstance`` that goes through the
-generic ``build_cr``/``build_cr2``, ``check_condition_c`` and
-``recover.tighten_qcqp``.  The builders, the lift sets and recovery take an
+Every builder returns a ``QcqpInstance`` or the program and meta of the one
+assembler, ``_assemble``; each exactness certificate is its own call:
+``check_as3`` (uniform with PSD Q, condition C of the one-block view),
+``check_indefinite`` (the indefinite split) and ``check_condition_c``
+(structured).  ``pipeline.solve_instance`` pairs them for ``socqp solve``.
+The special cases (``build_trs``, ``build_etrs``, ``build_ttrs``,
+``build_vtrs``, and ``build_wd`` in the units of ``wd_units``) return an
+instance that goes through ``build_cr``/``build_cr2``, ``check_condition_c``
+and ``recover.tighten_qcqp``.  The builders, the lift sets and recovery take an
 instance of either sense and read its objective through ``model.as_min``;
-the meta records the instance's own sense.  The uniform builders
-(``build_socp_uq``, ``build_socp_indefinite``) relax the max-sense views
-``model.uq_as_qcqp`` and ``split_indefinite``.
+the meta records the instance's own sense.  The uniform relaxations are
+``build_cr2`` of the max-sense views ``model.uq_as_qcqp`` (``build_socp_uq``,
+which names the split when Q is indefinite) and ``split_indefinite``.
 
 Next to ``check_as3`` sit the closed-form Lagrangian dual of a uniform
 instance with PSD Q (``dual_value``) and ``certify_strong_duality``, which
@@ -51,8 +50,7 @@ class ReformulationMeta:
 
     ``t_index`` maps a lifted block index to its program variable; ``row_map``
     gives, per original constraint, the (upper, lower) linear-row indices
-    (None when that side is infinite or encoded in a cone).  ``x_shift`` is
-    added when mapping a solution back to original coordinates.
+    (None when that side is infinite or encoded in a cone).
     """
 
     n: int
@@ -61,13 +59,9 @@ class ReformulationMeta:
     t_index: dict[int, int] = field(default_factory=dict)
     row_map: list[tuple[int | None, int | None]] = field(default_factory=list)
     epi_index: int | None = None
-    x_shift: np.ndarray | None = None
 
     def x_of(self, z) -> np.ndarray:
-        x = np.asarray(z, dtype=float)[: self.n].copy()
-        if self.x_shift is not None:
-            x += self.x_shift
-        return x
+        return np.asarray(z, dtype=float)[: self.n].copy()
 
     def original_value(self, res: SolverResult) -> float:
         return res.objective if self.sense == "min" else -res.objective
@@ -122,7 +116,7 @@ def build_socp_uq(inst: UqInstance) -> tuple[ConeProgram, ReformulationMeta]:
         view = uq_as_qcqp(inst)
     except InvalidInput as exc:  # the view's only check a UqInstance can fail: Q PSD
         raise WrongShape(
-            "Q is indefinite; use build_socp_indefinite for the split relaxation"
+            "Q is indefinite; use build_cr2(split_indefinite(inst)) for the split relaxation"
         ) from exc
     return build_cr2(view)
 
@@ -231,47 +225,38 @@ def certify_strong_duality(inst: UqInstance, res: SolverResult) -> StrongDuality
     return StrongDualityReport(holds, gap, value, dval, lam)
 
 
-def split_indefinite(inst: UqInstance) -> tuple[QcqpInstance, int, int]:
+def split_indefinite(inst: UqInstance) -> QcqpInstance:
     """Spectral split of an indefinite uniform instance into a two-block
     structured instance maximizing g_0 = f_0, with g_i = f_i.
 
     Q = Q1 - Q2 with Q1 from positive and Q2 from negated negative
     eigenpairs; eigenvalues within tolerance of zero enter neither block, so
-    the returned ranks (r1, r2) are minimal.
+    the blocks' ranks (r1, r2) are minimal.
     """
     w, v = linalg.sym_eig(inst.q)
     pos, neg = linalg.inertia(inst.q, rank_cut(inst))
-    r1, r2 = int(pos.sum()), int(neg.sum())
-    if r1 == 0 or r2 == 0:
+    if not (pos.any() and neg.any()):
         raise WrongShape("Q is semidefinite; use build_socp_uq (possibly negated)")
     q1 = SymMatrix.from_dense((v[:, pos] * w[pos]) @ v[:, pos].T)
     q2 = SymMatrix.from_dense((v[:, neg] * -w[neg]) @ v[:, neg].T)
     a = np.tile([1.0, -1.0], (inst.p + 1, 1))
-    view = QcqpInstance(
+    return QcqpInstance(
         inst.n, [q1, q2], a, inst.b, inst.d, list(inst.bounds), sense="max", tol_rank=inst.tol_rank
     )
-    return view, r1, r2
 
 
-def build_socp_indefinite(
-    inst: UqInstance
-) -> tuple[ConeProgram, ReformulationMeta, CertificateReport, QcqpInstance]:
-    """Split relaxation for indefinite Q: two lifted variables t1, t2 with
-    objective t1 - t2 + 2 b_0'x + d_0 and one cone per spectral part.
-
-    The fourth element is the two-block instance of ``split_indefinite`` that
-    the program relaxes; recovery (``recover.tighten_qcqp``) works on it.
-    """
-    qcqp, r1, r2 = split_indefinite(inst)
-    prog, meta = build_cr2(qcqp)
+def check_indefinite(inst: UqInstance) -> CertificateReport:
+    """Exactness condition for the split relaxation of an indefinite
+    instance: rank[b_1, ..., b_p] <= min(r1, r2) - 1, with r1 and r2 the
+    numbers of positive and negative eigenvalues of Q."""
+    pos, neg = linalg.inertia(inst.q, rank_cut(inst))
     rank = linalg.numerical_rank(inst.b[1:], inst.tol_rank)
-    thresh = min(r1, r2) - 1
-    report = CertificateReport(
+    thresh = min(int(pos.sum()), int(neg.sum())) - 1
+    return CertificateReport(
         rank <= thresh,
         f"rank of constraint terms {rank} vs min(r1, r2)-1 = {thresh}",
         rank=rank,
     )
-    return prog, meta, report, qcqp
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +520,27 @@ def build_etrs(
     )
 
 
-def build_wd(
-    x0, r0: float, points, weights
-) -> tuple[ConeProgram, ReformulationMeta, CertificateReport]:
-    """Weighted max-min dispersion over a ball: maximize s subject to
-    s <= w_i (r0^2 - 2(z_i - x0)'y + ||z_i - x0||^2) and ||y|| <= r0, with the
-    solution mapped back as x = y + x0."""
+def wd_units(x0, r0: float, points, weights) -> tuple[float, float]:
+    """Units (R, S) of the ``build_wd`` instance: R = max(r0, max_i
+    ||z_i - x0||) and S = min_i w_i R^2, so that its point (u, sigma) maps
+    back as x = x0 + R u with dispersion S sigma."""
+    shifted = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(x0, dtype=float)
+    length = max(float(r0), float(np.linalg.norm(shifted, axis=1).max(initial=0.0)))
+    return length, float(np.min(weights)) * length**2
+
+
+def build_wd(x0, r0: float, points, weights) -> QcqpInstance:
+    """Weighted max-min dispersion over a ball: maximize min_i w_i ||x - z_i||^2
+    over ||x - x0|| <= r0, as a max-sense structured instance in (u, sigma)
+    with the one block diag(I_n, 0), in the units (R, S) of ``wd_units``:
+    x = x0 + R u and s = S sigma.  With v_i = w_min / w_i and
+    c_i = (z_i - x0) / R, row 0 is sigma; row i is
+    v_i sigma - u'u + 2 c_i'u <= ||c_i||^2, that is s <= w_i ||x - z_i||^2;
+    the last row is u'u <= (r0/R)^2.  Every entry is then at most 1 and the
+    block's is 1, so rank decisions do not move when the points, the radius
+    or the weights are rescaled.  Relax it with ``build_cr``;
+    ``check_condition_c`` over the lifted set then tests rank[c_i] <= n-1.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n = x0.size
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -552,34 +552,20 @@ def build_wd(
     if r0 <= 0.0:
         raise InvalidInput("ball radius must be positive")
     p = weights.size
-    nv = n + 1
-    c = np.zeros(nv)
-    c[n] = -1.0  # maximize s
-    g = np.zeros((p, nv))
-    h = np.zeros(p)
-    shifted = points - x0[None, :]
-    for i in range(p):
-        g[i, :n] = 2.0 * weights[i] * shifted[i]
-        g[i, n] = 1.0
-        h[i] = weights[i] * (r0**2 + float(shifted[i] @ shifted[i]))
-    a = np.zeros((n, nv))
-    a[:, :n] = np.eye(n)
-    soc = [SocBlock(a, np.zeros(n), np.zeros(nv), r0)]
-    prog = ConeProgram(c=c, g=g, h=h, soc=soc)
-    meta = ReformulationMeta(
-        n=n,
-        sense="max",
-        row_map=[(i, None) for i in range(p)],
-        x_shift=x0.copy(),
-        t_index={0: n},
+    length, _ = wd_units(x0, r0, points, weights)
+    shifted = (points - x0[None, :]) / length
+    block = np.zeros((n + 1, n + 1))
+    block[:n, :n] = np.eye(n)
+    signs = np.concatenate([[0.0], -np.ones(p), [1.0]])[:, None]
+    lin = np.zeros((p + 2, n + 1))
+    lin[0, n] = 0.5
+    lin[1 : p + 1, :n] = shifted
+    lin[1 : p + 1, n] = 0.5 * weights.min() / weights
+    bounds = [Bound(-math.inf, float(z @ z)) for z in shifted]
+    bounds.append(Bound(-math.inf, (r0 / length) ** 2))
+    return QcqpInstance(
+        n + 1, [SymMatrix.from_dense(block)], signs, lin, np.zeros(p + 2), bounds, sense="max"
     )
-    rank = linalg.numerical_rank(shifted)
-    report = CertificateReport(
-        rank <= n - 1,
-        f"rank of re-centered points {rank} vs n-1 = {n - 1}",
-        rank=rank,
-    )
-    return prog, meta, report
 
 
 def build_ttrs(a_mat: SymMatrix, b, alpha: float, beta: float) -> QcqpInstance:

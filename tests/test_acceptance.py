@@ -254,10 +254,11 @@ def test_criterion_6_special_case_builders():
         direction /= np.linalg.norm(direction)
         points = np.vstack([delta * direction, -delta * direction])
         wts = rng.uniform(0.5, 2.0, size=2)
-        prog, meta, rep = reformulate.build_wd(np.zeros(2), 1.0, points, wts)
-        assert rep.holds
+        inst = reformulate.build_wd(np.zeros(2), 1.0, points, wts)
+        prog, meta = reformulate.build_cr(inst)
+        assert reformulate.check_condition_c(inst, meta.lifted).holds
         res = conesolver.solve(prog)
-        value = meta.original_value(res)
+        value = reformulate.wd_units(np.zeros(2), 1.0, points, wts)[1] * meta.original_value(res)
 
         def f(pts):
             return np.minimum(

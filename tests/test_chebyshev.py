@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socqp import chebyshev, oracle
-from socqp.errors import PreconditionViolated
+from socqp import chebyshev, oracle, recover
+from socqp.errors import PreconditionViolated, SocqpError
 from socqp.model import BallIntersection
 
 
@@ -210,6 +211,20 @@ def test_certified_easy_case_matches_grid():
     lo, hi = r.attained
     assert lo <= hi + 1e-9
     assert hi == pytest.approx(r.v_dcc, abs=1e-6)
+
+
+def test_certified_refuses_a_broken_chain(monkeypatch):
+    # an upper end above v_dcc + tolerance breaks the chain
+    # lower <= upper <= v_dcc <= upper
+    approx_uq = recover.approx_uq
+
+    def inflated(inst, opts=None, origin=None):
+        x, trace, cert = approx_uq(inst, opts=opts, origin=origin)
+        return x, trace, dataclasses.replace(cert, upper=cert.upper + 1e-2)
+
+    monkeypatch.setattr(recover, "approx_uq", inflated)
+    with pytest.raises(SocqpError, match="certificate chain failed"):
+        chebyshev.chebyshev_certified(two_balls())
 
 
 def test_certified_chain_hard_case():

@@ -548,6 +548,57 @@ def test_oracle_command_uq(capsys, gap1d_file):
     assert rep["value"] == pytest.approx(1.0, abs=2e-4)
 
 
+ILP_2X = ("ilp", np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+
+
+def test_reduce_ilp_writes_to_stdout(tmp_path, capsys):
+    src = tmp_path / "ilp.json"
+    fileio.save_instance(ILP_2X, src)
+    code, out = run(capsys, "reduce-ilp", str(src))
+    assert code == 0
+    assert out.out == fileio.dumps_instance(model.ilp_to_uq(*ILP_2X[1:]))
+
+
+def test_oracle_command_ilp(tmp_path, capsys):
+    # max 2 x1 + x2 over x1 + x2 <= 1, x binary: x = (1, 0), value 2, exact
+    src = tmp_path / "ilp.json"
+    fileio.save_instance(ILP_2X, src)
+    code, out = run(capsys, "oracle", str(src), "--report-format", "structured")
+    assert code == 0
+    rep = json.loads(out.out)
+    assert rep["value"] == 2.0 and rep["argmax"] == [1.0, 0.0] and rep["error_bound"] == 0.0
+
+
+def test_oracle_command_balls(tmp_path, capsys):
+    # the lens of the unit balls at (+-0.5, 0) has its corners at (0, +-sqrt(0.75)):
+    # the smallest enclosing ball is centred at 0 with squared radius 0.75
+    path = tmp_path / "balls.json"
+    fileio.save_instance(BallIntersection(2, np.array([[0.5, 0.0], [-0.5, 0.0]]), np.ones(2)), path)
+    code, out = run(capsys, "oracle", str(path), "--grid-h", "0.01", "--report-format", "structured")
+    assert code == 0
+    rep = json.loads(out.out)
+    assert abs(rep["value"] - 0.75) <= rep["error_bound"]
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("approx", "ilp"), ("cheby", "uq"), ("reduce-ilp", "balls"), ("oracle", "qcqp"),
+])
+def test_command_given_the_wrong_kind_exits_3(tmp_path, capsys, command, kind):
+    objs = {
+        "ilp": ILP_2X,
+        "uq": UqInstance(1, SymMatrix.identity(1), np.zeros((2, 1)), np.zeros(2),
+                         [Bound(-math.inf, 1.0)]),
+        "balls": BallIntersection(1, np.zeros((1, 1)), np.ones(1)),
+        "qcqp": QcqpInstance(1, [SymMatrix.identity(1)], np.array([[1.0], [1.0]]),
+                             np.zeros((2, 1)), np.zeros(2), [Bound(-math.inf, 1.0)]),
+    }
+    path = tmp_path / f"{kind}.json"
+    fileio.save_instance(objs[kind], path)
+    code, out = run(capsys, command, str(path))
+    assert code == 3
+    assert out.err.startswith("precondition/certificate failure: ")
+
+
 def test_tol_rank_reaches_block_psd_check(tmp_path, capsys):
     # block 0 is packed [1, 0, -1e-6] = diag(1, -1e-6): PSD at 1e-4, not at 1e-8
     doc = {
@@ -1046,7 +1097,7 @@ def test_tol_rank_of_the_file_reaches_every_derived_instance(tmp_path):
         assert inst.tol_rank == tol
         moved, _ = model.translate_origin(inst, np.array([0.1, -0.2]))
         assert moved.tol_rank == tol
-        derived = model.uq_as_qcqp(moved) if q[2] > 0 else reformulate.split_indefinite(moved)[0]
+        derived = model.uq_as_qcqp(moved) if q[2] > 0 else reformulate.split_indefinite(moved)
         assert derived.tol_rank == tol
     doc = {
         "kind": "qcqp", "n": 2, "sense": "max", "blocks": [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]],

@@ -17,7 +17,10 @@ test after a solve, and no such test in ``recover``, ``reformulate``,
 moves an instance's origin.  ``cli`` renders the report of
 ``pipeline.solve_instance``: it builds, certifies, tightens and solves
 nothing itself, though ``approx`` and ``cheby`` still call ``recover`` and
-``chebyshev``.
+``chebyshev``.  Every relaxation has one shape: a public ``build_*`` in
+``reformulate`` returns a structured instance or the program and meta of
+``_assemble``, the one place that makes a ``ConeProgram`` there, and never a
+certificate; ``pipeline.solve_instance`` makes one build call.
 ``socqp.__all__`` lists exactly the names the package imports.
 """
 
@@ -253,3 +256,47 @@ def test_the_cli_builds_certifies_and_solves_nothing():
     found = [f"cli:{line} {name}" for line, name in calls
              if name.split(".")[-1].startswith(prefixes) or name in ("conesolver.solve", "solve")]
     assert found == []
+
+
+def _top_defs(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_builder_returns_an_instance_or_a_program_and_meta():
+    # a certificate is its own call, never bundled with the program
+    shapes = {"QcqpInstance", "tuple[ConeProgram, ReformulationMeta]"}
+    builders = {name: node for name, node in _top_defs("reformulate").items()
+                if name.startswith("build_")}
+    assert {"build_wd", "build_socp_uq", "build_cr"} <= set(builders)
+    found = [f"{name} -> {ast.unparse(node.returns) if node.returns else None}"
+             for name, node in builders.items()
+             if node.returns is None or ast.unparse(node.returns) not in shapes]
+    found += [f"{name}:{sub.lineno} {sub.id}" for name, node in builders.items()
+              for sub in ast.walk(node)
+              if isinstance(sub, ast.Name) and sub.id == "CertificateReport"]
+    assert found == []
+
+
+def test_only_the_assembler_makes_a_cone_program_in_reformulate():
+    tree = ast.parse((SRC / "reformulate.py").read_text(encoding="utf-8"))
+    found = [
+        f"reformulate:{node.lineno}"
+        for top in tree.body
+        if getattr(top, "name", None) != "_assemble"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] == "ConeProgram"
+    ]
+    assert found == []
+
+
+def test_the_pipeline_makes_one_build_call():
+    # the shape picks the view; one call builds every view
+    def names_a_builder(func):
+        return any(_dotted(sub).split(".")[-1].startswith("build_")
+                   for sub in ast.walk(func) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+    body = _top_defs("pipeline")["solve_instance"]
+    calls = [node.lineno for node in ast.walk(body)
+             if isinstance(node, ast.Call) and names_a_builder(node.func)]
+    assert len(calls) == 1, calls

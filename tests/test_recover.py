@@ -12,6 +12,7 @@ from socqp.errors import (
     InvalidInstance,
     PreconditionViolated,
     SolverFailed,
+    TightenFailed,
     WrongShape,
 )
 from socqp.linalg import SymMatrix
@@ -339,6 +340,34 @@ def test_tighten_qcqp_two_block():
     x, _ = recover.tighten_qcqp(inst, res, meta)
     assert inst.is_feasible(x, 1e-6)
     assert inst.values(x)[0] == pytest.approx(v, abs=1e-5 * (1 + abs(v)))
+
+
+def _hard_case_trs():
+    inst = reformulate.build_trs(
+        SymMatrix.from_dense(np.diag([-1.0, -1.0, 0.0])), np.array([0.0, 0.0, 0.01])
+    )
+    prog, meta = reformulate.build_cr(inst)
+    res = conesolver.solve(prog)
+    assert res.status == "Optimal"
+    return inst, res, meta
+
+
+def test_tighten_qcqp_refuses_a_solve_that_is_not_optimal():
+    inst, res, meta = _hard_case_trs()
+    with pytest.raises(PreconditionViolated, match="Optimal"):
+        recover.tighten_qcqp(inst, dataclasses.replace(res, status="MaxIter"), meta)
+
+
+def test_tighten_qcqp_refuses_a_point_off_the_relaxation_value():
+    # the point's objective must be the relaxation value to model.tolerance;
+    # a result whose objective is moved by 1e-3 * data_scale fails that test
+    inst, res, meta = _hard_case_trs()
+    moved = dataclasses.replace(res, objective=res.objective + 1e-3 * model.data_scale(inst))
+    with pytest.raises(TightenFailed, match="objective drift") as info:
+        recover.tighten_qcqp(inst, moved, meta)
+    trace = info.value.trace
+    assert isinstance(trace, recover.TightenTrace)
+    assert trace.final_gap <= model.tolerance(inst, 1.0, 1e-6)
 
 
 # ---------------------------------------------------------------------------

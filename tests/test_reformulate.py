@@ -760,7 +760,7 @@ def test_views_of_a_uniform_instance_evaluate_its_functions(seed):
     indef = UqInstance(n, indefinite, base.b, d, base.bounds)
     for inst, view in (
         (pd, model.uq_as_qcqp(pd)),
-        (indef, reformulate.split_indefinite(indef)[0]),
+        (indef, reformulate.split_indefinite(indef)),
     ):
         assert view.sense == "max"
         for x in rng.normal(size=(5, n)):
@@ -943,10 +943,12 @@ def test_build_etrs_matches_grid():
 
 
 def test_build_wd_single_point_at_center():
-    prog, meta, rep = reformulate.build_wd(
-        np.zeros(2), 1.0, np.zeros((1, 2)), np.array([2.0])
-    )
-    value, _ = solve_value(prog, meta)
+    args = np.zeros(2), 1.0, np.zeros((1, 2)), np.array([2.0])
+    inst = reformulate.build_wd(*args)
+    prog, meta = reformulate.build_cr(inst)
+    rep = reformulate.check_condition_c(inst, meta.lifted)
+    sigma, _ = solve_value(prog, meta)
+    value = reformulate.wd_units(*args)[1] * sigma
     assert value == pytest.approx(2.0, abs=1e-7)  # w * r0^2
     assert rep.holds
 
@@ -955,9 +957,12 @@ def test_build_wd_symmetric_pair_matches_grid():
     delta = 0.4
     points = np.array([[delta, 0.0], [-delta, 0.0]])
     w = np.array([1.0, 1.0])
-    prog, meta, rep = reformulate.build_wd(np.zeros(2), 1.0, points, w)
+    inst = reformulate.build_wd(np.zeros(2), 1.0, points, w)
+    prog, meta = reformulate.build_cr(inst)
+    rep = reformulate.check_condition_c(inst, meta.lifted)
     assert rep.holds  # rank 1 <= n-1
-    value, res = solve_value(prog, meta)
+    sigma, res = solve_value(prog, meta)
+    value = reformulate.wd_units(np.zeros(2), 1.0, points, w)[1] * sigma
 
     def f(pts):
         d = [np.sum((pts - z) ** 2, axis=1) * wi for z, wi in zip(points, w)]
@@ -972,8 +977,65 @@ def test_build_wd_symmetric_pair_matches_grid():
 
 def test_build_wd_condition_fails_in_general_position():
     points = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.4]])
-    _, _, rep = reformulate.build_wd(np.zeros(2), 1.0, points, np.ones(3))
+    inst = reformulate.build_wd(np.zeros(2), 1.0, points, np.ones(3))
+    rep = reformulate.check_condition_c(inst, reformulate.lift_set_onesided(inst))
     assert not rep.holds
+
+
+def _dispersion_cases():
+    """The symmetric pair, then seeded instances whose points z_i - x0 span a
+    subspace of dimension 1..n, so some pass the rank test and some do not."""
+    yield np.zeros(2), 1.0, np.array([[0.4, 0.0], [-0.4, 0.0]]), np.ones(2)
+    rng = np.random.default_rng(23)
+    for _ in range(24):
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        x0 = rng.normal(size=n)
+        basis = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        points = x0 + 0.5 * rng.normal(size=(p, basis.shape[0])) @ basis
+        yield x0, rng.uniform(0.5, 2.0), points, rng.uniform(0.5, 2.0, size=p)
+
+
+def test_build_wd_recovers_a_point_at_the_relaxation_value():
+    # x = x0 + R u of the tightened (u, sigma) lies in the ball, and its
+    # dispersion min_i w_i ||x - z_i||^2 is the relaxation value S sigma
+    certified = 0
+    for k, (x0, r0, points, w) in enumerate(_dispersion_cases()):
+        inst = reformulate.build_wd(x0, r0, points, w)
+        prog, meta = reformulate.build_cr(inst)
+        if not reformulate.check_condition_c(inst, meta.lifted).holds:
+            continue
+        certified += 1
+        sigma, res = solve_value(prog, meta)
+        length, unit = reformulate.wd_units(x0, r0, points, w)
+        value = unit * sigma
+        u, _ = recover.tighten_qcqp(inst, res, meta)
+        x = x0 + length * u[:-1]
+        assert np.linalg.norm(x - x0) <= r0 * (1.0 + 1e-9), k
+        dispersion = min(wi * float((x - z) @ (x - z)) for z, wi in zip(points, w))
+        assert dispersion == pytest.approx(value, rel=1e-6), k
+    assert certified >= 15
+
+
+def test_build_wd_verdict_and_value_do_not_move_with_the_units():
+    # the verdict is rank[z_i - x0] <= n-1 at the points' own scale, and the
+    # value scales as weight * length^2, for data in any units
+    def solved(x0, r0, points, w):
+        inst = reformulate.build_wd(x0, r0, points, w)
+        prog, meta = reformulate.build_cr(inst)
+        sigma, _ = solve_value(prog, meta)
+        value = reformulate.wd_units(x0, r0, points, w)[1] * sigma
+        return reformulate.check_condition_c(inst, meta.lifted).holds, value
+
+    corner = 1e-3 * np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.4]])
+    tiny = (np.zeros(2), 1.0, corner, np.full(3, 1e-6))
+    wide = (np.zeros(2), 2e4, np.array([[8000.0, 0.0], [-8000.0, 0.0]]), np.ones(2))
+    cases = [tiny, wide, *_dispersion_cases()]
+    for k, (x0, r0, points, w) in enumerate(cases):
+        holds, value = solved(x0, r0, points, w)
+        assert holds == (linalg.numerical_rank(points - x0) <= x0.size - 1), k
+        moved = solved(1e4 * x0, 1e4 * r0, 1e4 * points, 1e-6 * w)
+        assert moved[0] == holds, k
+        assert moved[1] == pytest.approx(1e2 * value, rel=1e-6), k
 
 
 def test_build_ttrs_band_example():
@@ -1255,7 +1317,7 @@ def test_build_socp_indefinite_examples():
         np.zeros(2),
         [Bound(-1.0, 1.0)],
     )
-    _, _, rep, _ = reformulate.build_socp_indefinite(inst)
+    rep = reformulate.check_indefinite(inst)
     assert rep.holds and rep.rank == 0
     # one linear term against min(r1, r2) - 1 = 0 fails
     inst2 = UqInstance(
@@ -1265,7 +1327,7 @@ def test_build_socp_indefinite_examples():
         np.zeros(2),
         [Bound(-1.0, 1.0)],
     )
-    _, _, rep2, _ = reformulate.build_socp_indefinite(inst2)
+    rep2 = reformulate.check_indefinite(inst2)
     assert not rep2.holds
 
 
@@ -1278,7 +1340,7 @@ def test_build_socp_indefinite_rejects_definite():
         [Bound(-math.inf, 1.0)],
     )
     with pytest.raises(WrongShape):
-        reformulate.build_socp_indefinite(inst)
+        reformulate.split_indefinite(inst)
 
 
 def test_build_socp_indefinite_matches_grid():
@@ -1293,8 +1355,8 @@ def test_build_socp_indefinite_matches_grid():
             np.zeros(3),
             [Bound(-0.5, 1.0), Bound(-math.inf, 2.0)],
         )
-        prog, meta, rep, _ = reformulate.build_socp_indefinite(inst)
-        assert rep.holds
+        prog, meta = reformulate.build_cr2(reformulate.split_indefinite(inst))
+        assert reformulate.check_indefinite(inst).holds
         res = conesolver.solve(prog)
         assert res.status == "Optimal"
         value = meta.original_value(res)
