@@ -5,7 +5,10 @@ its dual in n + 2 variables; the simplex weights printed below are that
 dual's row multipliers.  Up to p = n balls that candidate is provably
 optimal; beyond that the library brackets the farthest distance from the
 returned center and guarantees a fraction of the relaxation value that
-depends only on how the balls are laid out.
+depends only on how the balls are laid out.  The bracket's high end is the
+relaxation value at (center, value + ||center||^2), an optimum that the
+weights give in closed form; its low end is the distance to the witness
+point that the ratio rounding makes of that optimum.
 """
 
 import numpy as np

@@ -32,6 +32,7 @@ from .recover import (
     approx_uq,
     find_interior_point,
     gamma_uq,
+    round_uq,
     tau_bar,
     tighten_qcqp,
     tighten_uq,
@@ -102,6 +103,7 @@ __all__ = [
     "ilp_to_uq",
     "lift_set_onesided",
     "lift_set_twosided",
+    "round_uq",
     "solve",
     "solve_instance",
     "split_indefinite",

@@ -5,9 +5,12 @@ The candidate center comes from the simplex-weighted convex quadratic
 program, solved through its dual in the n + 2 variables (x, t, tau) with the
 weights read from the dual's row multipliers, so the program does not grow
 with the number of balls.  Its quality is certified by bracketing the
-farthest squared distance max_{x in Omega} ||x - z||^2 between one
-relaxation solve (upper end) and the feasible point produced by the
-bounded-ratio approximation on the same inner problem (lower end).
+farthest squared distance max_{x in Omega} ||x - z||^2.  The upper end needs
+no solve: with z = sum_i w_i a_i and value v, the point (z, v + ||z||^2) meets
+every row of the inner relaxation and the weights bound that relaxation by
+v, so the point is its optimum.  The lower end is the feasible point that the
+bounded-ratio rounding (``recover.round_uq``) makes of that optimum, centred
+at the interiority solve's point.
 """
 
 from __future__ import annotations
@@ -25,17 +28,24 @@ from .model import BallIntersection, Bound, UqInstance, tolerance
 
 # interiority margin below which no ratio certificate is claimed
 DEGENERATE_GAMMA = 1e-6
+# relative roundoff allowed in the simplex sum and in center = sum_i w_i a_i
+_SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ChebyshevResult:
     """Candidate center with its certificate.
 
-    ``attained`` brackets max_{x in Omega} ||x - center||^2; the chain
-    guaranteed_ratio * v_dcc - tol <= attained[0] <= attained[1] <= v_dcc + tol
-    holds on every certified run, with tol the ``model.tolerance`` at v_dcc of
-    the farthest-point instance.  ``gamma`` and ``guaranteed_ratio`` are the
-    ones the approximation certified, at the interiority solve's point.
+    ``attained`` brackets max_{x in Omega} ||x - center||^2: attained[1] is
+    the inner relaxation's value at its closed-form optimum
+    (center, v_dcc + ||center||^2), v_dcc up to roundoff, and attained[0] is
+    ||far_point - center||^2 at the rounded point.  The chain
+    guaranteed_ratio * v_dcc - tol <= attained[0] <= attained[1] + tol holds
+    on every certified run, with tol the ``model.tolerance`` at v_dcc of the
+    farthest-point instance.  The optimum is not unique when at most n
+    weights are positive, so another optimum could round to a higher
+    attained[0].  ``gamma`` and ``guaranteed_ratio`` are the ones the
+    rounding certified, at the interiority solve's point.
     """
 
     center: np.ndarray
@@ -171,11 +181,13 @@ def chebyshev_certified(
 ) -> ChebyshevResult:
     """Certified center of the smallest enclosing ball of the intersection.
 
-    Requires nonempty interior (gamma < 1).  The farthest squared distance
-    from the returned center is bracketed by one relaxation solve from above
-    and an approximation-produced feasible point from below; the lower end is
-    guaranteed to reach ((1-gamma)/(sqrt(2)+gamma))^2 of the center value.
-    A chain of ``ChebyshevResult`` that fails raises ``SocqpError``.
+    Requires nonempty interior (gamma < 1).  Two cone solves: the Beck
+    center and the interiority point.  The inner relaxation's optimum
+    (center, v_dcc + ||center||^2) comes in closed form from the Beck
+    weights, which bound it by weak duality; ``recover.round_uq`` rounds it
+    to a feasible point whose farthest squared distance is guaranteed to
+    reach ((1-gamma)/(sqrt(2)+gamma))^2 of the center value.  A chain of
+    ``ChebyshevResult`` that fails raises ``SocqpError``.
     """
     center, lam, v_dcc = beck_center(balls, opts)
     gamma, interior = _gamma_minmax(balls, opts)
@@ -186,22 +198,39 @@ def chebyshev_certified(
             f"intersection is {kind}: min-max scaled distance gamma = {gamma:.9f}"
         )
 
-    # approx_uq, centred at the interiority solve's point, solves the inner
-    # relaxation once; its value is the upper end
     inner = _inner_instance(balls, center)
-    far_point, _, cert = recover.approx_uq(inner, opts=opts, origin=interior)
-    ratio = cert.guaranteed_ratio
     znorm = float(center @ center)
+    t = v_dcc + znorm
+    row_tol, chain_tol = tolerance(inner, np.array([t, v_dcc]))
+    # the weights lie in the simplex and sum the ball centers to the center,
+    # so by weak duality they bound the inner relaxation by their value v_dcc
+    bound = float(lam @ (balls.radii**2 - inner.d[1:])) + znorm
+    if not (
+        lam.min() >= 0.0
+        and abs(lam.sum() - 1.0) <= _SIMPLEX_TOL
+        and np.abs(center - balls.centers.T @ lam).max()
+        <= _SIMPLEX_TOL * np.abs(balls.centers).max()
+        and abs(bound - v_dcc) <= chain_tol
+    ):
+        raise SocqpError(
+            "certificate chain failed: the weights do not bound the inner relaxation "
+            f"(min {lam.min():.3e}, sum - 1 = {lam.sum() - 1.0:.3e}, "
+            f"bound {bound:.6e}, v_dcc {v_dcc:.6e})"
+        )
+    # and (center, t) meets every row t - 2 a_i'x + ||a_i||^2 <= r_i^2, so it
+    # attains that bound
+    excess = t + 2.0 * (inner.b[1:] @ center) + inner.d[1:] - balls.radii**2
+    if excess.max() > row_tol:
+        raise SocqpError(
+            "certificate chain failed: the closed-form optimum violates row "
+            f"{int(excess.argmax()) + 1} by {excess.max():.3e} (tolerance {row_tol:.3e})"
+        )
+
+    far_point, _, cert = recover.round_uq(inner, center, t, origin=interior)
+    ratio = cert.guaranteed_ratio
     upper = cert.upper + cert.offset + znorm
     lower = cert.lower + cert.offset + znorm
-
-    chain_tol = tolerance(inner, v_dcc)
-    if not (
-        lower <= upper + chain_tol
-        and upper <= v_dcc + chain_tol
-        and v_dcc <= upper + chain_tol
-        and lower >= ratio * v_dcc - chain_tol
-    ):
+    if not (lower <= upper + chain_tol and lower >= ratio * v_dcc - chain_tol):
         raise SocqpError(
             "certificate chain failed: "
             f"ratio*v={ratio * v_dcc:.6e}, lower={lower:.6e}, "

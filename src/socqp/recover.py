@@ -14,6 +14,8 @@ certifying f_0(x) - f_0(x_hat) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v, with v
 the relaxation value of f_0 - f_0(x_hat) and gamma measured at the strictly
 interior point x_hat where it centres itself (``find_interior_point`` finds
 one); its point is returned in the instance's own coordinates.
+``approx_uq`` solves the relaxation first; ``round_uq`` rounds an optimum
+the caller already holds.
 """
 
 from __future__ import annotations
@@ -122,17 +124,16 @@ def _direction(inst: QcqpInstance, j: int, rows: np.ndarray) -> tuple[np.ndarray
 
 
 def _tighten(
-    inst: QcqpInstance, res: SolverResult, meta: reformulate.ReformulationMeta
+    inst: QcqpInstance, z: np.ndarray, value: float, meta: reformulate.ReformulationMeta
 ) -> tuple[np.ndarray, TightenTrace]:
-    """Close each open lifted cone in one step, then accept the point only when
-    its gaps are closed and its objective is the relaxation value, each to
-    ``model.tolerance``; its rows are the caller's to judge.  Private, so
-    that a wrapper of the public names sees each tightening once."""
-    if res.status != "Optimal":
-        raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
+    """Close each open lifted cone of the relaxation optimum z, laid out as
+    ``meta`` records, in one step, then accept the point only when its gaps
+    are closed and its objective is ``value``, the min-sense relaxation
+    value, each to ``model.tolerance``; its rows are the caller's to judge.
+    Private, so that a wrapper of the public names sees each tightening once."""
     inst = model.as_min(inst)
-    x = meta.x_of(res.z)
-    t = {j: float(res.z[meta.t_index[j]]) for j in meta.lifted}
+    x = meta.x_of(z)
+    t = {j: float(z[meta.t_index[j]]) for j in meta.lifted}
     closed = model.tolerance(inst, np.array(list(t.values())), _CLOSED_GAP)
     trace = TightenTrace()
     union = {}  # taken on the first open gap; most optima close every cone
@@ -155,13 +156,26 @@ def _tighten(
                             "dt": dt, "gap": t[j] - float(x @ qj @ x)})
     gaps = [t[j] - float(x @ inst.blocks[j].dense() @ x) for j in meta.lifted]
     trace.final_gap = max(gaps, default=0.0)
-    drift = float(inst.values(x)[0]) - res.objective
+    drift = float(inst.values(x)[0]) - value
     t_max = max(map(abs, t.values()), default=0.0)
-    gap_tol, drift_tol = model.tolerance(inst, np.array([t_max, res.objective]))
+    gap_tol, drift_tol = model.tolerance(inst, np.array([t_max, value]))
     if trace.final_gap > gap_tol or abs(drift) > drift_tol:
         raise TightenFailed(f"residual gap {trace.final_gap:.2e} or objective drift "
                             f"{drift:.2e} too large", trace)
     return x, trace
+
+
+def _optimum(res: SolverResult) -> tuple[np.ndarray, float]:
+    """The lifted point and min-sense value of an Optimal solve, as
+    ``_tighten`` takes them."""
+    if res.status != "Optimal":
+        raise PreconditionViolated(f"tightening needs an Optimal solve, got {res.status}")
+    return res.z, res.objective
+
+
+def _uq_layout(n: int) -> reformulate.ReformulationMeta:
+    """The layout that ``reformulate.build_socp_uq`` records: x, then t."""
+    return reformulate.ReformulationMeta(n, "max", lifted=(0,), t_index={0: n})
 
 
 def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, TightenTrace]:
@@ -173,8 +187,7 @@ def tighten_uq(inst: UqInstance, res: SolverResult) -> tuple[np.ndarray, Tighten
     space of the rows [b_1..b_p; N(Q)'] that ``check_as3`` ranks, or, for
     p = n and Q positive definite, along the line that moves t with x.
     """
-    layout = reformulate.ReformulationMeta(inst.n, "max", lifted=(0,), t_index={0: inst.n})
-    return _tighten(model.uq_as_qcqp(inst), res, layout)
+    return _tighten(model.uq_as_qcqp(inst), *_optimum(res), _uq_layout(inst.n))
 
 
 def tighten_qcqp(
@@ -196,7 +209,7 @@ def tighten_qcqp(
     ``TightenFailed``; its rows are the caller's to judge (``socqp solve``
     judges them at ``--tol-feas``).
     """
-    return _tighten(inst, res, meta)
+    return _tighten(inst, *_optimum(res), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +247,23 @@ def tau_bar(inst: UqInstance, x_bar) -> float:
     """Largest tau in [0,1] with f_i(tau x_bar) <= u_i for every i.
 
     Each constraint gives a convex quadratic in tau with f_i(0) = d_i < u_i,
-    so the per-constraint maximum is a closed-form root clamped to [0,1].
+    so the per-constraint maximum is a closed-form root clamped to [0,1];
+    the roots of all rows are taken at once.
     """
     x_bar = np.asarray(x_bar, dtype=float).reshape(inst.n)
-    for i, bd in enumerate(inst.bounds):
-        if bd.has_upper and inst.d[i + 1] > bd.upper:
-            raise PreconditionViolated("origin is not feasible")
+    upper = np.array([bd.upper for bd in inst.bounds])
+    if np.any(inst.d[1:] > upper):
+        raise PreconditionViolated("origin is not feasible")
+    rows = upper < math.inf
+    lin = 2.0 * np.vecdot(inst.b[1:][rows], x_bar)
+    room = upper[rows] - inst.d[1:][rows]
     quad = inst.q.quad(x_bar)
-    best = 1.0
-    for i, bd in enumerate(inst.bounds):
-        if not bd.has_upper:
-            continue
-        lin = 2.0 * float(inst.b[i + 1] @ x_bar)
-        room = bd.upper - inst.d[i + 1]
-        if quad <= 1e-300:
-            ti = 1.0 if lin <= 0.0 else min(1.0, room / lin)
-        else:
-            disc = lin * lin + 4.0 * quad * room
-            ti = min(1.0, (-lin + math.sqrt(max(disc, 0.0))) / (2.0 * quad))
-        best = min(best, max(ti, 0.0))
-    return best
+    if quad <= 1e-300:
+        ti = np.minimum(1.0, np.divide(room, lin, out=np.ones_like(lin), where=lin > 0.0))
+    else:
+        disc = lin * lin + 4.0 * quad * room
+        ti = np.minimum(1.0, (-lin + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * quad))
+    return float(np.maximum(ti, 0.0).min(initial=1.0))
 
 
 def _check_one_sided(inst: UqInstance, what: str):
@@ -290,6 +300,21 @@ def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
     return res.z[:n].copy(), float(margin)
 
 
+def _centred(inst: UqInstance, origin):
+    """(moved, x_hat, offset, terms): the instance moved to x_hat = ``origin``
+    (default 0), x_hat, the offset f_0(x_hat) and the ``_gamma_terms`` of
+    the moved instance."""
+    _check_one_sided(inst, "approximation")
+    x_hat = np.zeros(inst.n) if origin is None else np.asarray(origin, dtype=float).reshape(inst.n)
+    moved, offset = model.translate_origin(inst, x_hat)
+    for i, bd in enumerate(moved.bounds):
+        if moved.d[i + 1] >= bd.upper:
+            raise PreconditionViolated(
+                f"centring point is not strictly interior: f_{i + 1} >= u_{i + 1}"
+            )
+    return moved, x_hat, offset, _gamma_terms(moved)
+
+
 def approx_uq(
     inst: UqInstance, opts: SolveOptions | None = None, origin=None
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
@@ -300,34 +325,56 @@ def approx_uq(
     returned in the instance's own coordinates, and the certificate bounds
     f_0 - offset, with offset = f_0(x_hat), so any d_0 is allowed.
 
-    Solves the relaxation; when the cone is already tight the optimum itself
-    is returned (ratio 1).  Otherwise a companion point y carrying the
-    missing cone energy is folded with x* into two candidates s_1, s_2 of
-    which at least one scales into the feasible region losing at most the
-    certified factor.  An open cone is first closed by ``tighten_uq`` when
-    the null space of the instance's rows at its ``tol_rank`` allows it.
+    Solves the relaxation at x_hat and rounds its optimum as ``round_uq``
+    does, taking the relaxation value from the solver.
     """
-    _check_one_sided(inst, "approximation")
-    x_hat = np.zeros(inst.n) if origin is None else np.asarray(origin, dtype=float).reshape(inst.n)
-    inst, offset = model.translate_origin(inst, x_hat)
-    for i, bd in enumerate(inst.bounds):
-        if inst.d[i + 1] >= bd.upper:
-            raise PreconditionViolated(
-                f"centring point is not strictly interior: f_{i + 1} >= u_{i + 1}"
-            )
-    nrm2, radicand, gamma = _gamma_terms(inst)
-    ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
-    prog, meta = reformulate.build_socp_uq(inst)
+    centred = _centred(inst, origin)
+    prog, meta = reformulate.build_socp_uq(centred[0])
     res = solve(prog, opts)
     if res.status != "Optimal":
         raise SolverFailed(f"relaxation solve ended with {res.status}")
-    value = meta.original_value(res)
-    x_star = meta.x_of(res.z)
-    t_star = float(res.z[inst.n])
+    return _round(centred, meta.x_of(res.z), float(res.z[inst.n]), meta.original_value(res))
+
+
+def round_uq(
+    inst: UqInstance, x, t: float, origin=None
+) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
+    """``approx_uq`` on a given optimum (x, t) of the relaxation
+    ``reformulate.build_socp_uq(inst)``, in the instance's own coordinates.
+
+    (x, t) must be optimal for that relaxation; its value
+    t + 2 b_0'x + d_0 is the certificate's upper end, and only the rounding's
+    identities are checked.  Centred at x_hat = ``origin`` as ``approx_uq``
+    is, it moves the point by the affine map (x, t) -> (x - x_hat,
+    t - 2 x_hat'Qx + x_hat'Qx_hat), which keeps every row value and the cone.
+
+    When the cone is already tight the point itself is returned (ratio 1).
+    Otherwise a companion point y carrying the missing cone energy is folded
+    with x into two candidates s_1, s_2 of which at least one scales into the
+    feasible region losing at most the certified factor.  An open cone is
+    first closed by the tightening of ``tighten_uq`` when the null space of
+    the instance's rows at its ``tol_rank`` allows it.
+    """
+    centred = _centred(inst, origin)
+    moved, x_hat = centred[:2]
+    x = np.asarray(x, dtype=float).reshape(inst.n)
+    qx_hat = inst.q @ x_hat
+    x_star = x - x_hat
+    t_star = float(t) - 2.0 * float(qx_hat @ x) + float(qx_hat @ x_hat)
+    return _round(centred, x_star, t_star, t_star + 2.0 * float(moved.b[0] @ x_star))
+
+
+def _round(centred, x_star, t_star, value):
+    """The rounding of ``round_uq`` on the instance that ``_centred`` moved,
+    whose relaxation optimum is (x_star, t_star) with value ``value``;
+    returns the point in the coordinates of the instance before centring."""
+    inst, x_hat, offset, (nrm2, radicand, gamma) = centred
+    ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
     qd = inst.q.dense()
-    # close an open cone where tighten_uq finds a direction, and take the shortcut
+    # close an open cone where the tightening finds a direction, and take the shortcut
     with contextlib.suppress(ConditionNotMet, TightenFailed):
-        x_star, _ = tighten_uq(inst, res)
+        x_star, _ = _tighten(model.uq_as_qcqp(inst), np.append(x_star, t_star), -value,
+                             _uq_layout(inst.n))
     xqx = float(x_star @ qd @ x_star)
     gap = t_star - xqx
     # a nonnegative cone gap only slackens one-sided rows, so x* is feasible

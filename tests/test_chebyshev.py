@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socqp import chebyshev, oracle, recover
+from socqp import chebyshev, conesolver, model, oracle, recover, reformulate
 from socqp.errors import PreconditionViolated, SocqpError
 from socqp.model import BallIntersection
 
@@ -213,18 +212,85 @@ def test_certified_easy_case_matches_grid():
     assert hi == pytest.approx(r.v_dcc, abs=1e-6)
 
 
-def test_certified_refuses_a_broken_chain(monkeypatch):
-    # an upper end above v_dcc + tolerance breaks the chain
-    # lower <= upper <= v_dcc <= upper
-    approx_uq = recover.approx_uq
+def test_certified_refuses_weights_off_the_simplex(monkeypatch):
+    # weights that sum to 1.5 bound nothing by weak duality
+    beck_center = chebyshev.beck_center
 
-    def inflated(inst, opts=None, origin=None):
-        x, trace, cert = approx_uq(inst, opts=opts, origin=origin)
-        return x, trace, dataclasses.replace(cert, upper=cert.upper + 1e-2)
+    def pushed(balls, opts=None):
+        center, lam, v = beck_center(balls, opts)
+        return center, 1.5 * lam, v
 
-    monkeypatch.setattr(recover, "approx_uq", inflated)
-    with pytest.raises(SocqpError, match="certificate chain failed"):
+    monkeypatch.setattr(chebyshev, "beck_center", pushed)
+    with pytest.raises(SocqpError, match="certificate chain failed: the weights"):
         chebyshev.chebyshev_certified(two_balls())
+
+
+def test_certified_refuses_a_value_its_weights_do_not_give(monkeypatch):
+    # a v_dcc below the weights' dual value is no upper bound
+    beck_center = chebyshev.beck_center
+
+    def lowered(balls, opts=None):
+        center, lam, v = beck_center(balls, opts)
+        return center, lam, v - 1e-2
+
+    monkeypatch.setattr(chebyshev, "beck_center", lowered)
+    with pytest.raises(SocqpError, match="certificate chain failed: the weights"):
+        chebyshev.chebyshev_certified(two_balls())
+
+
+def test_certified_refuses_a_center_that_violates_a_row(monkeypatch):
+    # the equal weights are a simplex point with their own center and value,
+    # so check 1 holds, but that value exceeds the minimum and some row of
+    # the inner relaxation fails at (center, v + ||center||^2)
+    def uniform(balls, opts=None):
+        lam = np.full(balls.p, 1.0 / balls.p)
+        center = balls.centers.T @ lam
+        cost = balls.radii**2 - np.sum(balls.centers**2, axis=1)
+        return center, lam, float(cost @ lam + center @ center)
+
+    monkeypatch.setattr(chebyshev, "beck_center", uniform)
+    balls = shell_balls(np.random.default_rng(3), 2, 5)
+    with pytest.raises(SocqpError, match="certificate chain failed: the closed-form optimum"):
+        chebyshev.chebyshev_certified(balls)
+
+
+def test_certified_makes_two_cone_solves(monkeypatch):
+    calls = []
+    for module in (chebyshev, recover):
+        solve = module.solve
+
+        def counting(prog, opts=None, solve=solve):
+            calls.append(prog.nvar)
+            return solve(prog, opts)
+
+        monkeypatch.setattr(module, "solve", counting)
+    rng = np.random.default_rng(30)
+    for n, p in ((2, 2), (3, 12), (4, 40)):
+        calls.clear()
+        chebyshev.chebyshev_certified(shell_balls(rng, n, p))
+        assert calls == [n + 2, n + 1], (n, p)  # beck_center, then _gamma_minmax
+
+
+def test_closed_form_inner_optimum_matches_the_cone_solve():
+    # the reference the certified path no longer runs: the inner relaxation
+    # solved by the cone solver, next to the closed-form point (z, v + ||z||^2)
+    rng = np.random.default_rng(31)
+    for n, p in ((2, 1), (3, 2), (4, 4), (2, 9), (3, 25), (5, 60)):
+        balls = shell_balls(rng, n, p)
+        r = chebyshev.chebyshev_certified(balls)
+        _, interior = chebyshev._gamma_minmax(balls)
+        inner = chebyshev._inner_instance(balls, r.center)
+        znorm = float(r.center @ r.center)
+        tol = model.tolerance(inner, r.v_dcc)
+        _, _, cert = recover.approx_uq(inner, origin=interior)
+        assert abs(cert.upper + cert.offset + znorm - r.v_dcc) <= tol, (n, p)
+        prog, meta = reformulate.build_socp_uq(inner)
+        res = conesolver.solve(prog)
+        assert res.status == "Optimal"
+        point = np.append(r.center, r.v_dcc + znorm)
+        assert prog.nvar == point.size and meta.t_index == {0: n}
+        assert prog.violation(point) <= tol, (n, p)
+        assert abs(float(prog.c @ point) + prog.offset - res.objective) <= tol, (n, p)
 
 
 def test_certified_chain_hard_case():

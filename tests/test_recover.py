@@ -107,7 +107,7 @@ def test_tighten_uq_takes_no_second_certificate(monkeypatch):
 
 def test_tighten_uq_reads_the_layout_of_build_socp_uq(monkeypatch):
     seen = []
-    monkeypatch.setattr(recover, "_tighten", lambda view, res, meta: seen.append(meta))
+    monkeypatch.setattr(recover, "_tighten", lambda view, z, value, meta: seen.append(meta))
     inst = random_uq(np.random.default_rng(7), 3, 2)
     res, meta = solve_uq(inst)
     recover.tighten_uq(inst, res)
@@ -471,6 +471,50 @@ def test_tau_bar_maximality_bracket():
             assert inst.worst_violation(bumped * x_bar) > 0.0
 
 
+def _tau_bar_rowwise(inst, x_bar):
+    """tau_bar as one scalar step per row, the reference of the vectorised one."""
+    quad = inst.q.quad(x_bar)
+    best = 1.0
+    for i, bd in enumerate(inst.bounds):
+        if not bd.has_upper:
+            continue
+        lin = 2.0 * float(inst.b[i + 1] @ x_bar)
+        room = bd.upper - inst.d[i + 1]
+        if quad <= 1e-300:
+            ti = 1.0 if lin <= 0.0 else min(1.0, room / lin)
+        else:
+            disc = lin * lin + 4.0 * quad * room
+            ti = min(1.0, (-lin + math.sqrt(max(disc, 0.0))) / (2.0 * quad))
+        best = min(best, max(ti, 0.0))
+    return best
+
+
+def test_tau_bar_matches_the_rowwise_reference():
+    rng = np.random.default_rng(14)
+    flat = 0  # x_bar'Qx_bar = 0, the linear branch
+    for k in range(60):
+        n = int(rng.integers(1, 12))
+        p = int(rng.integers(1, 40))
+        inst = random_convex_uq(rng, n, p)
+        # some rows without an upper bound, and a singular Q whose null space
+        # gives x_bar'Qx_bar = 0
+        bounds = [Bound(bd.upper - 2.0, math.inf) if rng.random() < 0.3 else bd
+                  for bd in inst.bounds]
+        w = np.diag(inst.q.dense()).copy()
+        if k % 2:
+            w[0] = 0.0
+        inst = dataclasses.replace(inst, q=SymMatrix.from_dense(np.diag(w)), bounds=bounds)
+        x_bar = rng.normal(size=n) * 2.0
+        if k % 4 == 1:
+            x_bar[1:] = 0.0
+        flat += inst.q.quad(x_bar) <= 1e-300
+        assert recover.tau_bar(inst, x_bar) == _tau_bar_rowwise(inst, x_bar), k
+    assert flat >= 15
+    open_rows = UqInstance(1, SymMatrix.identity(1), np.array([[0.0], [1.0]]), np.zeros(2),
+                           [Bound(0.0, math.inf)])
+    assert recover.tau_bar(open_rows, np.array([5.0])) == 1.0
+
+
 def test_tau_bar_needs_feasible_origin():
     inst = UqInstance(
         1,
@@ -544,6 +588,42 @@ def test_approx_centres_at_the_origin_it_is_given():
         assert cert == dataclasses.replace(cert_moved, offset=offset), k
         assert cert.offset == float(inst.values(x_hat)[0]), k
     assert ran_construction >= 3
+
+
+def test_round_uq_on_the_solvers_optimum_gives_approx_uqs_answer(monkeypatch):
+    # approx_uq solves at x_hat; that optimum, moved back to the instance's
+    # own coordinates, is what round_uq takes
+    from helpers import random_gap_uq
+
+    solved = []
+    solve = recover.solve
+
+    def recording(prog, opts=None):
+        solved.append(solve(prog, opts))
+        return solved[-1]
+
+    monkeypatch.setattr(recover, "solve", recording)
+    rng = np.random.default_rng(15)
+    ran_construction = 0
+    for k in range(12):
+        n = int(rng.integers(2, 5))
+        inst = random_gap_uq(rng, n, 2 * n) if k % 2 else random_convex_uq(rng, n, n + 2)
+        inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(inst.p)])
+        for origin in (None, 0.02 * rng.normal(size=n), 0.05 * rng.normal(size=n)):
+            x, trace, cert = recover.approx_uq(inst, origin=origin)
+            x_hat = np.zeros(n) if origin is None else origin
+            qx_hat = inst.q @ x_hat
+            z = solved[-1].z
+            x_own = z[:n] + x_hat
+            t_own = float(z[n]) + 2.0 * float(qx_hat @ z[:n]) + float(qx_hat @ x_hat)
+            x_r, trace_r, cert_r = recover.round_uq(inst, x_own, t_own, origin=origin)
+            ran_construction += not trace.shortcut
+            assert trace_r.shortcut == trace.shortcut, k
+            assert np.abs(x_r - x).max() <= 1e-12 * np.abs(x).max(), k
+            for field in ("lower", "upper", "gamma", "guaranteed_ratio", "offset"):
+                got, want = getattr(cert_r, field), getattr(cert, field)
+                assert abs(got - want) <= 1e-12 * abs(want), (k, field)
+    assert ran_construction >= 6
 
 
 def test_approx_refuses_a_centre_that_is_not_strictly_interior():
