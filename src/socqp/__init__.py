@@ -30,8 +30,8 @@ from .recover import (
     ApproxTrace,
     TightenTrace,
     approx_uq,
-    find_interior_point,
     gamma_uq,
+    least_gamma,
     round_uq,
     tau_bar,
     tighten_qcqp,
@@ -96,11 +96,11 @@ __all__ = [
     "check_condition_cc",
     "check_indefinite",
     "dual_value",
-    "find_interior_point",
     "gamma_balls",
     "gamma_uq",
     "gamma_upper",
     "ilp_to_uq",
+    "least_gamma",
     "lift_set_onesided",
     "lift_set_twosided",
     "round_uq",

@@ -10,7 +10,9 @@ no solve: with z = sum_i w_i a_i and value v, the point (z, v + ||z||^2) meets
 every row of the inner relaxation and the weights bound that relaxation by
 v, so the point is its optimum.  The lower end is the feasible point that the
 bounded-ratio rounding (``recover.round_uq``) makes of that optimum, centred
-at the interiority solve's point.
+at the point of least gamma that ``recover.least_gamma`` finds; the
+rounding's one interiority rule refuses an intersection with no interior
+there.
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recover, reformulate
-from .conesolver import ConeProgram, SocBlock, SolveOptions, solve
-from .errors import PreconditionViolated, SocqpError, SolverFailed
+from .conesolver import ConeProgram, SolveOptions, solve
+from .errors import SocqpError, SolverFailed
 from .linalg import SymMatrix
 from .model import BallIntersection, Bound, UqInstance, tolerance
 
-# interiority margin below which no ratio certificate is claimed
-DEGENERATE_GAMMA = 1e-6
 # relative roundoff allowed in the simplex sum and in center = sum_i w_i a_i
 _SIMPLEX_TOL = 1e-9
 
@@ -45,7 +45,7 @@ class ChebyshevResult:
     farthest-point instance.  The optimum is not unique when at most n
     weights are positive, so another optimum could round to a higher
     attained[0].  ``gamma`` and ``guaranteed_ratio`` are the ones the
-    rounding certified, at the interiority solve's point.
+    rounding certified, at the point of least gamma where it is centred.
     """
 
     center: np.ndarray
@@ -128,34 +128,15 @@ def beck_center(
     return center, lam, value
 
 
-def _gamma_minmax(balls: BallIntersection, opts: SolveOptions | None = None):
-    """Optimal value and minimizer of min_x max_i ||x - a_i|| / r_i."""
-    n, p = balls.n, balls.p
-    nv = n + 1  # (x, s)
-    c = np.zeros(nv)
-    c[n] = 1.0
-    soc = []
-    for i in range(p):
-        a = np.zeros((n, nv))
-        a[:, :n] = np.eye(n)
-        ck = np.zeros(nv)
-        ck[n] = balls.radii[i]
-        soc.append(SocBlock(a, -balls.centers[i], ck, 0.0))
-    res = solve(ConeProgram(c=c, soc=soc), opts)
-    if res.status != "Optimal":
-        raise SolverFailed(f"interiority solve ended with status {res.status}")
-    return float(res.objective), res.z[:n].copy()
-
-
 def gamma_balls(balls: BallIntersection) -> float:
     """min over x of the largest scaled distance max_i ||x - a_i|| / r_i.
 
     At most 1 exactly when the intersection is nonempty, and below 1 exactly
     when it has interior; values above 1 are returned as-is and signal an
-    empty intersection.
+    empty intersection.  It is ``recover.least_gamma`` of the inner
+    instance, whose rows are the balls.
     """
-    value, _ = _gamma_minmax(balls)
-    return value
+    return recover.least_gamma(_inner_instance(balls, np.zeros(balls.n)))[1]
 
 
 def gamma_upper(balls: BallIntersection) -> float:
@@ -182,7 +163,8 @@ def chebyshev_certified(
     """Certified center of the smallest enclosing ball of the intersection.
 
     Requires nonempty interior (gamma < 1).  Two cone solves: the Beck
-    center and the interiority point.  The inner relaxation's optimum
+    center and ``recover.least_gamma``'s point of least gamma, where the
+    rounding is centred.  The inner relaxation's optimum
     (center, v_dcc + ||center||^2) comes in closed form from the Beck
     weights, which bound it by weak duality; ``recover.round_uq`` rounds it
     to a feasible point whose farthest squared distance is guaranteed to
@@ -190,14 +172,6 @@ def chebyshev_certified(
     ``ChebyshevResult`` that fails raises ``SocqpError``.
     """
     center, lam, v_dcc = beck_center(balls, opts)
-    gamma, interior = _gamma_minmax(balls, opts)
-    g_up = gamma_upper(balls)
-    if gamma >= 1.0 - DEGENERATE_GAMMA:
-        kind = "empty" if gamma > 1.0 else "degenerate (no interior at tolerance)"
-        raise PreconditionViolated(
-            f"intersection is {kind}: min-max scaled distance gamma = {gamma:.9f}"
-        )
-
     inner = _inner_instance(balls, center)
     znorm = float(center @ center)
     t = v_dcc + znorm
@@ -226,6 +200,9 @@ def chebyshev_certified(
             f"{int(excess.argmax()) + 1} by {excess.max():.3e} (tolerance {row_tol:.3e})"
         )
 
+    # rounded at the point of least gamma, where an intersection with no
+    # interior at tolerance is refused
+    interior, _ = recover.least_gamma(inner, opts)
     far_point, _, cert = recover.round_uq(inner, center, t, origin=interior)
     ratio = cert.guaranteed_ratio
     upper = cert.upper + cert.offset + znorm
@@ -241,7 +218,7 @@ def chebyshev_certified(
         weights=lam,
         v_dcc=v_dcc,
         gamma=cert.gamma,
-        gamma_upper=g_up,
+        gamma_upper=gamma_upper(balls),
         attained=(lower, upper),
         guaranteed_ratio=ratio,
         far_point=far_point,

@@ -169,13 +169,14 @@ def cmd_approx(args) -> int:
     if not isinstance(inst, UqInstance):
         raise WrongShape("approx expects a uq instance")
     report: dict = {"kind": "approx", "n": inst.n, "p": inst.p}
+    opts = _options(args)
     origin = None
-    if abs(float(inst.d[0])) > 0.0 or any(
-        inst.d[i + 1] >= bd.upper for i, bd in enumerate(inst.bounds) if bd.has_upper
-    ):
-        origin, margin = recover.find_interior_point(inst)
-        report["translated"] = {"interior_point": origin, "margin": margin}
-    x, trace, cert = recover.approx_uq(inst, opts=_options(args), origin=origin)
+    # centre at the point of least gamma when d_0 != 0 or the origin fails
+    # the rounding's interiority rule
+    if inst.d[0] != 0.0 or recover.gamma_uq(inst) >= 1.0 - recover.DEGENERATE_GAMMA:
+        origin, _ = recover.least_gamma(inst, opts)
+        report["translated"] = {"centre": origin}
+    x, trace, cert = recover.approx_uq(inst, opts=opts, origin=origin)
     report.update(
         {
             "gamma": cert.gamma,

@@ -1,9 +1,9 @@
 """Brute-force ground truth for small instances.
 
 Exhaustive grid search for uniform instances (n <= 3), a double grid for the
-Chebyshev min-max problem (n <= 2), rejection sampling, and exact binary
-enumeration for reduced ILPs.  These oracles back the derived expected values
-in the test suite; they are not part of the solving path.
+Chebyshev min-max problem (n <= 2), and exact binary enumeration for
+reduced ILPs.  These oracles back the derived expected values in the test
+suite; they are not part of the solving path.
 """
 
 from __future__ import annotations
@@ -223,34 +223,6 @@ def grid_minmax_cc(balls: BallIntersection, h: float) -> GridMinMax:
     value = incumbent[0]
     lip = 2.0 * math.sqrt(max(value, 0.0))
     return GridMinMax(value, lip * (h + hz) * math.sqrt(balls.n))
-
-
-def sample_max_uq(inst: UqInstance, count: int, seed: int, around=None) -> float:
-    """Best feasible objective among ``count`` random samples (a valid lower
-    bound on the optimum); -inf when nothing feasible was drawn."""
-    if around is None:
-        around = np.zeros(inst.n)
-    around = np.asarray(around, dtype=float).reshape(inst.n)
-    if not inst.is_feasible(around):
-        raise InvalidInput("sampling needs a feasible anchor point")
-    if count <= 0:
-        return -math.inf
-    try:
-        lo, hi = infer_box(inst)
-        radius = 0.5 * float(np.max(hi - lo))
-    except (UnboundedBox, EmptyFeasibleGrid):
-        radius = 1.0
-    rng = np.random.default_rng(seed)
-    scales = np.array([0.05, 0.15, 0.3, 0.6, 1.0])
-    pts = around[None, :] + rng.standard_normal((count, inst.n)) * (
-        radius * scales[np.arange(count) % scales.size][:, None]
-    )
-    quad = np.einsum("pi,ij,pj->p", pts, inst.q.dense(), pts)
-    obj, feas = _evaluate(inst, quad, lambda i: 2.0 * pts @ inst.b[i], 0.0)
-    anchor_val = float(inst.values(around)[0])
-    if not np.any(feas):
-        return anchor_val
-    return max(anchor_val, float(obj[feas].max()))
 
 
 def binary_max_uq(inst: UqInstance):

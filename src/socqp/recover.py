@@ -11,9 +11,11 @@ condition counts, so recovery runs no certificate of its own.
 The approximation routine splits the relaxation optimum into two cone-tight
 candidates and scales the better one back into the feasible region,
 certifying f_0(x) - f_0(x_hat) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v, with v
-the relaxation value of f_0 - f_0(x_hat) and gamma measured at the strictly
-interior point x_hat where it centres itself (``find_interior_point`` finds
-one); its point is returned in the instance's own coordinates.
+the relaxation value of f_0 - f_0(x_hat) and gamma measured at the point
+x_hat where it centres itself; ``least_gamma`` finds the x_hat of least
+gamma by one cone solve, and a gamma within ``DEGENERATE_GAMMA`` of 1 (or
+above) at x_hat is refused as no interior.  Its point is returned in the
+instance's own coordinates.
 ``approx_uq`` solves the relaxation first; ``round_uq`` rounds an optimum
 the caller already holds.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, model, reformulate
-from .conesolver import ConeProgram, SolveOptions, SolverResult, solve
+from .conesolver import ConeProgram, SocBlock, SolveOptions, SolverResult, solve
 from .errors import (
     ConditionNotMet,
     EmptyInterior,
@@ -43,8 +45,9 @@ from .model import QcqpInstance, UqInstance
 
 _CLOSED_GAP = 1e-8  # model.tolerance's tol below which a lifted gap is closed
 _IDENTITY_TOL = 1e-8  # its tol for the approximation's identities, exact up to roundoff
-_INTERIOR_MARGIN = 1e-8  # its tol for the margin that an interior point must exceed
 _TIE = 1e-12  # relative size below which a roundoff tie-break counts a value as zero
+# a centre whose gamma reaches 1 - DEGENERATE_GAMMA has no interior at tolerance
+DEGENERATE_GAMMA = 1e-6
 
 
 @dataclass
@@ -273,46 +276,53 @@ def _check_one_sided(inst: UqInstance, what: str):
         raise WrongShape(f"{what} needs every lower bound -inf and every upper bound finite")
 
 
-def find_interior_point(inst: UqInstance) -> tuple[np.ndarray, float]:
-    """Point with strictly positive slack in every upper bound, plus its margin.
+def least_gamma(inst: UqInstance, opts: SolveOptions | None = None) -> tuple[np.ndarray, float]:
+    """The centre x_hat of least gamma, and gamma there: the point where the
+    rounding's certified ratio ((1-gamma)/(sqrt(2)+gamma))^2 is largest.
 
-    Solves max s subject to t + 2 b_i'x + d_i + s <= u_i and x'Qx <= t with
-    the cone solver; a margin within ``model.tolerance`` at tol 1e-8 raises
-    ``EmptyInterior``.  Needs every l_i = -inf and every u_i finite.
+    Translation leaves the radicands of ``_gamma_terms`` fixed, so gamma at x
+    is max_i ||F x + F Q^(-1) b_i|| / sqrt(radicand_i), with F'F = Q the
+    factor of ``linalg.psd_factor``.  One cone solve, min s over (x, s)
+    subject to ||F x + F Q^(-1) b_i|| <= sqrt(radicand_i) s, finds x_hat;
+    gamma is then evaluated at x_hat from those rows, so it is
+    ``gamma_uq`` of the instance moved to x_hat up to roundoff, and it is
+    never negative.  Below 1 exactly when the rows have a common strictly
+    interior point.  Needs Q positive definite and one-sided finite rows.
     """
-    _check_one_sided(inst, "interior-point search")
-    n = inst.n
-    nv = n + 2  # variables (x, t, s)
-    c = np.zeros(nv)
-    c[n + 1] = -1.0  # maximize s
-    g = np.ones((inst.p, nv))
-    g[:, :n] = 2.0 * inst.b[1:]
-    h = np.array([bd.upper for bd in inst.bounds]) - inst.d[1:]
+    _, radicand, _ = _gamma_terms(inst)
     factor = linalg.psd_factor(inst.q, model.rank_cut(inst))
-    cone = reformulate.quad_epigraph(factor, nv, np.eye(nv)[n], 0.0)
-    res = solve(ConeProgram(c=c, g=g, h=h, soc=[cone]))
+    # F Q^(-1) = diag(1/sqrt(w)) V' is F with row k divided by w_k = ||F_k||^2
+    shift = (factor @ inst.b[1:].T) / np.vecdot(factor, factor)[:, None]
+    root = np.sqrt(radicand)
+    n = inst.n
+    a = np.hstack([factor, np.zeros((n, 1))])  # Q is definite, so F is n x n
+    soc = [SocBlock(a, shift[:, i], np.append(np.zeros(n), root[i]), 0.0) for i in range(inst.p)]
+    res = solve(ConeProgram(c=np.eye(n + 1)[n], soc=soc), opts)  # min s over (x, s)
     if res.status != "Optimal":
-        raise EmptyInterior(f"interior search ended with status {res.status}")
-    margin = -res.objective
-    least = model.tolerance(inst, 0.0, _INTERIOR_MARGIN)
-    if margin <= least:
-        raise EmptyInterior(f"best margin {margin:.3e} is within tolerance {least:.3g}")
-    return res.z[:n].copy(), float(margin)
+        raise SolverFailed(f"least-gamma solve ended with status {res.status}")
+    x_hat = res.z[:n].copy()
+    gamma = float(np.max(np.linalg.norm(factor @ x_hat[:, None] + shift, axis=0) / root))
+    return x_hat, gamma
 
 
 def _centred(inst: UqInstance, origin):
     """(moved, x_hat, offset, terms): the instance moved to x_hat = ``origin``
     (default 0), x_hat, the offset f_0(x_hat) and the ``_gamma_terms`` of
-    the moved instance."""
+    the moved instance.  The one interiority rule: a gamma at x_hat of at
+    least 1 - ``DEGENERATE_GAMMA`` raises ``EmptyInterior``, naming the
+    row that attains it."""
     _check_one_sided(inst, "approximation")
     x_hat = np.zeros(inst.n) if origin is None else np.asarray(origin, dtype=float).reshape(inst.n)
     moved, offset = model.translate_origin(inst, x_hat)
-    for i, bd in enumerate(moved.bounds):
-        if moved.d[i + 1] >= bd.upper:
-            raise PreconditionViolated(
-                f"centring point is not strictly interior: f_{i + 1} >= u_{i + 1}"
-            )
-    return moved, x_hat, offset, _gamma_terms(moved)
+    terms = _gamma_terms(moved)
+    nrm2, radicand, gamma = terms
+    if gamma >= 1.0 - DEGENERATE_GAMMA:
+        worst = int(np.argmax(nrm2 / radicand)) + 1
+        raise EmptyInterior(
+            f"centring point is not strictly interior: gamma = {gamma:.9f} >= "
+            f"1 - {DEGENERATE_GAMMA:g}, attained at f_{worst}"
+        )
+    return moved, x_hat, offset, terms
 
 
 def approx_uq(
@@ -321,7 +331,8 @@ def approx_uq(
     """Feasible point with a certified fraction of the relaxation optimum.
 
     Centred at x_hat = ``origin`` (default 0), which must be strictly
-    interior (f_i(x_hat) < u_i, else ``PreconditionViolated``); the point is
+    interior (gamma there below 1 - ``DEGENERATE_GAMMA``, else
+    ``EmptyInterior``; ``least_gamma`` finds the best x_hat); the point is
     returned in the instance's own coordinates, and the certificate bounds
     f_0 - offset, with offset = f_0(x_hat), so any d_0 is allowed.
 

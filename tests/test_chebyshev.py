@@ -180,6 +180,23 @@ def test_ball_helpers_match_per_ball_loops():
         assert all(bd.lower == -math.inf for bd in inner.bounds)
 
 
+def test_least_gamma_is_no_worse_than_at_the_beck_center():
+    # Beck's program, t - 2a_i'x - tau <= r_i^2 - ||a_i||^2 with min tau, is
+    # the max-min-slack program on the inner instance's rows: its centre is
+    # the point that the max-min-slack search returned, and least_gamma's
+    # point is never worse than it
+    rng = np.random.default_rng(27)
+    for trial in range(12):
+        n = int(rng.integers(2, 6))
+        balls = random_balls(rng, n, int(rng.integers(2, 30)), spread=0.3)
+        inner = chebyshev._inner_instance(balls, np.zeros(n))
+        _, gamma = recover.least_gamma(inner)
+        center, _, _ = chebyshev.beck_center(balls)
+        at_center = float(np.max(np.linalg.norm(balls.centers - center, axis=1) / balls.radii))
+        assert gamma <= min(at_center + 1e-9, 1.0), trial
+        assert gamma == chebyshev.gamma_balls(balls), trial
+
+
 def test_gamma_upper_dominates_gamma():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -268,7 +285,7 @@ def test_certified_makes_two_cone_solves(monkeypatch):
     for n, p in ((2, 2), (3, 12), (4, 40)):
         calls.clear()
         chebyshev.chebyshev_certified(shell_balls(rng, n, p))
-        assert calls == [n + 2, n + 1], (n, p)  # beck_center, then _gamma_minmax
+        assert calls == [n + 2, n + 1], (n, p)  # beck_center, then least_gamma
 
 
 def test_closed_form_inner_optimum_matches_the_cone_solve():
@@ -278,8 +295,8 @@ def test_closed_form_inner_optimum_matches_the_cone_solve():
     for n, p in ((2, 1), (3, 2), (4, 4), (2, 9), (3, 25), (5, 60)):
         balls = shell_balls(rng, n, p)
         r = chebyshev.chebyshev_certified(balls)
-        _, interior = chebyshev._gamma_minmax(balls)
         inner = chebyshev._inner_instance(balls, r.center)
+        interior, _ = recover.least_gamma(inner)
         znorm = float(r.center @ r.center)
         tol = model.tolerance(inner, r.v_dcc)
         _, _, cert = recover.approx_uq(inner, origin=interior)
@@ -335,7 +352,7 @@ def test_certified_far_point_lies_in_omega():
 
 def test_certified_many_balls_in_twenty_dimensions():
     # 200 unit balls whose centers lie at distance 0.5 from the origin: the
-    # interiority solve has 200 cones of dimension 21 and must still converge
+    # least-gamma solve has 200 cones of dimension 21 and must still converge
     rng = np.random.default_rng(0)
     dirs = rng.normal(size=(200, 20))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -350,17 +367,17 @@ def test_certified_many_balls_in_twenty_dimensions():
 
 
 def test_certified_reports_the_gamma_its_rounding_certified(monkeypatch):
-    # gamma is max_i ||x_hat - a_i|| / r_i at the interiority solve's point
-    # x_hat, where the approximation is centred, not that solve's objective
+    # gamma is max_i ||x_hat - a_i|| / r_i at least_gamma's point x_hat,
+    # where the approximation is centred, not that solve's objective
     points = []
-    gamma_minmax = chebyshev._gamma_minmax
+    least_gamma = recover.least_gamma
 
-    def recording(balls, opts=None):
-        value, point = gamma_minmax(balls, opts)
+    def recording(inst, opts=None):
+        point, value = least_gamma(inst, opts)
         points.append(point)
-        return value, point
+        return point, value
 
-    monkeypatch.setattr(chebyshev, "_gamma_minmax", recording)
+    monkeypatch.setattr(recover, "least_gamma", recording)
     rng = np.random.default_rng(21)
     for trial in range(6):
         balls = shell_balls(rng, int(rng.integers(2, 6)), int(rng.integers(20, 60)))

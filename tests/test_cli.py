@@ -495,6 +495,34 @@ def test_approx_translates_when_needed(tmp_path, capsys):
     assert rep["worst_violation"] <= 1e-6
 
 
+def test_approx_passes_its_solver_flags_to_both_cone_solves(tmp_path, capsys, monkeypatch):
+    # d_0 != 0 makes approx centre at the point of least gamma: that solve
+    # and the relaxation solve both run with the command's flags
+    seen = []
+    solve = recover.solve
+
+    def recording(prog, opts=None):
+        seen.append(opts)
+        return solve(prog, opts)
+
+    monkeypatch.setattr(recover, "solve", recording)
+    inst = UqInstance(
+        2,
+        SymMatrix.identity(2),
+        np.array([[0.4, 0.0], [0.2, 0.1]]),
+        np.array([0.5, 0.0]),
+        [Bound(-math.inf, 1.0)],
+    )
+    path = tmp_path / "lifted.json"
+    fileio.save_instance(inst, path)
+    flags = ("--tol-feas", "1e-7", "--gap", "1e-7", "--max-iter", "77")
+    code, out = run(capsys, "approx", str(path), *flags)
+    assert code == 0, out.err
+    assert len(seen) == 2
+    for opts in seen:
+        assert opts is not None and (opts.feastol, opts.gaptol, opts.max_iter) == (1e-7, 1e-7, 77)
+
+
 def test_cheby_command(tmp_path, capsys):
     balls = BallIntersection(
         2, np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, 1.0])

@@ -127,7 +127,7 @@ def test_translate_preserves_feasibility():
         assert inst.is_feasible(x + shift) == out.is_feasible(x)
 
 
-def test_find_interior_single_ball():
+def test_least_gamma_single_ball():
     inst = UqInstance(
         2,
         SymMatrix.identity(2),
@@ -135,31 +135,33 @@ def test_find_interior_single_ball():
         np.zeros(2),
         [Bound(-math.inf, 1.0)],
     )
-    x, margin = recover.find_interior_point(inst)
+    x, gamma = recover.least_gamma(inst)
     assert np.linalg.norm(x) < 1e-4
-    assert margin == pytest.approx(1.0, abs=1e-6)
+    assert 0.0 <= gamma < 1e-4
 
 
-def test_find_interior_two_balls_symmetric():
-    # ||x -+ 0.5 e1||^2 <= 1 as uniform rows
+def test_least_gamma_two_balls_symmetric():
+    # ||x -+ 0.5 e1||^2 <= 1 as uniform rows: gamma = max_i ||x -+ 0.5 e1||
     b = np.array([[0.0, 0.0], [-0.5, 0.0], [0.5, 0.0]])
     d = np.array([0.0, 0.25, 0.25])
     inst = UqInstance(
         2, SymMatrix.identity(2), b, d, [Bound(-math.inf, 1.0)] * 2
     )
-    x, margin = recover.find_interior_point(inst)
+    x, gamma = recover.least_gamma(inst)
     assert abs(x[0]) < 1e-5
-    assert margin == pytest.approx(0.75, abs=1e-5)
+    assert gamma == pytest.approx(0.5, abs=1e-6)
 
 
-def test_find_interior_touching_balls():
+def test_least_gamma_touching_balls():
     b = np.array([[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
     d = np.array([0.0, 1.0, 1.0])
     inst = UqInstance(
         2, SymMatrix.identity(2), b, d, [Bound(-math.inf, 1.0)] * 2
     )
+    x, gamma = recover.least_gamma(inst)
+    assert gamma == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(EmptyInterior):
-        recover.find_interior_point(inst)
+        recover.approx_uq(inst, origin=x)
 
 
 def test_ilp_reduction_single_variable():

@@ -146,22 +146,6 @@ def test_grid_minmax_lower_bounds_relaxation():
     assert g.value <= v_dcc + g.error_bound + 1e-3
 
 
-def test_sample_max_bounds_and_determinism():
-    rng = np.random.default_rng(2)
-    inst = random_uq(rng, 2, 2)
-    v1 = oracle.sample_max_uq(inst, 500, seed=7)
-    v2 = oracle.sample_max_uq(inst, 500, seed=7)
-    assert v1 == v2  # bit-identical under a fixed seed
-    g = oracle.grid_max_uq(inst, h=oracle_step(inst), refine=2)
-    assert v1 <= g.value + g.error_bound
-
-
-def test_sample_max_zero_count():
-    rng = np.random.default_rng(3)
-    inst = random_uq(rng, 2, 1)
-    assert oracle.sample_max_uq(inst, 0, seed=0) == -math.inf
-
-
 def test_binary_max_requires_feasible_point():
     inst = model.ilp_to_uq(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
     with pytest.raises(EmptyFeasibleGrid):

@@ -635,6 +635,35 @@ def test_approx_refuses_a_centre_that_is_not_strictly_interior():
             recover.approx_uq(inst, origin=np.array(x_hat))
 
 
+def test_least_gamma_is_gamma_at_its_point_and_moves_with_the_data():
+    # gamma at x_hat is gamma_uq of the instance moved there; it is no worse
+    # than the origin's when the origin is interior; and translating the data
+    # by v moves x_hat by v and keeps gamma.  d_0 != 0 throughout, and the
+    # translated copies have an infeasible origin.
+    from helpers import random_gap_uq
+
+    rng = np.random.default_rng(26)
+    infeasible_origins = 0
+    for k in range(24):
+        n = int(rng.integers(2, 6))
+        p = int(rng.integers(1, n + 4))
+        inst = random_gap_uq(rng, n, p) if k % 2 else random_convex_uq(rng, n, p)
+        inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(p)])
+        x_hat, gamma = recover.least_gamma(inst)
+        v = rng.normal(size=n)
+        v *= 3.0 / np.linalg.norm(v)
+        shifted, _ = model.translate_origin(inst, -v)  # f'_i(x) = f_i(x - v)
+        infeasible_origins += not shifted.is_feasible(np.zeros(n), 0.0)
+        x_s, gamma_s = recover.least_gamma(shifted)
+        for case, (data, x, g) in enumerate(((inst, x_hat, gamma), (shifted, x_s, gamma_s))):
+            at_x = recover.gamma_uq(model.translate_origin(data, x)[0])
+            assert g >= 0.0 and g == pytest.approx(at_x, rel=1e-9, abs=1e-12), (k, case)
+        assert gamma <= recover.gamma_uq(inst) * (1.0 + 1e-8), k
+        assert np.abs(x_s - (x_hat + v)).max() <= 1e-6, k
+        assert abs(gamma_s - gamma) <= 1e-9 * max(gamma, 1.0), k
+    assert infeasible_origins >= 20
+
+
 def test_selection_bound_reads_the_rows():
     # ||Q^(1/2)(x + Q^(-1) b_i)||^2 = f_i(x) - d_i + b_i'Q^(-1)b_i
     rng = np.random.default_rng(13)
