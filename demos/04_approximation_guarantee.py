@@ -2,7 +2,8 @@
 
 When the relaxation is not tight, the approximation still returns a feasible
 point whose value is at least ((1-gamma)/(sqrt(2)+gamma))^2 of the relaxation
-optimum, with gamma computed from the data.  The guarantee involves neither
+optimum, with gamma computed from the data at the point where the rounding
+centres itself, the point of least gamma.  The guarantee involves neither
 the number of variables nor the number of constraints.
 
 Opposed constraint pairs (+v, -v) pin the relaxation optimum near the origin
@@ -12,7 +13,7 @@ rounding construction does real work.
 
 import numpy as np
 
-from socqp import Bound, SymMatrix, UqInstance, approx_uq, gamma_uq
+from socqp import Bound, SymMatrix, UqInstance, approx_uq
 from socqp.oracle import grid_max_uq, infer_box
 
 rng = np.random.default_rng(3)
@@ -33,12 +34,15 @@ for k in range(pairs):
 inst = UqInstance(n, q, b, np.zeros(2 * pairs + 1), bounds)
 
 print(f"instance: n = {n} variables, p = {2 * pairs} one-sided constraints")
-print(f"gamma                      {gamma_uq(inst):.6f}")
 
+# the rounding centres itself at the point of least gamma; the fractions are
+# of f_0 - f_0(centre), the values below are f_0 itself
 x, trace, cert = approx_uq(inst)
-print(f"relaxation value           {cert.upper:.9f}")
+print(f"centre (least gamma)       ({', '.join(f'{v:.6f}' for v in cert.centre)})")
+print(f"gamma at the centre        {cert.gamma:.6f}")
+print(f"relaxation value           {cert.upper + cert.offset:.9f}")
 print(f"guaranteed fraction        {cert.guaranteed_ratio:.6f}")
-print(f"achieved value             {cert.lower:.9f}")
+print(f"achieved value             {cert.lower + cert.offset:.9f}")
 print(f"achieved fraction          {cert.lower / cert.upper:.6f}")
 print(f"worst constraint slack     {inst.worst_violation(x):.2e}")
 print()

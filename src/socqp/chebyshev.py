@@ -9,10 +9,9 @@ farthest squared distance max_{x in Omega} ||x - z||^2.  The upper end needs
 no solve: with z = sum_i w_i a_i and value v, the point (z, v + ||z||^2) meets
 every row of the inner relaxation and the weights bound that relaxation by
 v, so the point is its optimum.  The lower end is the feasible point that the
-bounded-ratio rounding (``recover.round_uq``) makes of that optimum, centred
-at the point of least gamma that ``recover.least_gamma`` finds; the
-rounding's one interiority rule refuses an intersection with no interior
-there.
+bounded-ratio rounding (``recover.round_uq``) makes of that optimum; the
+rounding centres itself at the point of least gamma, and its one interiority
+rule refuses an intersection with no interior there.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class ChebyshevResult:
     farthest-point instance.  The optimum is not unique when at most n
     weights are positive, so another optimum could round to a higher
     attained[0].  ``gamma`` and ``guaranteed_ratio`` are the ones the
-    rounding certified, at the point of least gamma where it is centred.
+    rounding certified, at the point of least gamma where it centres itself.
     """
 
     center: np.ndarray
@@ -162,9 +161,9 @@ def chebyshev_certified(
 ) -> ChebyshevResult:
     """Certified center of the smallest enclosing ball of the intersection.
 
-    Requires nonempty interior (gamma < 1).  Two cone solves: the Beck
-    center and ``recover.least_gamma``'s point of least gamma, where the
-    rounding is centred.  The inner relaxation's optimum
+    Requires nonempty interior (gamma < 1).  Two cone solves, both with
+    ``opts``: the Beck center, and the rounding's own search for the point
+    of least gamma, where it centres itself.  The inner relaxation's optimum
     (center, v_dcc + ||center||^2) comes in closed form from the Beck
     weights, which bound it by weak duality; ``recover.round_uq`` rounds it
     to a feasible point whose farthest squared distance is guaranteed to
@@ -200,10 +199,9 @@ def chebyshev_certified(
             f"{int(excess.argmax()) + 1} by {excess.max():.3e} (tolerance {row_tol:.3e})"
         )
 
-    # rounded at the point of least gamma, where an intersection with no
-    # interior at tolerance is refused
-    interior, _ = recover.least_gamma(inner, opts)
-    far_point, _, cert = recover.round_uq(inner, center, t, origin=interior)
+    # the rounding centres at the point of least gamma, where an intersection
+    # with no interior at tolerance is refused
+    far_point, _, cert = recover.round_uq(inner, center, t, opts)
     ratio = cert.guaranteed_ratio
     upper = cert.upper + cert.offset + znorm
     lower = cert.lower + cert.offset + znorm

@@ -168,30 +168,24 @@ def cmd_approx(args) -> int:
     inst = fileio.load_instance(args.instance, args.tol_rank)
     if not isinstance(inst, UqInstance):
         raise WrongShape("approx expects a uq instance")
-    report: dict = {"kind": "approx", "n": inst.n, "p": inst.p}
-    opts = _options(args)
-    origin = None
-    # centre at the point of least gamma when d_0 != 0 or the origin fails
-    # the rounding's interiority rule
-    if inst.d[0] != 0.0 or recover.gamma_uq(inst) >= 1.0 - recover.DEGENERATE_GAMMA:
-        origin, _ = recover.least_gamma(inst, opts)
-        report["translated"] = {"centre": origin}
-    x, trace, cert = recover.approx_uq(inst, opts=opts, origin=origin)
-    report.update(
-        {
-            "gamma": cert.gamma,
-            "guaranteed_ratio": cert.guaranteed_ratio,
-            "tau": trace.tau_bar,
-            "candidate": trace.j_bar,
-            "relaxation_value": cert.upper,
-            "achieved_value": cert.lower,
-            "achieved_over_relaxation": cert.lower / cert.upper if cert.upper else 1.0,
-            "x": x,
-            "objective_original_coordinates": cert.lower + cert.offset,
-            "worst_violation": inst.worst_violation(x),
-            "tolerances": _tolerances(args),
-        }
-    )
+    x, trace, cert = recover.approx_uq(inst, opts=_options(args))
+    report = {
+        "kind": "approx",
+        "n": inst.n,
+        "p": inst.p,
+        "centre": cert.centre,
+        "gamma": cert.gamma,
+        "guaranteed_ratio": cert.guaranteed_ratio,
+        "tau": trace.tau_bar,
+        "candidate": trace.j_bar,
+        "relaxation_value": cert.upper,
+        "achieved_value": cert.lower,
+        "achieved_over_relaxation": cert.lower / cert.upper if cert.upper else 1.0,
+        "x": x,
+        "objective_original_coordinates": cert.lower + cert.offset,
+        "worst_violation": inst.worst_violation(x),
+        "tolerances": _tolerances(args),
+    }
     _emit(report, args.report_format)
     return EXIT_OK
 

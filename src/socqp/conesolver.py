@@ -130,10 +130,13 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self):
+        # bool is an Integral and a Real, but True is no tolerance or cap
         for name, value in (("feastol", self.feastol), ("gaptol", self.gaptol)):
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0.0 < value < math.inf):
                 raise InvalidInput(f"{name} must be a finite real > 0, got {value!r}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+        count = isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
+        if not (count and self.max_iter >= 0):
             raise InvalidInput(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 

@@ -12,12 +12,12 @@ The approximation routine splits the relaxation optimum into two cone-tight
 candidates and scales the better one back into the feasible region,
 certifying f_0(x) - f_0(x_hat) >= ((1-gamma)/(sqrt(2)+gamma))^2 * v, with v
 the relaxation value of f_0 - f_0(x_hat) and gamma measured at the point
-x_hat where it centres itself; ``least_gamma`` finds the x_hat of least
-gamma by one cone solve, and a gamma within ``DEGENERATE_GAMMA`` of 1 (or
-above) at x_hat is refused as no interior.  Its point is returned in the
-instance's own coordinates.
-``approx_uq`` solves the relaxation first; ``round_uq`` rounds an optimum
-the caller already holds.
+x_hat where it centres itself: the point of least gamma, which
+``least_gamma`` finds by one cone solve.  A gamma within ``DEGENERATE_GAMMA``
+of 1 (or above) there is refused as no interior.  Its point is returned in
+the instance's own coordinates.
+``round_uq`` rounds an optimum the caller already holds; ``approx_uq`` is
+``round_uq`` of its own relaxation solve.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ class ApproxTrace:
 class ApproxCertificate:
     lower: float  # f_0 - offset at the returned point
     upper: float  # relaxation value of f_0 - offset
-    gamma: float
+    gamma: float  # at the centre
     guaranteed_ratio: float
-    offset: float  # f_0 at the centring point
+    offset: float  # f_0 at the centre
+    centre: np.ndarray  # x_hat, the point of least gamma where gamma and offset are measured
 
 
 def _direction_in_null(null_cols: np.ndarray, b0: np.ndarray):
@@ -305,59 +306,40 @@ def least_gamma(inst: UqInstance, opts: SolveOptions | None = None) -> tuple[np.
     return x_hat, gamma
 
 
-def _centred(inst: UqInstance, origin):
-    """(moved, x_hat, offset, terms): the instance moved to x_hat = ``origin``
-    (default 0), x_hat, the offset f_0(x_hat) and the ``_gamma_terms`` of
-    the moved instance.  The one interiority rule: a gamma at x_hat of at
-    least 1 - ``DEGENERATE_GAMMA`` raises ``EmptyInterior``, naming the
-    row that attains it."""
-    _check_one_sided(inst, "approximation")
-    x_hat = np.zeros(inst.n) if origin is None else np.asarray(origin, dtype=float).reshape(inst.n)
-    moved, offset = model.translate_origin(inst, x_hat)
-    terms = _gamma_terms(moved)
-    nrm2, radicand, gamma = terms
-    if gamma >= 1.0 - DEGENERATE_GAMMA:
-        worst = int(np.argmax(nrm2 / radicand)) + 1
-        raise EmptyInterior(
-            f"centring point is not strictly interior: gamma = {gamma:.9f} >= "
-            f"1 - {DEGENERATE_GAMMA:g}, attained at f_{worst}"
-        )
-    return moved, x_hat, offset, terms
-
-
 def approx_uq(
-    inst: UqInstance, opts: SolveOptions | None = None, origin=None
+    inst: UqInstance, opts: SolveOptions | None = None
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
-    """Feasible point with a certified fraction of the relaxation optimum.
-
-    Centred at x_hat = ``origin`` (default 0), which must be strictly
-    interior (gamma there below 1 - ``DEGENERATE_GAMMA``, else
-    ``EmptyInterior``; ``least_gamma`` finds the best x_hat); the point is
-    returned in the instance's own coordinates, and the certificate bounds
-    f_0 - offset, with offset = f_0(x_hat), so any d_0 is allowed.
-
-    Solves the relaxation at x_hat and rounds its optimum as ``round_uq``
-    does, taking the relaxation value from the solver.
-    """
-    centred = _centred(inst, origin)
-    prog, meta = reformulate.build_socp_uq(centred[0])
+    """Feasible point with a certified fraction of the relaxation optimum:
+    ``round_uq`` of the optimum of ``reformulate.build_socp_uq(inst)``,
+    solved in the instance's own coordinates.  Both cone solves, the
+    relaxation and then ``least_gamma``'s, run with ``opts``.  Rows with no
+    common point make the relaxation infeasible, which raises
+    ``EmptyInterior`` as a centre with no interior does."""
+    prog, meta = reformulate.build_socp_uq(inst)
     res = solve(prog, opts)
+    if res.status == "Infeasible":
+        raise EmptyInterior("the relaxation is infeasible, so the rows have no common point")
     if res.status != "Optimal":
         raise SolverFailed(f"relaxation solve ended with {res.status}")
-    return _round(centred, meta.x_of(res.z), float(res.z[inst.n]), meta.original_value(res))
+    return round_uq(inst, meta.x_of(res.z), float(res.z[inst.n]), opts)
 
 
 def round_uq(
-    inst: UqInstance, x, t: float, origin=None
+    inst: UqInstance, x, t: float, opts: SolveOptions | None = None
 ) -> tuple[np.ndarray, ApproxTrace, ApproxCertificate]:
-    """``approx_uq`` on a given optimum (x, t) of the relaxation
-    ``reformulate.build_socp_uq(inst)``, in the instance's own coordinates.
+    """Round an optimum (x, t) of the relaxation
+    ``reformulate.build_socp_uq(inst)``, given in the instance's own
+    coordinates, to a feasible point with a certified fraction of its value.
 
-    (x, t) must be optimal for that relaxation; its value
-    t + 2 b_0'x + d_0 is the certificate's upper end, and only the rounding's
-    identities are checked.  Centred at x_hat = ``origin`` as ``approx_uq``
-    is, it moves the point by the affine map (x, t) -> (x - x_hat,
-    t - 2 x_hat'Qx + x_hat'Qx_hat), which keeps every row value and the cone.
+    (x, t) must be optimal for that relaxation; only the rounding's
+    identities are checked.  The rounding centres itself at x_hat, the point
+    of least gamma that ``least_gamma`` finds with ``opts``.  The one
+    interiority rule: a gamma at x_hat of at least 1 - ``DEGENERATE_GAMMA``
+    raises ``EmptyInterior``, naming the row that attains it.  The point
+    moves by the affine map (x, t) -> (x - x_hat, t - 2 x_hat'Qx +
+    x_hat'Qx_hat), which keeps every row value and the cone.  The
+    certificate bounds f_0 - offset, with offset = f_0(x_hat), so any d_0 is
+    allowed; the point is returned in the instance's own coordinates.
 
     When the cone is already tight the point itself is returned (ratio 1).
     Otherwise a companion point y carrying the missing cone energy is folded
@@ -366,20 +348,21 @@ def round_uq(
     first closed by the tightening of ``tighten_uq`` when the null space of
     the instance's rows at its ``tol_rank`` allows it.
     """
-    centred = _centred(inst, origin)
-    moved, x_hat = centred[:2]
+    _check_one_sided(inst, "approximation")
+    x_hat, _ = least_gamma(inst, opts)
+    inst, offset = model.translate_origin(inst, x_hat)  # from here on, centred at x_hat
+    nrm2, radicand, gamma = _gamma_terms(inst)
+    if gamma >= 1.0 - DEGENERATE_GAMMA:
+        worst = int(np.argmax(nrm2 / radicand)) + 1
+        raise EmptyInterior(
+            f"centring point is not strictly interior: gamma = {gamma:.9f} >= "
+            f"1 - {DEGENERATE_GAMMA:g}, attained at f_{worst}"
+        )
     x = np.asarray(x, dtype=float).reshape(inst.n)
     qx_hat = inst.q @ x_hat
     x_star = x - x_hat
     t_star = float(t) - 2.0 * float(qx_hat @ x) + float(qx_hat @ x_hat)
-    return _round(centred, x_star, t_star, t_star + 2.0 * float(moved.b[0] @ x_star))
-
-
-def _round(centred, x_star, t_star, value):
-    """The rounding of ``round_uq`` on the instance that ``_centred`` moved,
-    whose relaxation optimum is (x_star, t_star) with value ``value``;
-    returns the point in the coordinates of the instance before centring."""
-    inst, x_hat, offset, (nrm2, radicand, gamma) = centred
+    value = t_star + 2.0 * float(inst.b[0] @ x_star)
     ratio = ((1.0 - gamma) / (math.sqrt(2.0) + gamma)) ** 2
     qd = inst.q.dense()
     # close an open cone where the tightening finds a direction, and take the shortcut
@@ -398,7 +381,7 @@ def _round(centred, x_star, t_star, value):
             t1=1.0, t2=0.0, j_bar=1, x_bar=x_star.copy(), tau_bar=1.0, shortcut=True,
         )
         fx = float(inst.values(x_star)[0])
-        return x_star + x_hat, trace, ApproxCertificate(fx, value, gamma, ratio, offset)
+        return x_star + x_hat, trace, ApproxCertificate(fx, value, gamma, ratio, offset, x_hat)
 
     # companion point with the missing cone energy: x*'Qx* + y'Qy = t*
     w, v = linalg.sym_eig(inst.q)
@@ -456,7 +439,7 @@ def _round(centred, x_star, t_star, value):
     tau = tau_bar(inst, x_bar)
     x_out = tau * x_bar
     fx = float(inst.values(x_out)[0])
-    cert = ApproxCertificate(fx, value, gamma, ratio, offset)
+    cert = ApproxCertificate(fx, value, gamma, ratio, offset, x_hat)
     if fx < ratio * value - value_tol:
         raise TightenFailed(
             f"certified ratio violated: f_0 = {fx:.6e} < {ratio:.4f} * {value:.6e}",

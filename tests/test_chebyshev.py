@@ -296,10 +296,9 @@ def test_closed_form_inner_optimum_matches_the_cone_solve():
         balls = shell_balls(rng, n, p)
         r = chebyshev.chebyshev_certified(balls)
         inner = chebyshev._inner_instance(balls, r.center)
-        interior, _ = recover.least_gamma(inner)
         znorm = float(r.center @ r.center)
         tol = model.tolerance(inner, r.v_dcc)
-        _, _, cert = recover.approx_uq(inner, origin=interior)
+        _, _, cert = recover.approx_uq(inner)
         assert abs(cert.upper + cert.offset + znorm - r.v_dcc) <= tol, (n, p)
         prog, meta = reformulate.build_socp_uq(inner)
         res = conesolver.solve(prog)

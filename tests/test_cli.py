@@ -92,6 +92,39 @@ def test_parse_diagnostics():
         fileio.parse_instance("{}")
 
 
+_UQ_DOC = {"kind": "uq", "n": 1, "q": [1.0], "b": [[0.0], [0.0]], "d": [0.0, 0.0],
+           "bounds": [{"lo": "-inf", "hi": 1.0}]}
+_QCQP_DOC = {"kind": "qcqp", "n": 1, "sense": "min", "blocks": [[1.0]], "signs": [[1.0], [1.0]],
+             "b": [[0.0], [0.0]], "c": [0.0, 0.0], "bounds": [{"lo": "-inf", "hi": 1.0}]}
+_BALLS_DOC = {"kind": "balls", "n": 1, "centers": [[0.0]], "radii": [1.0]}
+_ILP_DOC = {"kind": "ilp", "n": 1, "c": [1.0], "rows": [{"a": [1.0], "rhs": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({**_UQ_DOC, "q": ["1"]}, r"q\[0\]: expected a number, got '1'"),
+        ({**_UQ_DOC, "d": [0.0]}, r"d: expected a list of 2 numbers"),
+        ({**_UQ_DOC, "b": [[0.0]]}, r"b: expected 2 rows"),
+        ({k: v for k, v in _UQ_DOC.items() if k != "d"}, r"uq instance: missing fields \['d'\]"),
+        ({**_BALLS_DOC, "colour": "red"}, r"balls instance: unknown fields \['colour'\]"),
+        ({**_UQ_DOC, "kind": "lp"}, r"unknown kind 'lp'"),
+        ({**_ILP_DOC, "rows": [{"a": [1.0]}]}, re.escape('rows[0] must be {"a": [...], "rhs": ...}')),
+        ({**_UQ_DOC, "b": [[0.0]], "d": [0.0], "bounds": []},
+         r"uq instance malformed: at least one constraint is required"),
+        ({**_QCQP_DOC, "sense": "up"}, r"qcqp instance malformed: sense must be 'min' or 'max'"),
+        ({**_QCQP_DOC, "signs": [[1.0], [2.0]]},
+         r"qcqp instance malformed: sign coefficients must lie in \{-1, 0, 1\}"),
+        ({**_BALLS_DOC, "radii": [0.0]}, r"balls instance malformed: radii must be positive"),
+    ],
+)
+def test_parse_names_each_malformed_field(doc, match):
+    # one document per rejection of fileio's own checks and of the instance
+    # checks that a file can reach
+    with pytest.raises(ParseError, match=match):
+        fileio.parse_instance(json.dumps(doc))
+
+
 ILP_NAN = '{"kind": "ilp", "n": 2, "c": [NaN, 1.0], "rows": [{"a": [1.0, 1.0], "rhs": 1.0}]}'
 
 
@@ -491,8 +524,42 @@ def test_approx_translates_when_needed(tmp_path, capsys):
     code, out = run(capsys, "approx", str(path), "--report-format", "structured")
     assert code == 0
     rep = json.loads(out.out)
-    assert "translated" in rep
+    # the centre of least gamma is the ball's centre e1
+    assert rep["centre"] == pytest.approx([1.0, 0.0], abs=1e-6)
+    assert rep["gamma"] == pytest.approx(0.0, abs=1e-6)
     assert rep["worst_violation"] <= 1e-6
+
+
+def test_approx_centres_even_at_an_interior_origin(tmp_path, capsys, monkeypatch):
+    # d_0 = 0 and the origin strictly interior: approx still makes both cone
+    # solves, the relaxation and the search for the point of least gamma,
+    # each with the command's flags
+    seen = []
+    solve = recover.solve
+
+    def recording(prog, opts=None):
+        seen.append(opts)
+        return solve(prog, opts)
+
+    monkeypatch.setattr(recover, "solve", recording)
+    inst = UqInstance(
+        2,
+        SymMatrix.identity(2),
+        np.array([[0.4, 0.0], [0.2, 0.1]]),
+        np.zeros(2),
+        [Bound(-math.inf, 1.0)],
+    )
+    assert inst.is_feasible(np.zeros(2), 0.0) and recover.gamma_uq(inst) < 0.5
+    path = tmp_path / "interior.json"
+    fileio.save_instance(inst, path)
+    flags = ("--tol-feas", "1e-7", "--gap", "1e-7", "--max-iter", "77")
+    code, out = run(capsys, "approx", str(path), *flags, "--report-format", "structured")
+    assert code == 0, out.err
+    assert len(seen) == 2
+    for opts in seen:
+        assert opts is not None and (opts.feastol, opts.gaptol, opts.max_iter) == (1e-7, 1e-7, 77)
+    # one row: its ellipsoid's centre -Q^(-1) b_1 is the point of least gamma
+    assert json.loads(out.out)["centre"] == pytest.approx([-0.2, -0.1], abs=1e-6)
 
 
 def test_approx_passes_its_solver_flags_to_both_cone_solves(tmp_path, capsys, monkeypatch):

@@ -420,7 +420,7 @@ def test_maxiter_returns_best_iterate():
 def test_negative_max_iter_is_rejected():
     # a negative cap would leave no iterate to return, and a cap that is not
     # an integer would fail inside the solve's loop
-    for value in (-1, 2.5, 3.0, "3", None):
+    for value in (-1, 2.5, 3.0, "3", None, True):
         with pytest.raises(InvalidInput, match="max_iter"):
             SolveOptions(max_iter=value)
     res = conesolver.solve(norm_program(), SolveOptions(max_iter=0))
@@ -429,7 +429,7 @@ def test_negative_max_iter_is_rejected():
 
 
 @pytest.mark.parametrize("field", ["feastol", "gaptol"])
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf, "1e-8", None])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf, "1e-8", None, True])
 def test_tolerance_must_be_finite_and_positive(field, value):
     # a NaN or non-positive tolerance can never be met, so the solve would
     # run to the iteration cap; one that is not a real number cannot be compared

@@ -236,7 +236,7 @@ def test_no_acceptance_test_floors_at_one():
 
 
 def test_only_the_approximation_translates():
-    # approx_uq centres itself at the point its caller passes
+    # round_uq centres itself at the point of least gamma
     found = [
         f"{path.stem}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))

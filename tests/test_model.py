@@ -161,7 +161,7 @@ def test_least_gamma_touching_balls():
     x, gamma = recover.least_gamma(inst)
     assert gamma == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(EmptyInterior):
-        recover.approx_uq(inst, origin=x)
+        recover.approx_uq(inst)
 
 
 def test_ilp_reduction_single_variable():

@@ -565,11 +565,20 @@ def test_approx_shape_errors():
     x0, _, cert0 = recover.approx_uq(plain)
     x1, _, cert1 = recover.approx_uq(lifted)
     assert np.array_equal(x1, x0)
-    assert (cert0.offset, cert1.offset) == (0.0, 1.0)
+    assert np.array_equal(cert1.centre, cert0.centre)
+    assert cert0.offset == float(plain.values(cert0.centre)[0])
+    assert cert1.offset == pytest.approx(cert0.offset + 1.0, rel=0.0, abs=1e-15)
     assert (cert1.lower, cert1.upper) == (cert0.lower, cert0.upper)
+    assert cert1.upper + cert1.offset == pytest.approx(cert0.upper + cert0.offset + 1.0, abs=1e-15)
 
 
-def test_approx_centres_at_the_origin_it_is_given():
+def test_approx_moves_with_the_data():
+    # translating the data by v moves the centre and the point by v and keeps
+    # the certificate.  The relaxation is solved in each instance's own
+    # coordinates, so the two runs agree to roundoff in what least_gamma
+    # fixes (centre, gamma, ratio, offset) and to the solve's accuracy in the
+    # relaxation's value; its optimum is pinned only to about the square root
+    # of that accuracy where the objective is flat along a face.
     from helpers import random_gap_uq
 
     rng = np.random.default_rng(12)
@@ -578,61 +587,73 @@ def test_approx_centres_at_the_origin_it_is_given():
         n = int(rng.integers(2, 4))
         inst = random_gap_uq(rng, n, n + 2) if k % 2 else random_convex_uq(rng, n, n + 2)
         inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(inst.p)])
-        x_hat = 0.05 * rng.normal(size=n)
-        moved, offset = model.translate_origin(inst, x_hat)
-        x, trace, cert = recover.approx_uq(inst, origin=x_hat)
-        x_moved, trace_moved, cert_moved = recover.approx_uq(moved)
+        v = 0.05 * rng.normal(size=n)
+        shifted, moved_by = model.translate_origin(inst, -v)  # f'_i(x) = f_i(x - v)
+        x, trace, cert = recover.approx_uq(inst)
+        x_s, trace_s, cert_s = recover.approx_uq(shifted)
         ran_construction += not trace.shortcut
-        assert np.array_equal(x, x_moved + x_hat), k
-        assert (trace.shortcut, trace.tau_bar) == (trace_moved.shortcut, trace_moved.tau_bar)
-        assert cert == dataclasses.replace(cert_moved, offset=offset), k
-        assert cert.offset == float(inst.values(x_hat)[0]), k
+        assert trace_s.shortcut == trace.shortcut, k
+        assert np.abs(cert_s.centre - (cert.centre + v)).max() <= 1e-9, k
+        for got, want in ((cert_s.gamma, cert.gamma),
+                          (cert_s.guaranteed_ratio, cert.guaranteed_ratio),
+                          (cert_s.offset + moved_by, cert.offset)):
+            assert abs(got - want) <= 1e-9 * abs(want), k
+        for got, want in ((cert_s.lower, cert.lower), (cert_s.upper, cert.upper)):
+            assert abs(got - want) <= 1e-7 * abs(want), k
+        assert np.abs(x_s - (x + v)).max() <= 1e-4 * np.abs(x).max(), k
+        assert shifted.worst_violation(x_s) <= 1e-6, k
     assert ran_construction >= 3
 
 
 def test_round_uq_on_the_solvers_optimum_gives_approx_uqs_answer(monkeypatch):
-    # approx_uq solves at x_hat; that optimum, moved back to the instance's
-    # own coordinates, is what round_uq takes
+    # approx_uq makes two cone solves, its relaxation in the instance's own
+    # coordinates and then least_gamma's; its answer is round_uq of that
+    # relaxation optimum, bit for bit
     from helpers import random_gap_uq
 
-    solved = []
+    programs, solved = [], []
     solve = recover.solve
 
     def recording(prog, opts=None):
+        programs.append(prog)
         solved.append(solve(prog, opts))
         return solved[-1]
 
     monkeypatch.setattr(recover, "solve", recording)
     rng = np.random.default_rng(15)
     ran_construction = 0
-    for k in range(12):
+    for k in range(24):
         n = int(rng.integers(2, 5))
         inst = random_gap_uq(rng, n, 2 * n) if k % 2 else random_convex_uq(rng, n, n + 2)
         inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(inst.p)])
-        for origin in (None, 0.02 * rng.normal(size=n), 0.05 * rng.normal(size=n)):
-            x, trace, cert = recover.approx_uq(inst, origin=origin)
-            x_hat = np.zeros(n) if origin is None else origin
-            qx_hat = inst.q @ x_hat
-            z = solved[-1].z
-            x_own = z[:n] + x_hat
-            t_own = float(z[n]) + 2.0 * float(qx_hat @ z[:n]) + float(qx_hat @ x_hat)
-            x_r, trace_r, cert_r = recover.round_uq(inst, x_own, t_own, origin=origin)
-            ran_construction += not trace.shortcut
-            assert trace_r.shortcut == trace.shortcut, k
-            assert np.abs(x_r - x).max() <= 1e-12 * np.abs(x).max(), k
-            for field in ("lower", "upper", "gamma", "guaranteed_ratio", "offset"):
-                got, want = getattr(cert_r, field), getattr(cert, field)
-                assert abs(got - want) <= 1e-12 * abs(want), (k, field)
+        programs.clear()
+        solved.clear()
+        x, trace, cert = recover.approx_uq(inst)
+        relaxation, _ = reformulate.build_socp_uq(inst)
+        assert len(programs) == 2, k
+        first, second = programs
+        assert all(np.array_equal(getattr(first, a), getattr(relaxation, a)) for a in "cgh"), k
+        assert len(second.soc) == inst.p and second.g.shape[0] == 0, k  # one cone per row
+        z = solved[0].z
+        x_r, trace_r, cert_r = recover.round_uq(inst, z[:n], float(z[n]))
+        ran_construction += not trace.shortcut
+        assert (trace_r.shortcut, trace_r.tau_bar) == (trace.shortcut, trace.tau_bar), k
+        assert np.array_equal(x_r, x), k
+        assert np.array_equal(cert_r.centre, cert.centre), k
+        for field in ("lower", "upper", "gamma", "guaranteed_ratio", "offset"):
+            assert getattr(cert_r, field) == getattr(cert, field), (k, field)
     assert ran_construction >= 6
 
 
 def test_approx_refuses_a_centre_that_is_not_strictly_interior():
-    inst = UqInstance(
-        1, SymMatrix.identity(1), np.zeros((2, 1)), np.zeros(2), [Bound(-math.inf, 1.0)]
-    )
-    for x_hat in ([1.0], [-2.0]):  # on the boundary, and outside
-        with pytest.raises(PreconditionViolated, match="f_1"):
-            recover.approx_uq(inst, origin=np.array(x_hat))
+    # two unit balls at +-e1 as uniform rows: touching, least gamma reaches 1
+    # and the rule refuses it; set apart, the relaxation itself is infeasible
+    for gap, match in ((1.0, "f_"), (1.2, "no common point")):
+        b = np.array([[0.0, 0.0], [-gap, 0.0], [gap, 0.0]])
+        d = np.array([0.0, gap * gap, gap * gap])
+        inst = UqInstance(2, SymMatrix.identity(2), b, d, [Bound(-math.inf, 1.0)] * 2)
+        with pytest.raises(PreconditionViolated, match=match):
+            recover.approx_uq(inst)
 
 
 def test_least_gamma_is_gamma_at_its_point_and_moves_with_the_data():
@@ -694,13 +715,15 @@ def test_approx_random_suite_invariants():
         assert cert.upper >= cert.lower - 1e-7 * scale, k
         assert 0.0 <= trace.tau_bar <= 1.0
         if not trace.shortcut:
-            qd = inst.q.dense()
+            # the trace lives in the coordinates centred at cert.centre
+            centred, _ = model.translate_origin(inst, cert.centre)
+            qd = centred.q.dense()
             # split identity: candidates carry the full relaxation value
             lhs = (
                 trace.s1 @ qd @ trace.s1
-                + 2 * trace.t1 * inst.b[0] @ trace.s1
+                + 2 * trace.t1 * centred.b[0] @ trace.s1
                 + trace.s2 @ qd @ trace.s2
-                + 2 * trace.t2 * inst.b[0] @ trace.s2
+                + 2 * trace.t2 * centred.b[0] @ trace.s2
             )
             assert lhs == pytest.approx(cert.upper, abs=1e-7 * scale)
             assert trace.t1**2 + trace.t2**2 == pytest.approx(1.0, abs=1e-12)
@@ -717,7 +740,7 @@ def test_approx_exact_instance_returns_ratio_one():
         # cross-check against independent tightening of the same relaxation
         res, meta = solve_uq(inst)
         xt, _ = recover.tighten_uq(inst, res)
-        assert inst.values(xt)[0] == pytest.approx(cert.upper, abs=1e-5)
+        assert inst.values(xt)[0] == pytest.approx(cert.upper + cert.offset, abs=1e-5)
 
 
 def test_approx_construction_path_analytic():
@@ -783,24 +806,26 @@ def test_approx_construction_path_random_gaps():
         ran_construction += not trace.shortcut
         if not trace.shortcut:
             # the chosen candidate meets the sqrt(2) selection bound, taken
-            # here row by row as the reference
+            # here row by row as the reference, in the coordinates centred
+            # at cert.centre where the trace lives
+            centred, _ = model.translate_origin(inst, cert.centre)
             s, tj = (trace.s1, trace.t1) if trace.j_bar == 1 else (trace.s2, trace.t2)
-            qd = inst.q.dense()
+            qd = centred.q.dense()
             w, v = np.linalg.eigh(qd)
             root = (v * np.sqrt(w)) @ v.T
             bound = 0.0
-            for i, bd in enumerate(inst.bounds):
-                qb = np.linalg.solve(qd, inst.b[i + 1])
+            for i, bd in enumerate(centred.bounds):
+                qb = np.linalg.solve(qd, centred.b[i + 1])
                 num = np.linalg.norm(root @ (s / tj + qb))
-                radicand = bd.upper - inst.d[i + 1] + inst.b[i + 1] @ qb
+                radicand = bd.upper - centred.d[i + 1] + centred.b[i + 1] @ qb
                 bound = max(bound, num / math.sqrt(radicand))
             assert bound <= math.sqrt(2.0) * (1.0 + 1e-8)
         assert inst.worst_violation(x) <= 1e-6
         scale = 1.0 + abs(cert.upper)
         assert cert.lower >= cert.guaranteed_ratio * cert.upper - 1e-5 * scale
         g = oracle.grid_max_uq(inst, h=oracle_step(inst), refine=3)
-        assert cert.lower <= g.value + 2e-3
-        assert g.value <= cert.upper + 2e-3
+        assert cert.lower + cert.offset <= g.value + 2e-3
+        assert g.value <= cert.upper + cert.offset + 2e-3
     assert ran_construction >= 10  # the rounding path is genuinely exercised
 
 
@@ -812,5 +837,5 @@ def test_approx_sandwich_against_oracle():
         inst = random_convex_uq(rng, n, p)
         x, _, cert = recover.approx_uq(inst)
         g = oracle.grid_max_uq(inst, h=oracle_step(inst), refine=3)
-        assert cert.lower <= g.value + 2e-3
-        assert g.value <= cert.upper + 2e-3
+        assert cert.lower + cert.offset <= g.value + 2e-3
+        assert g.value <= cert.upper + cert.offset + 2e-3
