@@ -15,13 +15,14 @@ vector wbar and a scale eta), so W and W^-1 cost one O(d) pass, batched over
 all cones of equal dimension; the step to the boundary is taken in the same
 scaled coordinates.
 
-The reduced matrix is factored one of two ways, picked by its order nv + ne.
-Up to order 32 it is split into two Cholesky factors with numpy (the
-quasi-definite LDL' of Vanderbei, SIAM J. Optim. 5, 1995) whose inverses are
-kept, so a solve is a few matrix-vector products.  Above that, LAPACK's
-Bunch-Kaufman ``sytrf``/``sytrs`` is faster, since numpy has no triangular
+The reduced matrix is factored one of two ways, picked by the program's
+shape.  With no equality rows and nv up to 32 it is the positive definite
+G'W^-2 G + dI, factored by numpy's Cholesky with the inverse factor kept, so
+a solve is two matrix-vector products.  Every other program, any equality
+row or a larger order, goes to LAPACK's Bunch-Kaufman ``sytrf``/``sytrs``,
+which is the faster factor above order 32 since numpy has no triangular
 solve; scipy is imported for it on the first such factorization, so a
-process that solves only small programs never loads scipy.
+process that solves only small inequality-form programs never loads scipy.
 """
 
 from __future__ import annotations
@@ -323,43 +324,21 @@ class _Scaling:
         return self._apply(x, True)
 
 
-class _QuasiDefiniteFactor:
-    """The quasi-definite K = [[P, E'], [E, -dI]] (P positive definite,
-    d > 0) is L D L' with L = [[L1, 0], [W, L2]] and D = diag(I, -I), from
-    the two Cholesky factors P = L1 L1' and dI + W W' = L2 L2' with
-    W = E L1^-T.  numpy has no triangular solve, so L^-1 = [[M1, 0],
-    [-M2 W M1, M2]] is formed from M1 = L1^-1 and M2 = L2^-1, and a solve
-    K^-1 r = L^-T D L^-1 r is two matrix-vector products.
-    """
+class _CholeskyFactor:
+    """The positive definite K = A'A + dI as K = L L'.  numpy has no
+    triangular solve, so L^-1 is kept, and a solve K^-1 r = L^-T L^-1 r is
+    two matrix-vector products."""
 
-    def __init__(self, nv, ne):
-        self.nv = nv
-        self.ne = ne
-
-    def factor(self, k, bump) -> bool:
-        """Factor k at regularization bump; False when k is not numerically
-        quasi-definite."""
-        nv = self.nv
+    def factor(self, k) -> bool:
+        """Factor k; False when k is not numerically positive definite."""
         try:
-            m1 = np.linalg.inv(np.linalg.cholesky(k[:nv, :nv]))
-            if not self.ne:
-                self.l_inv = m1
-                return True
-            w = k[nv:, :nv] @ m1.T
-            m2 = np.linalg.inv(np.linalg.cholesky(w @ w.T + bump * np.eye(self.ne)))
+            self.l_inv = np.linalg.inv(np.linalg.cholesky(k))
         except np.linalg.LinAlgError:
             return False
-        self.l_inv = np.zeros_like(k)
-        self.l_inv[:nv, :nv] = m1
-        self.l_inv[nv:, nv:] = m2
-        self.l_inv[nv:, :nv] = -(m2 @ w) @ m1
         return True
 
     def solve(self, rr):
-        u = self.l_inv @ rr
-        if self.ne:
-            u[self.nv :] *= -1.0  # D
-        return u @ self.l_inv
+        return (self.l_inv @ rr) @ self.l_inv
 
 
 class _LapackFactor:
@@ -372,7 +351,7 @@ class _LapackFactor:
 
         self.lapack = lapack
 
-    def factor(self, k, bump) -> bool:
+    def factor(self, k) -> bool:
         self.ldu, self.ipiv, info = self.lapack.dsytrf(k, lower=1)
         return info == 0
 
@@ -391,9 +370,10 @@ class _Kkt:
     [0 E' A'; E 0 0; A 0 -I] (dz, dy, dl) = (r1, r2, W^{-1} r3).  Eliminating
     dl = A dz - W^{-1} r3 leaves [[A'A + dI, E'], [E, -dI]] of size nv + ne,
     factored once per iteration with static regularization d (raised x100,
-    up to 1, while the factorization fails); orders up to _NUMPY_KKT_ORDER
-    use the numpy quasi-definite factor, larger ones LAPACK.  Iterative
-    refinement takes its residual from the full, unreduced scaled operator.
+    up to 1, while the factorization fails).  With no equality rows and nv
+    up to _NUMPY_KKT_ORDER it is positive definite and numpy's Cholesky
+    factors it; every other program goes to LAPACK.  Iterative refinement
+    takes its residual from the full, unreduced scaled operator.
     """
 
     def __init__(self, e):
@@ -404,8 +384,8 @@ class _Kkt:
         self.k0[:nv, nv:] = e.T
         self.sign = np.concatenate((np.ones(nv), -np.ones(ne)))
         self.k_reg = self.k0 + np.diag(_STATIC_REG * self.sign)
-        if nv + ne <= _NUMPY_KKT_ORDER:
-            self.fac = _QuasiDefiniteFactor(nv, ne)
+        if not ne and nv <= _NUMPY_KKT_ORDER:
+            self.fac = _CholeskyFactor()
         else:
             self.fac = _LapackFactor()
 
@@ -416,10 +396,10 @@ class _Kkt:
         self.a_t = a_pad[: self.nv]
         k = a_pad @ a_pad.T
         bump = _STATIC_REG
-        ok = self.fac.factor(k + self.k_reg, bump)
+        ok = self.fac.factor(k + self.k_reg)
         while not ok and bump < 1.0:
             bump *= 100.0
-            ok = self.fac.factor(k + self.k0 + np.diag(bump * self.sign), bump)
+            ok = self.fac.factor(k + self.k0 + np.diag(bump * self.sign))
         if not ok:
             raise InvalidProgram("KKT matrix is numerically singular")
 

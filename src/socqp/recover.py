@@ -289,6 +289,10 @@ def least_gamma(inst: UqInstance, opts: SolveOptions | None = None) -> tuple[np.
     ``gamma_uq`` of the instance moved to x_hat up to roundoff, and it is
     never negative.  Below 1 exactly when the rows have a common strictly
     interior point.  Needs Q positive definite and one-sided finite rows.
+    A solve that hits the iteration cap still gives its best iterate when
+    gamma there is below 1 - ``DEGENERATE_GAMMA``, since the rounding's
+    certificate holds at any such centre; otherwise it raises
+    ``SolverFailed``, as any other status does.
     """
     _, radicand, _ = _gamma_terms(inst)
     factor = linalg.psd_factor(inst.q, model.rank_cut(inst))
@@ -299,10 +303,12 @@ def least_gamma(inst: UqInstance, opts: SolveOptions | None = None) -> tuple[np.
     a = np.hstack([factor, np.zeros((n, 1))])  # Q is definite, so F is n x n
     soc = [SocBlock(a, shift[:, i], np.append(np.zeros(n), root[i]), 0.0) for i in range(inst.p)]
     res = solve(ConeProgram(c=np.eye(n + 1)[n], soc=soc), opts)  # min s over (x, s)
-    if res.status != "Optimal":
+    if res.status not in ("Optimal", "MaxIter"):
         raise SolverFailed(f"least-gamma solve ended with status {res.status}")
     x_hat = res.z[:n].copy()
     gamma = float(np.max(np.linalg.norm(factor @ x_hat[:, None] + shift, axis=0) / root))
+    if res.status == "MaxIter" and not gamma < 1.0 - DEGENERATE_GAMMA:
+        raise SolverFailed(f"least-gamma solve ended with status MaxIter at gamma = {gamma:.9f}")
     return x_hat, gamma
 
 

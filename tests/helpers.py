@@ -7,6 +7,7 @@ grid optimizer evaluates caller-supplied callables.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,18 @@ def random_gap_uq(rng, n, p, tilt=0.05):
             bounds.append(Bound(-math.inf, upper))
         i += 2
     return UqInstance(n, q, b, np.zeros(p + 1), bounds)
+
+
+def translated_uq_cases(count=12):
+    """(instance, v) pairs from rng 12: n = 2-3 one-sided instances with
+    p = n + 2 rows, convex and gap-type in turn, a random d_0, and a small
+    translation v of the data."""
+    rng = np.random.default_rng(12)
+    for k in range(count):
+        n = int(rng.integers(2, 4))
+        inst = random_gap_uq(rng, n, n + 2) if k % 2 else random_convex_uq(rng, n, n + 2)
+        inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(inst.p)])
+        yield inst, 0.05 * rng.normal(size=n)
 
 
 def oracle_step(inst, target=110):

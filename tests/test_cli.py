@@ -590,6 +590,24 @@ def test_approx_passes_its_solver_flags_to_both_cone_solves(tmp_path, capsys, mo
         assert opts is not None and (opts.feastol, opts.gaptol, opts.max_iter) == (1e-7, 1e-7, 77)
 
 
+def test_approx_at_tight_tolerances_centres_at_a_capped_solves_point(tmp_path, capsys):
+    # at --tol-feas 1e-12 --gap 1e-12 the least-gamma solve of this n = 3
+    # instance ends MaxIter while its relaxation reaches Optimal; gamma is read
+    # at the returned point, which is interior, so approx still certifies
+    from helpers import translated_uq_cases
+
+    inst, _ = list(translated_uq_cases(4))[3]
+    inst = dataclasses.replace(inst, d=np.r_[0.0, inst.d[1:]])
+    path = tmp_path / "tight.json"
+    fileio.save_instance(inst, path)
+    flags = ("--tol-feas", "1e-12", "--gap", "1e-12", "--report-format", "structured")
+    code, out = run(capsys, "approx", str(path), *flags)
+    assert code == 0, out.err
+    rep = json.loads(out.out)
+    assert 0.0 < rep["gamma"] < 1.0
+    assert rep["worst_violation"] <= 1e-6
+
+
 def test_cheby_command(tmp_path, capsys):
     balls = BallIntersection(
         2, np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, 1.0])

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,9 +227,10 @@ def dense_nt_w2(s, lam, nlin, dims):
     ne=st.integers(0, 2),
     dims=st.lists(st.integers(2, 5), min_size=0, max_size=4),
 )
-# reduced orders nv + ne of 31-34 straddle the cut between the numpy
-# quasi-definite factor (<= 32) and LAPACK sytrf; with ne > 0 the cone rows
-# number nv - ne, so A'A is rank-deficient and only E makes K nonsingular
+# with ne = 0, orders nv of 31-33 straddle the cut between numpy's Cholesky
+# (nv <= 32) and LAPACK sytrf; every ne > 0 example goes to LAPACK, and its
+# cone rows number nv - ne, so A'A is rank-deficient and only E makes K
+# nonsingular
 @example(seed=31, nv=31, nlin=28, ne=0, dims=[3, 4])
 @example(seed=32, nv=31, nlin=27, ne=1, dims=[3])
 @example(seed=33, nv=30, nlin=25, ne=2, dims=[3])
@@ -275,6 +280,39 @@ def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
     got = np.concatenate([x, np.empty(m)])
     got[nv + ne :][perm] = scaling.apply_inv(dl)
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "ne, nv, factor",
+    [(0, 32, conesolver._CholeskyFactor), (1, 2, conesolver._LapackFactor),
+     (0, 33, conesolver._LapackFactor)],
+)
+def test_kkt_factor_follows_the_programs_shape(ne, nv, factor):
+    # numpy's Cholesky takes equality-free programs up to order 32; any
+    # equality row, or a larger order, goes to LAPACK
+    assert type(conesolver._Kkt(np.ones((ne, nv))).fac) is factor
+
+
+def test_equality_free_order_32_solves_without_scipy():
+    # min c'z subject to ||z|| <= 1 in 32 variables: the optimum is -||c||
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from socqp.conesolver import ConeProgram, SocBlock, solve\n"
+        "c = np.random.default_rng(5).normal(size=32)\n"
+        "soc = [SocBlock(np.eye(32), np.zeros(32), np.zeros(32), 1.0)]\n"
+        "res = solve(ConeProgram(c=c, soc=soc))\n"
+        "print(res.status, res.objective + np.linalg.norm(c))\n"
+    )
+    src = str(Path(conesolver.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    status, error = done.stdout.split()
+    assert status == "Optimal" and abs(float(error)) <= 1e-6
 
 
 def test_mixed_cone_dims_report_duals_in_program_order():

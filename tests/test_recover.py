@@ -579,15 +579,10 @@ def test_approx_moves_with_the_data():
     # fixes (centre, gamma, ratio, offset) and to the solve's accuracy in the
     # relaxation's value; its optimum is pinned only to about the square root
     # of that accuracy where the objective is flat along a face.
-    from helpers import random_gap_uq
+    from helpers import translated_uq_cases
 
-    rng = np.random.default_rng(12)
     ran_construction = 0
-    for k in range(12):
-        n = int(rng.integers(2, 4))
-        inst = random_gap_uq(rng, n, n + 2) if k % 2 else random_convex_uq(rng, n, n + 2)
-        inst = dataclasses.replace(inst, d=inst.d + np.r_[rng.normal(), np.zeros(inst.p)])
-        v = 0.05 * rng.normal(size=n)
+    for k, (inst, v) in enumerate(translated_uq_cases()):
         shifted, moved_by = model.translate_origin(inst, -v)  # f'_i(x) = f_i(x - v)
         x, trace, cert = recover.approx_uq(inst)
         x_s, trace_s, cert_s = recover.approx_uq(shifted)
@@ -683,6 +678,44 @@ def test_least_gamma_is_gamma_at_its_point_and_moves_with_the_data():
         assert np.abs(x_s - (x_hat + v)).max() <= 1e-6, k
         assert abs(gamma_s - gamma) <= 1e-9 * max(gamma, 1.0), k
     assert infeasible_origins >= 20
+
+
+def test_least_gamma_takes_a_capped_solves_interior_point(monkeypatch):
+    # at feastol = gaptol = 1e-12 the least-gamma solve of some of these
+    # instances ends MaxIter; gamma is read at the returned point, so that
+    # best iterate is a centre, and gamma there is no worse than the default
+    # solve's
+    from helpers import translated_uq_cases
+
+    tight = conesolver.SolveOptions(feastol=1e-12, gaptol=1e-12)
+    statuses = []
+    solve = recover.solve
+
+    def recording(prog, opts=None):
+        res = solve(prog, opts)
+        statuses.append(res.status)
+        return res
+
+    for k, (inst, _) in enumerate(translated_uq_cases()):
+        _, gamma = recover.least_gamma(inst)
+        with monkeypatch.context() as m:
+            m.setattr(recover, "solve", recording)
+            x_hat, gamma_tight = recover.least_gamma(inst, tight)
+        at_x = recover.gamma_uq(model.translate_origin(inst, x_hat)[0])
+        assert gamma_tight == pytest.approx(at_x, rel=1e-9, abs=1e-12), k
+        assert -2e-9 <= gamma_tight - gamma <= 1e-12, k
+    assert statuses.count("MaxIter") >= 3
+
+
+def test_least_gamma_capped_without_an_interior_point_fails_the_solve():
+    # touching balls: gamma >= 1 everywhere, so a capped solve proves
+    # nothing, and it is a solver failure, not an empty interior
+    b = np.array([[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    inst = UqInstance(
+        2, SymMatrix.identity(2), b, np.array([0.0, 1.0, 1.0]), [Bound(-math.inf, 1.0)] * 2
+    )
+    with pytest.raises(SolverFailed, match="MaxIter"):
+        recover.least_gamma(inst, conesolver.SolveOptions(max_iter=2))
 
 
 def test_selection_bound_reads_the_rows():
