@@ -15,14 +15,15 @@ vector wbar and a scale eta), so W and W^-1 cost one O(d) pass, batched over
 all cones of equal dimension; the step to the boundary is taken in the same
 scaled coordinates.
 
-The reduced matrix is factored one of two ways, picked by the program's
-shape.  With no equality rows and nv up to 32 it is the positive definite
-G'W^-2 G + dI, factored by numpy's Cholesky with the inverse factor kept, so
-a solve is two matrix-vector products.  Every other program, any equality
-row or a larger order, goes to LAPACK's Bunch-Kaufman ``sytrf``/``sytrs``,
-which is the faster factor above order 32 since numpy has no triangular
-solve; scipy is imported for it on the first such factorization, so a
-process that solves only small inequality-form programs never loads scipy.
+With no equality rows, as in every program socqp builds, the reduced matrix
+is the positive definite G'W^-2 G + dI and is factored by Cholesky: up to
+order 32 by numpy, with the inverse factor kept so a solve is two
+matrix-vector products, and above that by LAPACK's ``potrf``/``potrs``, the
+faster factor there since numpy has no triangular solve.  A solve then takes
+one refinement pass.  A program with equality rows goes to LAPACK's
+Bunch-Kaufman ``sytrf``/``sytrs`` and takes two.  scipy is imported for
+LAPACK on the first program that needs it, so a process that solves only
+small inequality-form programs never loads scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import InvalidInput, InvalidProgram
 
 _STEP_SCALE = 0.99  # share of the step to the cone boundary that is taken
 _STATIC_REG = 1e-10  # KKT regularization, raised while factoring fails
-_REFINE_STEPS = 2  # iterative-refinement passes per KKT solve
+_REFINE_STEPS = 1  # refinement passes per KKT solve, one more with equality rows
 _NUMPY_KKT_ORDER = 32  # largest reduced KKT order factored with numpy alone
 
 
@@ -324,32 +325,51 @@ class _Scaling:
         return self._apply(x, True)
 
 
+def _lapack():
+    # imported on first use, not at module level: loading scipy costs about
+    # 0.25 s of process start, which small programs never need to pay
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 class _CholeskyFactor:
-    """The positive definite K = A'A + dI as K = L L'.  numpy has no
-    triangular solve, so L^-1 is kept, and a solve K^-1 r = L^-T L^-1 r is
-    two matrix-vector products."""
+    """The positive definite K = A'A + dI of an equality-free program as
+    K = L L'.  Up to order _NUMPY_KKT_ORDER numpy factors it; numpy has no
+    triangular solve, so L^-1 is kept and a solve K^-1 r = L^-T L^-1 r is two
+    matrix-vector products.  Above that LAPACK's ``potrf``/``potrs`` do."""
+
+    def __init__(self, order):
+        self.lapack = _lapack() if order > _NUMPY_KKT_ORDER else None
 
     def factor(self, k) -> bool:
         """Factor k; False when k is not numerically positive definite."""
-        try:
-            self.l_inv = np.linalg.inv(np.linalg.cholesky(k))
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        if self.lapack is None:
+            try:
+                self.l_inv = np.linalg.inv(np.linalg.cholesky(k))
+            except np.linalg.LinAlgError:
+                return False
+            return True
+        # k is symmetric and a fresh array: its transpose is the Fortran-order
+        # matrix LAPACK factors in place, and the upper triangle is left as is
+        self.l, info = self.lapack.dpotrf(k.T, lower=1, clean=0, overwrite_a=1)
+        return info == 0
 
     def solve(self, rr):
-        return (self.l_inv @ rr) @ self.l_inv
+        if self.lapack is None:
+            return (self.l_inv @ rr) @ self.l_inv
+        x, info = self.lapack.dpotrs(self.l, rr, lower=1)
+        if info != 0:
+            raise InvalidProgram("KKT solve failed")
+        return x
 
 
 class _LapackFactor:
-    """K factored by LAPACK's symmetric indefinite ``sytrf`` (Bunch-Kaufman)."""
+    """The quasi-definite K of a program with equality rows, factored by
+    LAPACK's symmetric indefinite ``sytrf`` (Bunch-Kaufman)."""
 
     def __init__(self):
-        # imported here, not at module level: loading scipy costs about 0.25 s
-        # of process start, which small programs never need to pay
-        from scipy.linalg import lapack
-
-        self.lapack = lapack
+        self.lapack = _lapack()
 
     def factor(self, k) -> bool:
         self.ldu, self.ipiv, info = self.lapack.dsytrf(k, lower=1)
@@ -370,24 +390,28 @@ class _Kkt:
     [0 E' A'; E 0 0; A 0 -I] (dz, dy, dl) = (r1, r2, W^{-1} r3).  Eliminating
     dl = A dz - W^{-1} r3 leaves [[A'A + dI, E'], [E, -dI]] of size nv + ne,
     factored once per iteration with static regularization d (raised x100,
-    up to 1, while the factorization fails).  With no equality rows and nv
-    up to _NUMPY_KKT_ORDER it is positive definite and numpy's Cholesky
-    factors it; every other program goes to LAPACK.  Iterative refinement
-    takes its residual from the full, unreduced scaled operator.
+    up to 1, while the factorization fails).  With no equality rows it is the
+    positive definite A'A + dI and a Cholesky factor takes it; a program with
+    equality rows goes to LAPACK's ``sytrf``.  Iterative refinement takes its
+    residual from the full, unreduced scaled operator: one pass without
+    equality rows, two with them.
     """
 
     def __init__(self, e):
         ne, nv = e.shape
         self.nv = nv
+        self.ne = ne
         self.k0 = np.zeros((nv + ne, nv + ne))  # [[0, E'], [E, 0]]
         self.k0[nv:, :nv] = e
         self.k0[:nv, nv:] = e.T
         self.sign = np.concatenate((np.ones(nv), -np.ones(ne)))
         self.k_reg = self.k0 + np.diag(_STATIC_REG * self.sign)
-        if not ne and nv <= _NUMPY_KKT_ORDER:
-            self.fac = _CholeskyFactor()
-        else:
+        if ne:
             self.fac = _LapackFactor()
+            self.refine = _REFINE_STEPS + 1
+        else:
+            self.fac = _CholeskyFactor(nv)
+            self.refine = _REFINE_STEPS
 
     def factor(self, a_pad):
         """Factor the reduced matrix for a_pad = [A'; 0] (nv + ne rows, one
@@ -409,13 +433,15 @@ class _Kkt:
         nv, a_pad, a_t = self.nv, self.a_pad, self.a_t
         x = self.fac.solve(r12 + a_pad @ r3)
         dl = x[:nv] @ a_t - r3
-        for _ in range(_REFINE_STEPS):
-            # residual of the full operator, then the same elimination
-            e3 = r3 - x[:nv] @ a_t + dl
-            e12 = r12 - self.k0 @ x - a_pad @ dl
-            cx = self.fac.solve(e12 + a_pad @ e3)
+        for _ in range(self.refine):
+            # residual of the full operator; its third block r3 - A dz + dl
+            # is zero by the choice of dl, so the correction of dl is A cx
+            e12 = r12 - a_pad @ dl
+            if self.ne:
+                e12 -= self.k0 @ x
+            cx = self.fac.solve(e12)
             x += cx
-            dl += cx[:nv] @ a_t - e3
+            dl += cx[:nv] @ a_t
         return x, dl
 
 
@@ -508,7 +534,7 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         # h'lam + f'y < 0.
         theta = -(hc @ lam + fc @ y)
         if theta > 0.0:
-            fk = (gc.T @ lam + ec.T @ y) / theta
+            fk = (res_x - cvec) / theta  # (G'lam + E'y) / theta
             if float(np.abs(fk).max(initial=0.0)) / c_scale <= opts.feastol:
                 lam_lin, lam_soc, s_lin, s_soc = _split_duals(lam / theta, s, cones)
                 return SolverResult(

@@ -228,9 +228,10 @@ def dense_nt_w2(s, lam, nlin, dims):
     dims=st.lists(st.integers(2, 5), min_size=0, max_size=4),
 )
 # with ne = 0, orders nv of 31-33 straddle the cut between numpy's Cholesky
-# (nv <= 32) and LAPACK sytrf; every ne > 0 example goes to LAPACK, and its
-# cone rows number nv - ne, so A'A is rank-deficient and only E makes K
-# nonsingular
+# (nv <= 32) and LAPACK's potrf, and orders 67, 111 and 181 with one large cone
+# and up to 472 cone rows are the shapes the benchmark's uniform instances
+# build; every ne > 0 example goes to LAPACK's sytrf, and its cone rows number
+# nv - ne, so A'A is rank-deficient and only E makes K nonsingular
 @example(seed=31, nv=31, nlin=28, ne=0, dims=[3, 4])
 @example(seed=32, nv=31, nlin=27, ne=1, dims=[3])
 @example(seed=33, nv=30, nlin=25, ne=2, dims=[3])
@@ -240,6 +241,9 @@ def dense_nt_w2(s, lam, nlin, dims):
 @example(seed=37, nv=31, nlin=25, ne=2, dims=[2, 2])
 @example(seed=38, nv=33, nlin=30, ne=1, dims=[2])
 @example(seed=39, nv=32, nlin=26, ne=2, dims=[4])
+@example(seed=40, nv=67, nlin=80, ne=0, dims=[68])
+@example(seed=41, nv=111, nlin=215, ne=0, dims=[112])
+@example(seed=42, nv=181, nlin=290, ne=0, dims=[182])
 def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
     ne = min(ne, nv - 1)
     nlin = max(nlin, nv - ne - sum(dims))  # [G; E] of full column rank
@@ -285,12 +289,57 @@ def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
 @pytest.mark.parametrize(
     "ne, nv, factor",
     [(0, 32, conesolver._CholeskyFactor), (1, 2, conesolver._LapackFactor),
-     (0, 33, conesolver._LapackFactor)],
+     (0, 33, conesolver._CholeskyFactor)],
 )
 def test_kkt_factor_follows_the_programs_shape(ne, nv, factor):
-    # numpy's Cholesky takes equality-free programs up to order 32; any
-    # equality row, or a larger order, goes to LAPACK
-    assert type(conesolver._Kkt(np.ones((ne, nv))).fac) is factor
+    # a Cholesky factor takes every equality-free program, with numpy up to
+    # order 32 and LAPACK above; any equality row goes to LAPACK's sytrf
+    fac = conesolver._Kkt(np.ones((ne, nv))).fac
+    assert type(fac) is factor
+    assert (fac.lapack is not None) == (ne > 0 or nv > 32)
+
+
+@pytest.mark.parametrize("nv", [8, 40])
+def test_kkt_factor_raises_the_regularization_until_cholesky_succeeds(nv):
+    # A' whose A'A has two equal rows of 2^30: every product is exact, so A'A
+    # is exactly singular, and 2^30 + 1e-10 rounds to 2^30, so the Cholesky
+    # of A'A + 1e-10 I breaks down
+    a_pad = np.zeros((nv, nv))
+    a_pad[:2, 0] = 2.0**15
+    a_pad[np.arange(2, nv), np.arange(1, nv - 1)] = 1.0
+    k = a_pad @ a_pad.T
+    k_reg = k + 1e-10 * np.eye(nv)
+    if nv <= 32:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(k_reg)
+    else:
+        from scipy.linalg import lapack
+
+        assert lapack.dpotrf(k_reg, lower=1)[1] != 0
+    kkt = conesolver._Kkt(np.zeros((0, nv)))
+    assert (kkt.fac.lapack is not None) == (nv > 32)
+    kkt.factor(a_pad)
+    # a right-hand side in the range of A'A: the reduced system is consistent
+    rng = np.random.default_rng(7)
+    rhs = k @ rng.normal(size=nv)
+    x, dl = kkt.solve(rhs, np.zeros(nv))
+    assert np.linalg.norm(k @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+    assert np.linalg.norm(dl - x @ a_pad) <= 1e-12 * np.linalg.norm(dl)
+
+
+def test_lapack_cholesky_repeat_solve_is_bit_identical():
+    # one cone of 62 rows and 90 linear rows in 61 variables: above order 32, so
+    # LAPACK's potrf factors every iteration
+    prog, _ = reformulate.build_socp_uq(random_uq(np.random.default_rng(60), 60, 90))
+    assert prog.nvar > 32 and prog.e.size == 0
+    r1 = conesolver.solve(prog)
+    r2 = conesolver.solve(prog)
+    assert r1.status == "Optimal"
+    assert r1.iterations == r2.iterations
+    for a, b in [(r1.z, r2.z), (r1.lam_lin, r2.lam_lin), (r1.s_lin, r2.s_lin)]:
+        assert np.array_equal(a, b)
+    for a, b in zip(r1.lam_soc + r1.s_soc, r2.lam_soc + r2.s_soc):
+        assert np.array_equal(a, b)
 
 
 def test_equality_free_order_32_solves_without_scipy():
