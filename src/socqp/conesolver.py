@@ -1,36 +1,34 @@
 """Linear + second-order cone programming solver.
 
-Solves  min c'z  s.t.  E z = f,  G z <= h,  ||A_k z + b_k|| <= c_k'z + d_k
-with a primal-dual path-following interior-point method: Nesterov-Todd
-scaling over the product of the nonnegative orthant and second-order cones
-and Mehrotra predictor-corrector steps.
+Solves  min c'z  s.t.  E z = f,  G z <= h,  ||A_k z + b_k|| <= c_k'z + d_k.
+Equality rows are eliminated before the interior-point method: z = z0 + N w,
+with z0 the least-norm solution of E z = f and N an orthonormal basis of
+null(E), so the method only ever sees G z + s = h with s in the cone.  It is
+a primal-dual path-following method with Nesterov-Todd scaling over the
+product of the nonnegative orthant and second-order cones and Mehrotra
+predictor-corrector steps.
 
 Each iteration works in NT-scaled coordinates.  The cone block of the KKT
-system is eliminated, so only the reduced matrix [[G'W^-2 G + dI, E'],
-[E, -dI]] of size nv + ne is factored (symmetric quasi-definite, static
-regularization d); W^-1 G is formed and the cone multipliers recovered block
-by block, and iterative refinement takes its residual from the full,
-unreduced operator.  On a second-order cone W is kept in arrow form (a unit
-vector wbar and a scale eta), so W and W^-1 cost one O(d) pass, batched over
-all cones of equal dimension; the step to the boundary is taken in the same
-scaled coordinates.
+system is eliminated, so only the positive definite G'W^-2 G + dI of order
+nv is factored (static regularization d); W^-1 G is formed and the cone
+multipliers recovered block by block, and one pass of iterative refinement
+takes its residual from the full, unreduced operator.  On a second-order
+cone W is kept in arrow form (a unit vector wbar and a scale eta), so W and
+W^-1 cost one O(d) pass, batched over all cones of equal dimension; the step
+to the boundary is taken in the same scaled coordinates.
 
-With no equality rows, as in every program socqp builds, the reduced matrix
-is the positive definite G'W^-2 G + dI and is factored by Cholesky: up to
-order 32 by numpy, with the inverse factor kept so a solve is two
-matrix-vector products, and above that by LAPACK's ``potrf``/``potrs``, the
-faster factor there since numpy has no triangular solve.  A solve then takes
-one refinement pass.  A program with equality rows goes to LAPACK's
-Bunch-Kaufman ``sytrf``/``sytrs`` and takes two.  scipy is imported for
-LAPACK on the first program that needs it, so a process that solves only
-small inequality-form programs never loads scipy.
+The reduced matrix is factored by Cholesky: up to order 32 by numpy, with
+the inverse factor kept so a solve is two matrix-vector products, and above
+that by LAPACK's ``potrf``/``potrs``, the faster factor there since numpy has
+no triangular solve.  scipy is imported for LAPACK on the first program above
+order 32, so a process that solves only small programs never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +36,6 @@ from .errors import InvalidInput, InvalidProgram
 
 _STEP_SCALE = 0.99  # share of the step to the cone boundary that is taken
 _STATIC_REG = 1e-10  # KKT regularization, raised while factoring fails
-_REFINE_STEPS = 1  # refinement passes per KKT solve, one more with equality rows
 _NUMPY_KKT_ORDER = 32  # largest reduced KKT order factored with numpy alone
 
 
@@ -334,9 +331,9 @@ def _lapack():
 
 
 class _CholeskyFactor:
-    """The positive definite K = A'A + dI of an equality-free program as
-    K = L L'.  Up to order _NUMPY_KKT_ORDER numpy factors it; numpy has no
-    triangular solve, so L^-1 is kept and a solve K^-1 r = L^-T L^-1 r is two
+    """The positive definite reduced KKT matrix K = A'A + dI as K = L L'.
+    Up to order _NUMPY_KKT_ORDER numpy factors it; numpy has no triangular
+    solve, so L^-1 is kept and a solve K^-1 r = L^-T L^-1 r is two
     matrix-vector products.  Above that LAPACK's ``potrf``/``potrs`` do."""
 
     def __init__(self, order):
@@ -364,85 +361,45 @@ class _CholeskyFactor:
         return x
 
 
-class _LapackFactor:
-    """The quasi-definite K of a program with equality rows, factored by
-    LAPACK's symmetric indefinite ``sytrf`` (Bunch-Kaufman)."""
-
-    def __init__(self):
-        self.lapack = _lapack()
-
-    def factor(self, k) -> bool:
-        self.ldu, self.ipiv, info = self.lapack.dsytrf(k, lower=1)
-        return info == 0
-
-    def solve(self, rr):
-        x, info = self.lapack.dsytrs(self.ldu, self.ipiv, rr, lower=1)
-        if info != 0:
-            raise InvalidProgram("KKT solve failed")
-        return x
-
-
 class _Kkt:
     """Reduced KKT solver in NT-scaled coordinates.
 
-    The Newton system  [0 E' G'; E 0 0; G 0 -W^2] (dz, dy, dlam) = (r1, r2, r3)
-    reads, in the scaled unknown dl = W dlam and with A = W^{-1} G,
-    [0 E' A'; E 0 0; A 0 -I] (dz, dy, dl) = (r1, r2, W^{-1} r3).  Eliminating
-    dl = A dz - W^{-1} r3 leaves [[A'A + dI, E'], [E, -dI]] of size nv + ne,
-    factored once per iteration with static regularization d (raised x100,
-    up to 1, while the factorization fails).  With no equality rows it is the
-    positive definite A'A + dI and a Cholesky factor takes it; a program with
-    equality rows goes to LAPACK's ``sytrf``.  Iterative refinement takes its
-    residual from the full, unreduced scaled operator: one pass without
-    equality rows, two with them.
+    The Newton system  [0 G'; G -W^2] (dz, dlam) = (r1, r3)  reads, in the
+    scaled unknown dl = W dlam and with A = W^{-1} G,
+    [0 A'; A -I] (dz, dl) = (r1, W^{-1} r3).  Eliminating
+    dl = A dz - W^{-1} r3 leaves the positive definite A'A + dI of order nv,
+    factored by Cholesky once per iteration with static regularization d
+    (raised x100, up to 1, while the factorization fails).  One pass of
+    iterative refinement takes its residual from the full, unreduced scaled
+    operator.
     """
 
-    def __init__(self, e):
-        ne, nv = e.shape
-        self.nv = nv
-        self.ne = ne
-        self.k0 = np.zeros((nv + ne, nv + ne))  # [[0, E'], [E, 0]]
-        self.k0[nv:, :nv] = e
-        self.k0[:nv, nv:] = e.T
-        self.sign = np.concatenate((np.ones(nv), -np.ones(ne)))
-        self.k_reg = self.k0 + np.diag(_STATIC_REG * self.sign)
-        if ne:
-            self.fac = _LapackFactor()
-            self.refine = _REFINE_STEPS + 1
-        else:
-            self.fac = _CholeskyFactor(nv)
-            self.refine = _REFINE_STEPS
+    def __init__(self, nv):
+        self.fac = _CholeskyFactor(nv)
+        self.eye = np.eye(nv)
 
-    def factor(self, a_pad):
-        """Factor the reduced matrix for a_pad = [A'; 0] (nv + ne rows, one
-        column per cone row)."""
-        self.a_pad = a_pad
-        self.a_t = a_pad[: self.nv]
-        k = a_pad @ a_pad.T
+    def factor(self, a_t):
+        """Factor the reduced matrix for a_t = A' (nv rows, one column per
+        cone row)."""
+        self.a_t = a_t
+        k = a_t @ a_t.T
         bump = _STATIC_REG
-        ok = self.fac.factor(k + self.k_reg)
-        while not ok and bump < 1.0:
+        while not self.fac.factor(k + bump * self.eye):
+            if bump >= 1.0:
+                raise InvalidProgram("KKT matrix is numerically singular")
             bump *= 100.0
-            ok = self.fac.factor(k + self.k0 + np.diag(bump * self.sign))
-        if not ok:
-            raise InvalidProgram("KKT matrix is numerically singular")
 
-    def solve(self, r12, r3):
-        """((dz, dy), dl) for the right-hand side (r1, r2) = r12 and the
-        scaled third block r3, already multiplied by W^{-1}."""
-        nv, a_pad, a_t = self.nv, self.a_pad, self.a_t
-        x = self.fac.solve(r12 + a_pad @ r3)
-        dl = x[:nv] @ a_t - r3
-        for _ in range(self.refine):
-            # residual of the full operator; its third block r3 - A dz + dl
-            # is zero by the choice of dl, so the correction of dl is A cx
-            e12 = r12 - a_pad @ dl
-            if self.ne:
-                e12 -= self.k0 @ x
-            cx = self.fac.solve(e12)
-            x += cx
-            dl += cx[:nv] @ a_t
-        return x, dl
+    def solve(self, r1, r3):
+        """(dz, dl) for the right-hand side r1 and the scaled third block r3,
+        already multiplied by W^{-1}."""
+        a_t = self.a_t
+        x = self.fac.solve(r1 + a_t @ r3)
+        dl = x @ a_t - r3
+        # refinement: the residual of the full operator is (r1 - A'dl, 0), its
+        # second block r3 - A dz + dl being zero by the choice of dl, so the
+        # correction of dl is A cx
+        cx = self.fac.solve(r1 - a_t @ dl)
+        return x + cx, dl + cx @ a_t
 
 
 def _conic_rows(prog: ConeProgram):
@@ -459,22 +416,19 @@ def _conic_rows(prog: ConeProgram):
     return np.vstack(parts_g), np.concatenate(parts_h), cones
 
 
-def _initial_point(gc, hc, fc, cvec, cones, kkt, rows):
+def _initial_point(gc, hc, cvec, cones, kkt, rows):
     # with W = I the scaled and unscaled systems coincide
-    nv = cvec.size
     kkt.factor(rows[:-1])
-    x, _ = kkt.solve(np.concatenate((np.zeros(nv), fc)), hc)
-    z = x[:nv]
+    z, _ = kkt.solve(np.zeros(cvec.size), hc)
     s = hc - gc @ z
     margin = cones.min_margin(s)
     if margin <= 0.0:
         s = s + (1.0 - margin) * cones.identity
-    x, lam = kkt.solve(np.concatenate((-cvec, np.zeros(fc.size))), np.zeros(hc.size))
-    y = x[nv:]
+    _, lam = kkt.solve(-cvec, np.zeros(hc.size))
     margin = cones.min_margin(lam)
     if margin <= 0.0:
         lam = lam + (1.0 - margin) * cones.identity
-    return z, y, s, lam
+    return z, s, lam
 
 
 def _split_duals(lam, s, cones):
@@ -484,76 +438,133 @@ def _split_duals(lam, s, cones):
     return lam[:l].copy(), lam_soc, s[:l].copy(), s_soc
 
 
+def _null_basis(e, rank):
+    """Orthonormal basis of null(E) in nv - rank columns, or one zero column
+    when E pins every variable: Gram-Schmidt with column pivoting on the
+    projector I - E^+ E, each step taking the longest remaining column."""
+    nv = e.shape[1]
+    p = np.eye(nv) - np.linalg.lstsq(e, e, rcond=None)[0]
+    basis = np.zeros((nv, max(nv - rank, 1)))
+    for k in range(nv - rank):
+        col = p[:, np.argmax((p * p).sum(axis=0))]
+        basis[:, k] = col / np.linalg.norm(col)
+        p = p - np.outer(basis[:, k], basis[:, k] @ p)
+    return basis
+
+
 def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
-    """Solve a cone program; deterministic for fixed inputs and options."""
+    """Solve a cone program; deterministic for fixed inputs and options.
+
+    Equality rows are eliminated first: the program is solved in w over
+    z = z0 + N w, so pres and dres are those of the program in w.  Rows that
+    no z meets are Infeasible before any iteration, with the Farkas vector
+    y = r / ||r||^2 of the residual r = E z0 - f (E'y = 0, f'y = -1).
+    """
     opts = opts or SolveOptions()
+    if prog.f.size == 0:
+        return _interior_point(prog, opts)
+    e, f = prog.e, prog.f
+    z0, _, rank, _ = np.linalg.lstsq(e, f, rcond=None)
+    r = e @ z0 - f
+    pres = float(np.abs(r).max()) / (1.0 + float(np.abs(f).max()))
+    if pres > opts.feastol:
+        y = r / (r @ r)
+        cones = _Cones(prog.h.size, [blk.dim for blk in prog.soc])
+        return SolverResult(
+            "Infeasible", np.full(prog.nvar, math.nan), math.nan, y,
+            *_split_duals(np.zeros(cones.m), np.full(cones.m, math.nan), cones),
+            pres, 0.0, 0.0, 0.0, 0, certificate=np.concatenate((y, np.zeros(cones.m))),
+            certificate_kind="farkas_dual",
+        )
+    basis = _null_basis(e, rank)
+    soc = [SocBlock(b.a @ basis, b.b + b.a @ z0, b.c @ basis, b.d + b.c @ z0)
+           for b in prog.soc]
+    res = _interior_point(ConeProgram(
+        prog.c @ basis, prog.g @ basis, prog.h - prog.g @ z0, soc=soc,
+        offset=prog.offset + float(prog.c @ z0),
+    ), opts)
+    # y solves E'y = -(c + G_c'lam), the stationarity the program in w leaves
+    # to E; a Farkas vector has no c
+    g_lam = prog.g.T @ res.lam_lin
+    for blk, lam in zip(prog.soc, res.lam_soc):
+        g_lam -= blk.c * lam[0] + blk.a.T @ lam[1:]
+    infeasible = res.status == "Infeasible"
+    y = np.linalg.lstsq(e.T, -g_lam if infeasible else -(prog.c + g_lam), rcond=None)[0]
+    cert = res.certificate
+    if infeasible:
+        cert = np.concatenate((y, cert))
+    elif cert is not None:
+        cert = basis @ cert  # an improving ray in w
+    return replace(res, z=z0 + basis @ res.z, y=y, certificate=cert)
+
+
+def _interior_point(prog: ConeProgram, opts: SolveOptions) -> SolverResult:
+    """The interior-point method on a program with no equality rows."""
     nv = prog.nvar
     gc, hc, cones = _conic_rows(prog)
-    ec, fc, cvec = prog.e, prog.f, prog.c
-    if cones.m == 0:
-        return _solve_equality_only(prog, opts)
-    ne = ec.shape[0]
-    kkt = _Kkt(ec)
-    # [G' ; 0 ; res_z]: rows in cone layout, scaled by W^{-1} in one pass
-    rows = np.zeros((nv + ne + 1, cones.m))
-    rows[:nv] = gc.T
-
+    cvec = prog.c
     c_scale = 1.0 + float(np.abs(cvec).max(initial=0.0))
-    h_scale = 1.0 + max(
-        float(np.abs(hc).max(initial=0.0)), float(np.abs(fc).max(initial=0.0))
-    )
+    no_y = np.zeros(0)
+    if cones.m == 0:
+        # c'z is constant, or falls without bound along -c
+        z = np.zeros(nv)
+        if float(np.abs(cvec).max()) <= opts.feastol * c_scale:
+            return SolverResult(
+                "Optimal", z, prog.value(z), no_y, no_y, [], no_y, [], 0.0, 0.0, 0.0, 0.0, 0,
+            )
+        return SolverResult(
+            "Unbounded", z, -math.inf, no_y, no_y, [], no_y, [], 0.0, math.inf, 0.0, 0.0, 0,
+            certificate=-cvec / np.linalg.norm(cvec), certificate_kind="improving_ray",
+        )
+    kkt = _Kkt(nv)
+    # [G' ; res_z]: rows in cone layout, scaled by W^{-1} in one pass
+    rows = np.zeros((nv + 1, cones.m))
+    rows[:nv] = gc.T
+    h_scale = 1.0 + float(np.abs(hc).max(initial=0.0))
 
-    z, y, s, lam = _initial_point(gc, hc, fc, cvec, cones, kkt, rows)
+    z, s, lam = _initial_point(gc, hc, cvec, cones, kkt, rows)
     best = None
     stall = 0
 
     for it in range(opts.max_iter + 1):
-        res_x = cvec + gc.T @ lam + ec.T @ y
-        res_y = ec @ z - fc
+        res_x = cvec + gc.T @ lam
         res_z = gc @ z + s - hc
         pobj = float(cvec @ z)
         gap = float(s @ lam)
         relgap = gap / (1.0 + abs(pobj))
-        pres = max(
-            float(np.abs(res_y).max(initial=0.0)),
-            float(np.abs(res_z).max(initial=0.0)),
-        ) / h_scale
+        pres = float(np.abs(res_z).max(initial=0.0)) / h_scale
         dres = float(np.abs(res_x).max(initial=0.0)) / c_scale
 
         # iterates are rebound each step, never modified in place
         if best is None or max(pres, dres) + relgap < max(best[0], best[1]) + best[3]:
-            best = (pres, dres, gap, relgap, pobj, z, y, s, lam, it)
+            best = (pres, dres, gap, relgap, pobj, z, s, lam, it)
 
         if pres <= opts.feastol and dres <= opts.feastol and relgap <= opts.gaptol:
             return SolverResult(
-                "Optimal", z, pobj + prog.offset, y, *_split_duals(lam, s, cones),
+                "Optimal", z, pobj + prog.offset, no_y, *_split_duals(lam, s, cones),
                 pres, dres, gap, relgap, it,
             )
 
-        # Farkas-type primal infeasibility certificate: lam in K*, G'lam+E'y=0,
-        # h'lam + f'y < 0.
-        theta = -(hc @ lam + fc @ y)
+        # Farkas-type primal infeasibility certificate: lam in K*, G'lam = 0,
+        # h'lam < 0.
+        theta = -(hc @ lam)
         if theta > 0.0:
-            fk = (res_x - cvec) / theta  # (G'lam + E'y) / theta
+            fk = (res_x - cvec) / theta  # G'lam / theta
             if float(np.abs(fk).max(initial=0.0)) / c_scale <= opts.feastol:
                 lam_lin, lam_soc, s_lin, s_soc = _split_duals(lam / theta, s, cones)
                 return SolverResult(
-                    "Infeasible", np.full(nv, np.nan), math.nan, y / theta, lam_lin,
+                    "Infeasible", np.full(nv, np.nan), math.nan, no_y, lam_lin,
                     lam_soc, s_lin, s_soc, pres, dres, gap, relgap, it,
-                    certificate=np.concatenate([y / theta, lam_lin, *lam_soc]),
+                    certificate=np.concatenate([lam_lin, *lam_soc]),
                     certificate_kind="farkas_dual",
                 )
 
-        # Improving-ray certificate: E zh = 0, -G zh in K, c'zh = -1.
+        # Improving-ray certificate: -G zh in K, c'zh = -1.
         if pobj < 0.0:
             zh = z / (-pobj)
-            ray_res = max(
-                float(np.abs(ec @ zh).max(initial=0.0)),
-                max(0.0, -cones.min_margin(-gc @ zh)),
-            ) / h_scale
-            if ray_res <= opts.feastol:
+            if max(0.0, -cones.min_margin(-gc @ zh)) / h_scale <= opts.feastol:
                 return SolverResult(
-                    "Unbounded", z, pobj + prog.offset, y,
+                    "Unbounded", z, pobj + prog.offset, no_y,
                     *_split_duals(lam, s, cones), pres, dres, gap, relgap, it,
                     certificate=zh, certificate_kind="improving_ray",
                 )
@@ -572,11 +583,11 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
             scaled = scaling.apply_inv(rows)
             kkt.factor(scaled[:-1])
             r3 = -scaled[-1]
-            r12 = -np.concatenate((res_x, res_y))
+            r1 = -res_x
 
             # predictor (affine) direction: target complementarity 0, ds~ = -v;
             # s + a ds stays in K iff v + a ds~ does, and likewise for lam
-            _, dl_a = kkt.solve(r12, r3 + v)
+            _, dl_a = kkt.solve(r1, r3 + v)
             ds_a = -v - dl_a
             alpha_a = min(1.0, cones.max_step(v, np.array([ds_a, dl_a])))
             gap_a = float((v + alpha_a * ds_a) @ (v + alpha_a * dl_a))
@@ -584,7 +595,7 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
 
             # corrector: target sigma*mu*e minus the Mehrotra second-order term
             ds_comb = -v + cones.jsolve(v, sigma * mu * cones.identity - cones.jprod(ds_a, dl_a))
-            x, dl = kkt.solve(r12, r3 - ds_comb)
+            dz, dl = kkt.solve(r1, r3 - ds_comb)
             ds_t = ds_comb - dl
             alpha = min(1.0, _STEP_SCALE * cones.max_step(v, np.array([ds_t, dl])))
         except _ScalingBreakdown:
@@ -602,45 +613,13 @@ def solve(prog: ConeProgram, opts: SolveOptions | None = None) -> SolverResult:
         else:
             break  # cannot stay interior at machine precision
         stall = stall + 1 if alpha < 1e-13 else 0
-        z = z + alpha * x[:nv]
-        y = y + alpha * x[nv:]
+        z = z + alpha * dz
         s, lam = s_new, lam_new
 
-    pres, dres, gap, relgap, pobj, z, y, s, lam, it = best
+    pres, dres, gap, relgap, pobj, z, s, lam, it = best
     return SolverResult(
-        "MaxIter", z, pobj + prog.offset, y, *_split_duals(lam, s, cones),
+        "MaxIter", z, pobj + prog.offset, no_y, *_split_duals(lam, s, cones),
         pres, dres, gap, relgap, it,
-    )
-
-
-def _solve_equality_only(prog: ConeProgram, opts: SolveOptions) -> SolverResult:
-    """Corner case: no cone rows at all."""
-    ec, fc, cvec = prog.e, prog.f, prog.c
-    z, *_ = np.linalg.lstsq(ec, fc, rcond=None)
-    empty = np.zeros(0)
-    if float(np.abs(ec @ z - fc).max(initial=0.0)) > opts.feastol * (
-        1.0 + float(np.abs(fc).max(initial=0.0))
-    ):
-        return SolverResult(
-            "Infeasible", np.full(prog.nvar, np.nan), math.nan, empty.copy(),
-            empty.copy(), [], empty.copy(), [], math.inf, 0.0, 0.0, 0.0, 0,
-        )
-    # objective varies over the feasible affine set iff c has a component in
-    # the null space of E
-    y, *_ = np.linalg.lstsq(ec.T, -cvec, rcond=None)
-    reduced = cvec + ec.T @ y
-    if float(np.abs(reduced).max(initial=0.0)) > opts.feastol * (
-        1.0 + float(np.abs(cvec).max(initial=0.0))
-    ):
-        ray = -reduced / np.linalg.norm(reduced)
-        return SolverResult(
-            "Unbounded", z, -math.inf, y, empty.copy(), [], empty.copy(), [],
-            0.0, math.inf, 0.0, 0.0, 0, certificate=ray,
-            certificate_kind="improving_ray",
-        )
-    return SolverResult(
-        "Optimal", z, float(cvec @ z) + prog.offset, y, empty.copy(), [],
-        empty.copy(), [], 0.0, 0.0, 0.0, 0.0, 0,
     )
 
 

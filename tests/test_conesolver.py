@@ -101,30 +101,81 @@ def test_non_finite_program_data_is_refused(field, bad):
 
 
 def test_unbounded_reports_ray():
-    soc = [
-        SocBlock(
-            a=np.array([[1.0, 0.0], [0.0, 0.5]]),
-            b=np.array([0.0, -0.5]),
-            c=np.array([0.0, 0.5]),
-            d=0.5,
-        )
+    # min -x2 subject to x1^2 <= x2, and the same with x3 = x2 carrying the
+    # objective, so the ray leaves the null space of E only if mapped wrong
+    blk = SocBlock(
+        a=np.array([[1.0, 0.0], [0.0, 0.5]]),
+        b=np.array([0.0, -0.5]),
+        c=np.array([0.0, 0.5]),
+        d=0.5,
+    )
+    lifted = SocBlock(np.c_[blk.a, np.zeros(2)], blk.b, np.r_[blk.c, 0.0], blk.d)
+    progs = [
+        ConeProgram(c=np.array([0.0, -1.0]), soc=[blk]),
+        ConeProgram(c=np.array([0.0, 0.0, -1.0]), e=np.array([[0.0, 1.0, -1.0]]),
+                    f=np.zeros(1), soc=[lifted]),
     ]
-    res = conesolver.solve(ConeProgram(c=np.array([0.0, -1.0]), soc=soc))
-    assert res.status == "Unbounded"
-    assert res.certificate_kind == "improving_ray"
-    ray = res.certificate
-    assert ray is not None and ray[1] > 0
+    for prog in progs:
+        res = conesolver.solve(prog)
+        assert res.status == "Unbounded"
+        assert res.certificate_kind == "improving_ray"
+        ray = res.certificate
+        assert ray is not None and ray[1] > 0
+        assert prog.c @ ray == pytest.approx(-1.0)
+        # E zh = 0 and -G zh in K: the cone row holds along the ray
+        assert np.abs(prog.e @ ray).max(initial=0.0) <= 1e-9
+        assert np.linalg.norm(prog.soc[0].a @ ray) <= prog.soc[0].c @ ray + 1e-9
+
+
+def farkas_residuals(prog, res):
+    """(||G_c'lam + E'y||, h_c'lam + f'y) of an infeasibility certificate,
+    with the duals in program order."""
+    grad = prog.g.T @ res.lam_lin + prog.e.T @ res.y
+    value = prog.h @ res.lam_lin + prog.f @ res.y
+    for blk, lam in zip(prog.soc, res.lam_soc):
+        grad -= blk.c * lam[0] + blk.a.T @ lam[1:]
+        value += blk.d * lam[0] + blk.b @ lam[1:]
+    return float(np.abs(grad).max()), float(value)
 
 
 def test_infeasible_reports_farkas():
-    prog = ConeProgram(
-        c=np.array([0.0]),
-        g=np.array([[1.0], [-1.0]]),
-        h=np.array([-1.0, -1.0]),
-    )
-    res = conesolver.solve(prog)
-    assert res.status == "Infeasible"
-    assert res.certificate_kind == "farkas_dual"
+    # x >= 1 and x <= -1; then x1 + x2 = 1 and x1 + x2 = 2, alone and next
+    # to a cone, where the certificate is y alone with E'y = 0 and f'y < 0
+    clash = {"e": np.ones((2, 2)), "f": np.array([1.0, 2.0])}
+    ball = SocBlock(np.eye(2), np.zeros(2), np.zeros(2), 3.0)
+    progs = [
+        ConeProgram(c=np.array([0.0]), g=np.array([[1.0], [-1.0]]), h=np.array([-1.0, -1.0])),
+        ConeProgram(c=np.array([1.0, 0.0]), **clash),
+        ConeProgram(c=np.array([1.0, 0.0]), soc=[ball], **clash),
+    ]
+    for prog in progs:
+        res = conesolver.solve(prog)
+        assert res.status == "Infeasible"
+        assert res.certificate_kind == "farkas_dual"
+        assert np.array_equal(res.certificate[: prog.f.size], res.y)
+        grad, value = farkas_residuals(prog, res)
+        assert grad <= 1e-9 and value < 0.0
+        if prog.f.size:
+            assert np.abs(prog.e.T @ res.y).max() <= 1e-12
+            assert prog.f @ res.y == pytest.approx(-1.0)
+            assert not res.certificate[prog.f.size :].any()
+
+
+def test_pinned_program_checks_its_rows():
+    # E pins z = (1, 2), so nothing is left to optimise: the row z1 + z2 <= h
+    # and the cone ||z|| <= 3 decide between Optimal and Infeasible
+    ball = SocBlock(np.eye(2), np.zeros(2), np.zeros(2), 3.0)
+    for h, status in ((4.0, "Optimal"), (2.0, "Infeasible")):
+        prog = ConeProgram(c=np.array([1.0, -1.0]), g=np.ones((1, 2)), h=np.array([h]),
+                           e=np.eye(2), f=np.array([1.0, 2.0]), soc=[ball])
+        res = conesolver.solve(prog)
+        assert res.status == status, h
+        if status == "Optimal":
+            assert np.allclose(res.z, [1.0, 2.0], atol=1e-9)
+            assert res.objective == pytest.approx(-1.0)
+        else:
+            grad, value = farkas_residuals(prog, res)
+            assert grad <= 1e-7 and value < 0.0
 
 
 def test_determinism_bit_identical():
@@ -224,47 +275,35 @@ def dense_nt_w2(s, lam, nlin, dims):
     seed=st.integers(0, 2**32 - 1),
     nv=st.integers(1, 6),
     nlin=st.integers(0, 5),
-    ne=st.integers(0, 2),
     dims=st.lists(st.integers(2, 5), min_size=0, max_size=4),
 )
-# with ne = 0, orders nv of 31-33 straddle the cut between numpy's Cholesky
-# (nv <= 32) and LAPACK's potrf, and orders 67, 111 and 181 with one large cone
-# and up to 472 cone rows are the shapes the benchmark's uniform instances
-# build; every ne > 0 example goes to LAPACK's sytrf, and its cone rows number
-# nv - ne, so A'A is rank-deficient and only E makes K nonsingular
-@example(seed=31, nv=31, nlin=28, ne=0, dims=[3, 4])
-@example(seed=32, nv=31, nlin=27, ne=1, dims=[3])
-@example(seed=33, nv=30, nlin=25, ne=2, dims=[3])
-@example(seed=34, nv=32, nlin=30, ne=0, dims=[2, 5])
-@example(seed=35, nv=33, nlin=29, ne=0, dims=[4])
-@example(seed=36, nv=32, nlin=28, ne=1, dims=[3])
-@example(seed=37, nv=31, nlin=25, ne=2, dims=[2, 2])
-@example(seed=38, nv=33, nlin=30, ne=1, dims=[2])
-@example(seed=39, nv=32, nlin=26, ne=2, dims=[4])
-@example(seed=40, nv=67, nlin=80, ne=0, dims=[68])
-@example(seed=41, nv=111, nlin=215, ne=0, dims=[112])
-@example(seed=42, nv=181, nlin=290, ne=0, dims=[182])
-def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
-    ne = min(ne, nv - 1)
-    nlin = max(nlin, nv - ne - sum(dims))  # [G; E] of full column rank
+# orders nv of 31-33 straddle the cut between numpy's Cholesky (nv <= 32) and
+# LAPACK's potrf, and orders 67, 111 and 181 with one large cone and up to 472
+# cone rows are the shapes the benchmark's uniform instances build
+@example(seed=31, nv=31, nlin=28, dims=[3, 4])
+@example(seed=34, nv=32, nlin=30, dims=[2, 5])
+@example(seed=35, nv=33, nlin=29, dims=[4])
+@example(seed=40, nv=67, nlin=80, dims=[68])
+@example(seed=41, nv=111, nlin=215, dims=[112])
+@example(seed=42, nv=181, nlin=290, dims=[182])
+def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, dims):
+    nlin = max(nlin, nv - sum(dims))  # G of full column rank
     rng = np.random.default_rng(seed)
-    prog = random_mixed_program(rng, nv, nlin, ne, dims)
+    prog = random_mixed_program(rng, nv, nlin, 0, dims)
     gc_solver, _, cones = conesolver._conic_rows(prog)
     s = random_interior(rng, nlin, dims)
     lam = random_interior(rng, nlin, dims)
 
-    # reference: the full (nv + ne + m) KKT system in program order
+    # reference: the full (nv + m) KKT system in program order
     gc = np.vstack([prog.g] + [np.vstack([-b.c[None, :], -b.a]) for b in prog.soc])
     w2 = dense_nt_w2(s, lam, nlin, dims)
     assert np.allclose(w2 @ lam, s, rtol=1e-10, atol=1e-12)  # W^2 lam = s
     m = s.size
-    kkt = np.zeros((nv + ne + m, nv + ne + m))
-    kkt[:nv, nv : nv + ne] = prog.e.T
-    kkt[nv : nv + ne, :nv] = prog.e
-    kkt[:nv, nv + ne :] = gc.T
-    kkt[nv + ne :, :nv] = gc
-    kkt[nv + ne :, nv + ne :] = -w2
-    rhs = rng.normal(size=nv + ne + m)
+    kkt = np.zeros((nv + m, nv + m))
+    kkt[:nv, nv:] = gc.T
+    kkt[nv:, :nv] = gc
+    kkt[nv:, nv:] = -w2
+    rhs = rng.normal(size=nv + m)
     ref = np.linalg.solve(kkt, rhs)
 
     # program order -> solver order (SOC blocks grouped by dimension)
@@ -276,27 +315,21 @@ def test_reduced_kkt_matches_dense_full_kkt(seed, nv, nlin, ne, dims):
     assert np.array_equal(gc_solver, gc[perm])
 
     scaling = conesolver._Scaling(cones, s[perm], lam[perm])
-    rows = np.zeros((nv + ne, m))
-    rows[:nv] = gc_solver.T
-    solver_kkt = conesolver._Kkt(prog.e)
-    solver_kkt.factor(scaling.apply_inv(rows))
-    x, dl = solver_kkt.solve(rhs[: nv + ne], scaling.apply_inv(rhs[nv + ne :][perm]))
+    solver_kkt = conesolver._Kkt(nv)
+    solver_kkt.factor(scaling.apply_inv(gc_solver.T))
+    x, dl = solver_kkt.solve(rhs[:nv], scaling.apply_inv(rhs[nv:][perm]))
     got = np.concatenate([x, np.empty(m)])
-    got[nv + ne :][perm] = scaling.apply_inv(dl)
+    got[nv:][perm] = scaling.apply_inv(dl)
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize(
-    "ne, nv, factor",
-    [(0, 32, conesolver._CholeskyFactor), (1, 2, conesolver._LapackFactor),
-     (0, 33, conesolver._CholeskyFactor)],
-)
-def test_kkt_factor_follows_the_programs_shape(ne, nv, factor):
-    # a Cholesky factor takes every equality-free program, with numpy up to
-    # order 32 and LAPACK above; any equality row goes to LAPACK's sytrf
-    fac = conesolver._Kkt(np.ones((ne, nv))).fac
-    assert type(fac) is factor
-    assert (fac.lapack is not None) == (ne > 0 or nv > 32)
+@pytest.mark.parametrize("nv", [32, 33])
+def test_kkt_factor_follows_the_programs_shape(nv):
+    # a Cholesky factor takes every program, with numpy up to order 32 and
+    # LAPACK above
+    fac = conesolver._Kkt(nv).fac
+    assert type(fac) is conesolver._CholeskyFactor
+    assert (fac.lapack is not None) == (nv > 32)
 
 
 @pytest.mark.parametrize("nv", [8, 40])
@@ -316,7 +349,7 @@ def test_kkt_factor_raises_the_regularization_until_cholesky_succeeds(nv):
         from scipy.linalg import lapack
 
         assert lapack.dpotrf(k_reg, lower=1)[1] != 0
-    kkt = conesolver._Kkt(np.zeros((0, nv)))
+    kkt = conesolver._Kkt(nv)
     assert (kkt.fac.lapack is not None) == (nv > 32)
     kkt.factor(a_pad)
     # a right-hand side in the range of A'A: the reduced system is consistent
@@ -342,8 +375,9 @@ def test_lapack_cholesky_repeat_solve_is_bit_identical():
         assert np.array_equal(a, b)
 
 
-def test_equality_free_order_32_solves_without_scipy():
-    # min c'z subject to ||z|| <= 1 in 32 variables: the optimum is -||c||
+def test_order_32_solves_without_scipy():
+    # min c'z subject to ||z|| <= 1 in 32 variables: the optimum is -||c||;
+    # then min t subject to ||x|| <= t with x pinned to (3, 4) by E = [I 0]
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -353,6 +387,10 @@ def test_equality_free_order_32_solves_without_scipy():
         "soc = [SocBlock(np.eye(32), np.zeros(32), np.zeros(32), 1.0)]\n"
         "res = solve(ConeProgram(c=c, soc=soc))\n"
         "print(res.status, res.objective + np.linalg.norm(c))\n"
+        "e = np.eye(3)[:2]\n"
+        "soc = [SocBlock(e, np.zeros(2), np.eye(3)[2], 0.0)]\n"
+        "res = solve(ConeProgram(c=np.eye(3)[2], e=e, f=np.array([3.0, 4.0]), soc=soc))\n"
+        "print(res.status, res.objective - 5.0)\n"
     )
     src = str(Path(conesolver.__file__).resolve().parent.parent)
     done = subprocess.run(
@@ -360,28 +398,37 @@ def test_equality_free_order_32_solves_without_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    status, error = done.stdout.split()
-    assert status == "Optimal" and abs(float(error)) <= 1e-6
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        status, error = line.split()
+        assert status == "Optimal" and abs(float(error)) <= 1e-6
 
 
 def test_mixed_cone_dims_report_duals_in_program_order():
-    rng = np.random.default_rng(11)
-    dims = [4, 2, 3, 2, 4]
-    prog = random_mixed_program(rng, 5, 3, 1, dims)
-    prog.g = np.vstack([prog.g, np.eye(5), -np.eye(5)])  # keep the optimum bounded
-    prog.h = np.concatenate([prog.h, np.full(10, 5.0)])
-    res = conesolver.solve(prog)
-    assert res.status == "Optimal"
-    assert [lam.size for lam in res.lam_soc] == dims
-    assert [s.size for s in res.s_soc] == dims
-    # stationarity c + G'lam + E'y = 0 with the duals taken in program order
-    grad = prog.c + prog.g.T @ res.lam_lin + prog.e.T @ res.y
-    for blk, lam in zip(prog.soc, res.lam_soc):
-        grad -= blk.c * lam[0] + blk.a.T @ lam[1:]
-    assert np.abs(grad).max() <= 1e-7
-    for blk, s in zip(prog.soc, res.s_soc):
-        assert s[0] == pytest.approx(blk.c @ res.z + blk.d, abs=1e-7)
-        assert np.allclose(s[1:], blk.a @ res.z + blk.b, atol=1e-7)
+    # with 0, 1 and 2 equality rows, and with the second row a copy of the
+    # first, which the solve over null(E) must take as one row
+    for ne, duplicated in ((0, False), (1, False), (2, False), (2, True)):
+        rng = np.random.default_rng(11)
+        dims = [4, 2, 3, 2, 4]
+        prog = random_mixed_program(rng, 5, 3, ne, dims)
+        if duplicated:
+            prog.e[1], prog.f[1] = prog.e[0], prog.f[0]
+        prog.g = np.vstack([prog.g, np.eye(5), -np.eye(5)])  # keep the optimum bounded
+        prog.h = np.concatenate([prog.h, np.full(10, 5.0)])
+        res = conesolver.solve(prog)
+        assert res.status == "Optimal", ne
+        assert [lam.size for lam in res.lam_soc] == dims
+        assert [s.size for s in res.s_soc] == dims
+        assert np.abs(prog.e @ res.z - prog.f).max(initial=0.0) <= 1e-9
+        # stationarity c + G'lam + E'y = 0 with the duals taken in program order
+        grad = prog.c + prog.g.T @ res.lam_lin + prog.e.T @ res.y
+        for blk, lam in zip(prog.soc, res.lam_soc):
+            grad -= blk.c * lam[0] + blk.a.T @ lam[1:]
+        assert np.abs(grad).max() <= 1e-7, ne
+        for blk, s in zip(prog.soc, res.s_soc):
+            assert s[0] == pytest.approx(blk.c @ res.z + blk.d, abs=1e-7)
+            assert np.allclose(s[1:], blk.a @ res.z + blk.b, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
